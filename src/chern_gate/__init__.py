@@ -13,7 +13,6 @@ from .exact import (
     factorize,
     integer_sqrt_exact,
     is_probable_prime,
-    normalize_rational,
     polynomial_content,
     rational_sqrt,
     solve_quadratic_rational,
@@ -61,7 +60,6 @@ from .riemann_roch import (
     DerivedInvariants,
     HodgeDiamond,
     PontryaginData,
-    a_hat_genus,
     chi_O_from_class,
     complete_invariants,
     invariants_from_diamond,
@@ -102,7 +100,6 @@ from .version import __version__
 __all__ = [
     "__version__",
     # exact
-    "normalize_rational",
     "integer_sqrt_exact",
     "rational_sqrt",
     "solve_quadratic_rational",
@@ -129,7 +126,6 @@ __all__ = [
     "complete_invariants",
     "chi_O_from_class",
     "pontryagin_numbers",
-    "a_hat_genus",
     "l_genus_signature",
     # search
     "LatticeSpec",

@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "normalize_rational",
     "integer_sqrt_exact",
     "rational_sqrt",
     "solve_quadratic_rational",
@@ -21,13 +20,6 @@ __all__ = [
     "factorize",
     "divisors",
 ]
-
-
-def normalize_rational(num: int, den: int) -> Fraction:
-    """Canonical form of num/den: coprime parts, positive denominator."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
 
 
 def integer_sqrt_exact(n: int) -> int | None:

@@ -14,9 +14,11 @@ witness when a root exists:
   BoundedExhaustive    every integer in [1, bound] is evaluated, with
                        bound at least the Cauchy root bound.
 
-Certificates carry the data needed to re-check them without rerunning
-the search: verify_certificate recomputes every claimed value from the
-polynomial itself.
+The cheaper filters certify with CongruenceMod12, AhatNonIntegral and
+ExternalFactCertificate. Every certificate carries the data needed to
+re-check it without rerunning the search, and verify_certificate is the
+one place that re-checks any of them: it recomputes every claimed value
+from the data the filter consumed.
 """
 
 from __future__ import annotations
@@ -182,6 +184,13 @@ class ExternalFact:
             return f"degree <= {self.max_degree}"
         return f"classified as {self.conclusion}"
 
+    def admits(self, degree: int) -> bool:
+        """Whether a case of this degree passes the fact untouched; a
+        concludes fact never does, it closes the case out."""
+        if self.kind == "degree-in":
+            return degree in self.degrees
+        return self.kind == "degree-max" and degree <= self.max_degree
+
 
 @dataclass(frozen=True)
 class ExternalFactCertificate:
@@ -314,82 +323,145 @@ def _check_reduction(poly: IntPoly, content: int, m_power: int):
     return reduced, ""
 
 
-def verify_certificate_detailed(poly: IntPoly, cert) -> tuple[bool, str]:
-    """Re-derive every claim a certificate makes about poly.
+def _root_flaw(poly: IntPoly, cert: RootFound) -> str:
+    if cert.m < 1:
+        return f"root {cert.m} is not a positive integer"
+    if poly.evaluate(cert.m) != 0:
+        return f"claimed root {cert.m} does not vanish"
+    return ""
 
-    Returns (True, "") when the certificate is sound, otherwise
-    (False, reason). RootFound verifies as a valid witness that a root
-    exists, i.e. that elimination legitimately failed.
-    """
-    if isinstance(cert, RootFound):
-        if cert.m < 1:
-            return False, f"root {cert.m} is not a positive integer"
-        if poly.evaluate(cert.m) != 0:
-            return False, f"claimed root {cert.m} does not vanish"
-        return True, ""
 
-    if isinstance(cert, (ModularObstruction, ConstantDivisorTest, BoundedExhaustive)):
-        reduced, reason = _check_reduction(poly, cert.content, cert.m_power)
-        if reduced is None:
-            return False, reason
-        if isinstance(cert, ModularObstruction):
-            if cert.modulus < 2:
-                return False, f"modulus {cert.modulus} is too small"
-            if len(cert.residues) != cert.modulus:
-                return (
-                    False,
-                    f"expected {cert.modulus} residues, got {len(cert.residues)}",
-                )
-            for t, claimed in enumerate(cert.residues):
-                actual = reduced.evaluate_mod(t, cert.modulus)
-                if actual != claimed:
-                    return (
-                        False,
-                        f"residue at {t} mod {cert.modulus} is {actual}, "
-                        f"certificate claims {claimed}",
-                    )
-                if claimed == 0:
-                    return False, f"residue class {t} mod {cert.modulus} vanishes"
-            return True, ""
-        if isinstance(cert, ConstantDivisorTest):
-            expected = divisors(abs(reduced.coeffs[0]))
-            if cert.divisors != expected:
-                return (
-                    False,
-                    f"divisor list {cert.divisors} does not match the "
-                    f"divisors of {abs(reduced.coeffs[0])}",
-                )
-            if len(cert.values) != len(cert.divisors):
-                return False, "one value per divisor required"
-            for m, claimed in zip(cert.divisors, cert.values):
-                actual = reduced.evaluate(m)
-                if actual != claimed:
-                    return (
-                        False,
-                        f"value at {m} is {actual}, certificate claims {claimed}",
-                    )
-                if claimed == 0:
-                    return False, f"divisor {m} is a root"
-            return True, ""
-        # BoundedExhaustive
-        if reduced.degree == 0:
-            return True, ""
-        needed = _cauchy_bound(reduced)
-        if cert.bound < needed:
+def _modular_flaw(reduced: IntPoly, cert: ModularObstruction) -> str:
+    if cert.modulus < 2:
+        return f"modulus {cert.modulus} is too small"
+    if len(cert.residues) != cert.modulus:
+        return f"expected {cert.modulus} residues, got {len(cert.residues)}"
+    for t, claimed in enumerate(cert.residues):
+        actual = reduced.evaluate_mod(t, cert.modulus)
+        if actual != claimed:
             return (
-                False,
-                f"bound {cert.bound} is below the root bound {needed}",
+                f"residue at {t} mod {cert.modulus} is {actual}, "
+                f"certificate claims {claimed}"
             )
-        for m in range(1, cert.bound + 1):
-            if reduced.evaluate(m) == 0:
-                return False, f"{m} is a root inside the claimed bound"
-        return True, ""
-
-    raise TypeError(f"not a polynomial certificate: {type(cert).__name__}")
+        if claimed == 0:
+            return f"residue class {t} mod {cert.modulus} vanishes"
+    return ""
 
 
-def verify_certificate(poly: IntPoly, cert) -> bool:
-    ok, _ = verify_certificate_detailed(poly, cert)
+def _divisor_flaw(reduced: IntPoly, cert: ConstantDivisorTest) -> str:
+    expected = divisors(abs(reduced.coeffs[0]))
+    if cert.divisors != expected:
+        return (
+            f"divisor list {cert.divisors} does not match the "
+            f"divisors of {abs(reduced.coeffs[0])}"
+        )
+    if len(cert.values) != len(cert.divisors):
+        return "one value per divisor required"
+    for m, claimed in zip(cert.divisors, cert.values):
+        actual = reduced.evaluate(m)
+        if actual != claimed:
+            return f"value at {m} is {actual}, certificate claims {claimed}"
+        if claimed == 0:
+            return f"divisor {m} is a root"
+    return ""
+
+
+def _exhaustive_flaw(reduced: IntPoly, cert: BoundedExhaustive) -> str:
+    if reduced.degree == 0:
+        return ""
+    needed = _cauchy_bound(reduced)
+    if cert.bound < needed:
+        return f"bound {cert.bound} is below the root bound {needed}"
+    for m in range(1, cert.bound + 1):
+        if reduced.evaluate(m) == 0:
+            return f"{m} is a root inside the claimed bound"
+    return ""
+
+
+def _mod12_flaw(cn: CharNumbers, cert: CongruenceMod12) -> str:
+    value = cn.c1_2c2 + 2 * cn.c1_4
+    if cert.value != value:
+        return f"<c1^2 c2> + 2<c1^4> is {value}, certificate claims {cert.value}"
+    if cert.residue != value % 12:
+        return f"{value} is {value % 12} mod 12, certificate claims {cert.residue}"
+    if cert.residue == 0:
+        return f"{value} is divisible by 12"
+    return ""
+
+
+def _ahat_flaw(case: ChernCase, cert: AhatNonIntegral) -> str:
+    data = pontryagin_numbers(case)
+    if not data.spin_applicable:
+        return f"r = {case.r} is odd, so the A-hat genus need not be integral"
+    if data.a_hat != cert.value:
+        return f"A-hat genus is {data.a_hat}, certificate claims {cert.value}"
+    if data.a_hat.denominator == 1:
+        return f"A-hat genus {data.a_hat} is an integer"
+    return ""
+
+
+def _fact_flaw(subject, cert: ExternalFactCertificate) -> str:
+    sol, facts = subject
+    fact = next((f for f in facts if f.r == sol.r), None)
+    if fact is None:
+        return f"no fact applies to r = {sol.r}"
+    quoted = (cert.index, cert.constraint, cert.citation)
+    if quoted != (fact.index, fact.constraint, fact.citation):
+        return (
+            f"certificate quotes fact {cert.index}, the fact for r = {sol.r} "
+            f"is {fact.index}: {fact.constraint} ({fact.citation})"
+        )
+    if fact.kind == "concludes":
+        if (cert.outcome, cert.conclusion) != ("concluded", fact.conclusion):
+            return f"fact {fact.index} concludes {fact.conclusion}"
+        return ""
+    degree = sol.geometry.degree
+    if (cert.outcome, cert.violated_by) != ("eliminated", degree):
+        return f"the case has degree {degree}, certificate says {cert.violated_by}"
+    if fact.admits(degree):
+        return f"degree {degree} satisfies {fact.constraint}"
+    return ""
+
+
+# Certificate class -> the check that finds its first flaw. The three
+# polynomial obstructions are checked against the polynomial reduced by
+# their claimed content and m power.
+_CHECKS = {
+    RootFound: _root_flaw,
+    ModularObstruction: _modular_flaw,
+    ConstantDivisorTest: _divisor_flaw,
+    BoundedExhaustive: _exhaustive_flaw,
+    CongruenceMod12: _mod12_flaw,
+    AhatNonIntegral: _ahat_flaw,
+    ExternalFactCertificate: _fact_flaw,
+}
+_REDUCED = (ModularObstruction, ConstantDivisorTest, BoundedExhaustive)
+
+
+def verify_certificate_detailed(subject, cert) -> tuple[bool, str]:
+    """Re-derive every claim a certificate makes about its subject.
+
+    The subject is the data the filter consumed: the IntPoly for
+    modular, divisor, exhaustive and root certificates, the CharNumbers
+    row for CongruenceMod12, the ChernCase for AhatNonIntegral, and the
+    pair (CaseSolution, facts) for ExternalFactCertificate. Returns
+    (True, "") when the certificate is sound, otherwise (False, reason).
+    RootFound verifies as a valid witness that a root exists, i.e. that
+    elimination legitimately failed.
+    """
+    check = _CHECKS.get(type(cert))
+    if check is None:
+        raise TypeError(f"not a certificate: {type(cert).__name__}")
+    if isinstance(cert, _REDUCED):
+        subject, reason = _check_reduction(subject, cert.content, cert.m_power)
+        if subject is None:
+            return False, reason
+    reason = check(subject, cert)
+    return not reason, reason
+
+
+def verify_certificate(subject, cert) -> bool:
+    ok, _ = verify_certificate_detailed(subject, cert)
     return ok
 
 
@@ -422,34 +494,14 @@ def external_fact_filter(
     sol: CaseSolution, facts
 ) -> ExternalFactCertificate | None:
     """Apply the first literature fact whose r matches the solution."""
-    for fact in facts:
-        if fact.r != sol.r:
-            continue
-        if fact.kind == "degree-in":
-            if sol.geometry.degree in fact.degrees:
-                return None
-            return ExternalFactCertificate(
-                index=fact.index,
-                constraint=fact.constraint,
-                citation=fact.citation,
-                outcome="eliminated",
-                violated_by=sol.geometry.degree,
-            )
-        if fact.kind == "degree-max":
-            if sol.geometry.degree <= fact.max_degree:
-                return None
-            return ExternalFactCertificate(
-                index=fact.index,
-                constraint=fact.constraint,
-                citation=fact.citation,
-                outcome="eliminated",
-                violated_by=sol.geometry.degree,
-            )
+    fact = next((f for f in facts if f.r == sol.r), None)
+    if fact is None or fact.admits(sol.geometry.degree):
+        return None
+    cited = dict(index=fact.index, constraint=fact.constraint, citation=fact.citation)
+    if fact.kind == "concludes":
         return ExternalFactCertificate(
-            index=fact.index,
-            constraint=fact.constraint,
-            citation=fact.citation,
-            outcome="concluded",
-            conclusion=fact.conclusion,
+            **cited, outcome="concluded", conclusion=fact.conclusion
         )
-    return None
+    return ExternalFactCertificate(
+        **cited, outcome="eliminated", violated_by=sol.geometry.degree
+    )

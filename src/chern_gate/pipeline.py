@@ -1,23 +1,26 @@
 """Replaying a lemma end to end.
 
 run_lemma drives the full chain: Hodge diamond to the Riemann-Roch
-target, lattice enumeration, characteristic-number tables, the
-configured elimination filters, and certificate verification. When a
-baseline is supplied the run is compared against it cell by cell, and
-every obstruction the baseline records in printed form is rebuilt and
-re-verified against the live polynomials, independently of whatever
-certificate the engine chose for itself.
+target, lattice enumeration, characteristic-number tables and the
+configured elimination filters, or, for a direct scenario, just the
+listed polynomials. Both modes share one report builder. Every
+certificate, whichever filter produced it, is re-checked by
+obstruction.verify_certificate against the data the filter consumed.
+When a baseline is supplied the run is compared against it cell by
+cell, and every obstruction the baseline records in printed form is
+completed into a certificate and verified against the run's own data
+for that case (its polynomial, characteristic numbers or Chern data),
+independently of whatever certificate the engine chose for itself.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from importlib import resources
 
 from .obstruction import (
-    ConstantDivisorTest,
     IntPoly,
-    ModularObstruction,
     RootFound,
     _check_reduction,
     ahat_filter,
@@ -32,7 +35,6 @@ from .report import (
     certificate_to_json,
     frac_str,
     int_str,
-    parse_frac,
     parse_int_str,
     sci_5,
 )
@@ -44,7 +46,7 @@ from .riemann_roch import (
     l_genus_signature,
     pontryagin_numbers,
 )
-from .scenario import LemmaSpec, parse_scenario
+from .scenario import LEMMA_IDS, LemmaSpec, parse_scenario
 from .search import (
     ConstraintSystem,
     char_number_table,
@@ -64,7 +66,7 @@ __all__ = [
     "reproduce_lemma",
 ]
 
-SHIPPED_LEMMAS = ("2.1", "2.2", "3.1", "4.2", "A.1", "A.2", "A.3")
+SHIPPED_LEMMAS = LEMMA_IDS
 
 _COLUMNS = (
     ("c1_4", "c1^4"),
@@ -115,150 +117,95 @@ def run_lemma(
             f"baseline is for lemma {baseline.get('lemma')!r}, "
             f"scenario replays {spec.lemma_id!r}"
         )
-    if spec.mode == "direct":
-        return _run_direct(spec, baseline, max_modulus)
+    # What each baseline label's printed obstructions are checked against.
+    live: dict[str, dict] = {"poly": {}, "char_numbers": {}, "case": {}}
+    poly_rows: list[dict] = []
+    eliminations: list[dict] = []
+    survivors: list[dict] = []
 
-    inv = complete_invariants(invariants_from_diamond(spec.diamond))
-    system = constraint_system_for(spec, target=inv.target)
-    solutions = enumerate_cases(system, workers=workers)
-
-    id_by_key = {}
-    if baseline is not None:
-        for entry in baseline.get("cases", []):
-            key = _case_key(entry["params"], entry["r"], entry["k"])
-            id_by_key[key] = entry["id"]
-
-    case_rows = []
-    tables = {}
-    chern_cases = {}
-    ids = {}
-    for sol in solutions:
-        cn = char_number_table(sol, inv)
-        case = to_chern_case(sol, inv)
-        chio = chi_O_from_class(chern_from_case(case), sol.geometry)
-        if chio != inv.chi_O:
-            raise ArithmeticError(
-                f"chi_O recomputed from the Chern class is {chio}, "
-                f"the diamond says {inv.chi_O}"
-            )
-        pd = pontryagin_numbers(case)
-        bid = id_by_key.get(_case_key(sol.geometry.params, sol.r, frac_str(sol.k)))
-        tables[sol.ordinal] = cn
-        chern_cases[sol.ordinal] = case
-        ids[sol.ordinal] = bid
-        case_rows.append(
+    def certify(ordinal: int, bid, label: str, poly: IntPoly):
+        cert = eliminate(poly, max_modulus=max_modulus)
+        ok = verify_certificate(poly, cert)
+        live["poly"][label] = poly
+        poly_rows.append(
             {
-                "ordinal": sol.ordinal,
-                "params": dict(sol.geometry.params),
-                "r": sol.r,
-                "k": frac_str(sol.k),
+                "ordinal": ordinal,
                 "baseline_id": bid,
-                "char_numbers": {
-                    "c1_4": int_str(cn.c1_4),
-                    "c1c3": int_str(cn.c1c3),
-                    "c1_2c2": int_str(cn.c1_2c2),
-                    "c2_2": int_str(cn.c2_2),
-                    "c4": int_str(cn.c4),
-                },
-                "pontryagin": {
-                    "p1_sq": frac_str(pd.p1_sq),
-                    "p2": frac_str(pd.p2),
-                    "a_hat": frac_str(pd.a_hat),
-                    "spin": pd.spin_applicable,
-                },
-                "l_genus_signature": frac_str(l_genus_signature(pd)),
-                "chi_O_check": frac_str(chio),
+                "label": label,
+                "coefficients": [int_str(c) for c in poly.desc_coeffs],
+                "scale": int_str(poly.scale),
+                "certificate": certificate_to_json(cert),
+                "verified": ok,
             }
         )
+        return cert, ok
 
-    status = {sol.ordinal: "alive" for sol in solutions}
-    conclusions = {}
-    conclusion_certs = {}
-    eliminations = []
-    poly_rows = []
-    polys_by_label = {}
-
-    for name in spec.filters:
-        for sol in solutions:
-            o = sol.ordinal
-            if status[o] != "alive":
-                continue
-            if name == "mod12":
-                cert = mod12_filter(tables[o])
-                if cert is None:
-                    continue
-                value = tables[o].c1_2c2 + 2 * tables[o].c1_4
-                ok = (
-                    cert.value == value
-                    and cert.residue == value % 12
-                    and value % 12 != 0
+    if spec.mode == "direct":
+        invariants, case_rows = None, []
+        for i, (label, poly) in enumerate(spec.polynomials, start=1):
+            cert, _ = certify(i, label, label, poly)
+            if isinstance(cert, RootFound):
+                survivors.append(
+                    {"ordinal": i, "baseline_id": label, "root": int_str(cert.m)}
                 )
-            elif name == "ahat":
-                cert = ahat_filter(chern_cases[o])
-                if cert is None:
+    else:
+        inv = complete_invariants(invariants_from_diamond(spec.diamond))
+        invariants = asdict(inv)  # chi, chi_O, chi1, signature, c1c3, target
+        system = constraint_system_for(spec, target=inv.target)
+        solutions = enumerate_cases(system, workers=workers)
+        case_rows, tables, cases, ids = _case_rows(solutions, inv, baseline)
+        labels = {o: f"case-{o}" if bid is None else bid for o, bid in ids.items()}
+        for o, label in labels.items():
+            live["char_numbers"][label] = tables[o]
+            live["case"][label] = cases[o]
+        status = {sol.ordinal: "alive" for sol in solutions}
+        concluded = {}
+        for name in spec.filters:
+            for sol in solutions:
+                o = sol.ordinal
+                if status[o] != "alive":
                     continue
-                pd = pontryagin_numbers(chern_cases[o])
-                ok = (
-                    pd.spin_applicable
-                    and pd.a_hat == cert.value
-                    and pd.a_hat.denominator != 1
-                )
-            elif name == "embedding-poly":
-                poly = build_embedding_polynomial(chern_cases[o])
-                cert = eliminate(poly, max_modulus=max_modulus)
-                ok = verify_certificate(poly, cert)
-                label = ids[o] if ids[o] is not None else f"case-{o}"
-                polys_by_label[label] = poly
-                poly_rows.append(
+                if name == "embedding-poly":
+                    poly = build_embedding_polynomial(cases[o])
+                    cert, ok = certify(o, ids[o], labels[o], poly)
+                    if isinstance(cert, RootFound):
+                        # A positive integer root means the filter has no
+                        # objection; the case stays alive.
+                        continue
+                else:
+                    if name == "mod12":
+                        subject, cert = tables[o], mod12_filter(tables[o])
+                    elif name == "ahat":
+                        subject, cert = cases[o], ahat_filter(cases[o])
+                    else:  # external-facts
+                        subject = (sol, spec.facts)
+                        cert = external_fact_filter(sol, spec.facts)
+                    if cert is None:
+                        continue
+                    if getattr(cert, "outcome", None) == "concluded":
+                        status[o] = "concluded"
+                        concluded[o] = cert
+                        continue
+                    ok = verify_certificate(subject, cert)
+                status[o] = "eliminated"
+                eliminations.append(
                     {
                         "ordinal": o,
                         "baseline_id": ids[o],
-                        "label": label,
-                        "coefficients": [int_str(c) for c in poly.desc_coeffs],
-                        "scale": int_str(poly.scale),
+                        "filter": name,
                         "certificate": certificate_to_json(cert),
                         "verified": ok,
                     }
                 )
-                if isinstance(cert, RootFound):
-                    # A positive integer root means the filter has no
-                    # objection; the case stays alive.
-                    continue
-            else:  # external-facts
-                cert = external_fact_filter(sol, spec.facts)
-                if cert is None:
-                    continue
-                if cert.outcome == "concluded":
-                    status[o] = "concluded"
-                    conclusions[o] = cert.conclusion
-                    conclusion_certs[o] = cert
-                    continue
-                fact = next(f for f in spec.facts if f.r == sol.r)
-                degree = sol.geometry.degree
-                if fact.kind == "degree-in":
-                    ok = degree not in fact.degrees and cert.violated_by == degree
-                else:
-                    ok = degree > fact.max_degree and cert.violated_by == degree
-            status[o] = "eliminated"
-            eliminations.append(
-                {
-                    "ordinal": o,
-                    "baseline_id": ids[o],
-                    "filter": name,
-                    "certificate": certificate_to_json(cert),
-                    "verified": ok,
-                }
-            )
-
-    survivors = []
-    for sol in solutions:
-        if status[sol.ordinal] == "eliminated":
-            continue
-        row = {"ordinal": sol.ordinal, "baseline_id": ids[sol.ordinal]}
-        if status[sol.ordinal] == "concluded":
-            row["conclusion"] = conclusions[sol.ordinal]
-            row["certificate"] = certificate_to_json(conclusion_certs[sol.ordinal])
-        survivors.append(row)
+        for sol in solutions:
+            o = sol.ordinal
+            if status[o] == "eliminated":
+                continue
+            row = {"ordinal": o, "baseline_id": ids[o]}
+            if status[o] == "concluded":
+                row["conclusion"] = concluded[o].conclusion
+                row["certificate"] = certificate_to_json(concluded[o])
+            survivors.append(row)
 
     if not survivors:
         verdict = "ALL-ELIMINATED"
@@ -273,14 +220,7 @@ def run_lemma(
         "lemma": spec.lemma_id,
         "mode": spec.mode,
         "input_sha256": spec.input_sha256,
-        "invariants": {
-            "chi": inv.chi,
-            "chi_O": inv.chi_O,
-            "chi1": inv.chi1,
-            "signature": inv.signature,
-            "c1c3": inv.c1c3,
-            "target": inv.target,
-        },
+        "invariants": invariants,
         "cases": case_rows,
         "eliminations": eliminations,
         "polynomials": poly_rows,
@@ -290,169 +230,123 @@ def run_lemma(
         "baseline_diff": None,
     }
     if baseline is not None:
-        engine_certs = {row["label"]: row["certificate"] for row in poly_rows}
-        elim_certs = {
-            e["baseline_id"]: e["certificate"]
-            for e in eliminations
-            if e["baseline_id"] is not None
-        }
-        report["baseline_validation"] = _validate_printed(
-            baseline, polys_by_label, engine_certs, elim_certs
-        )
+        report["baseline_validation"] = _validate_printed(baseline, live, poly_rows)
         report["baseline_diff"] = diff_baseline(report, baseline)
     return report
 
 
-def _run_direct(spec: LemmaSpec, baseline: dict | None, max_modulus: int) -> dict:
-    poly_rows = []
-    polys_by_label = {}
-    survivors = []
-    for i, (label, poly) in enumerate(spec.polynomials, start=1):
-        cert = eliminate(poly, max_modulus=max_modulus)
-        ok = verify_certificate(poly, cert)
-        polys_by_label[label] = poly
-        poly_rows.append(
+def _case_rows(solutions, inv, baseline: dict | None):
+    """The report's case table, plus each case's characteristic numbers,
+    Chern data and baseline id, keyed by ordinal."""
+    id_by_key = {}
+    if baseline is not None:
+        for entry in baseline.get("cases", []):
+            key = _case_key(entry["params"], entry["r"], entry["k"])
+            id_by_key[key] = entry["id"]
+    rows, tables, cases, ids = [], {}, {}, {}
+    for sol in solutions:
+        cn = char_number_table(sol, inv)
+        case = to_chern_case(sol, inv)
+        chio = chi_O_from_class(chern_from_case(case), sol.geometry)
+        if chio != inv.chi_O:
+            raise ArithmeticError(
+                f"chi_O recomputed from the Chern class is {chio}, "
+                f"the diamond says {inv.chi_O}"
+            )
+        pd = pontryagin_numbers(case)
+        bid = id_by_key.get(_case_key(sol.geometry.params, sol.r, frac_str(sol.k)))
+        tables[sol.ordinal] = cn
+        cases[sol.ordinal] = case
+        ids[sol.ordinal] = bid
+        rows.append(
             {
-                "ordinal": i,
-                "baseline_id": label,
-                "label": label,
-                "coefficients": [int_str(c) for c in poly.desc_coeffs],
-                "scale": int_str(poly.scale),
-                "certificate": certificate_to_json(cert),
-                "verified": ok,
+                "ordinal": sol.ordinal,
+                "params": dict(sol.geometry.params),
+                "r": sol.r,
+                "k": frac_str(sol.k),
+                "baseline_id": bid,
+                "char_numbers": {f: int_str(getattr(cn, f)) for f, _ in _COLUMNS},
+                "pontryagin": {
+                    "p1_sq": frac_str(pd.p1_sq),
+                    "p2": frac_str(pd.p2),
+                    "a_hat": frac_str(pd.a_hat),
+                    "spin": pd.spin_applicable,
+                },
+                "l_genus_signature": frac_str(l_genus_signature(pd)),
+                "chi_O_check": frac_str(chio),
             }
         )
-        if isinstance(cert, RootFound):
-            survivors.append(
-                {"ordinal": i, "baseline_id": label, "root": int_str(cert.m)}
-            )
-    report = {
-        "tool": "chern-gate",
-        "version": __version__,
-        "lemma": spec.lemma_id,
-        "mode": spec.mode,
-        "input_sha256": spec.input_sha256,
-        "invariants": None,
-        "cases": [],
-        "eliminations": [],
-        "polynomials": poly_rows,
-        "survivors": survivors,
-        "verdict": "SURVIVORS-REMAIN" if survivors else "ALL-ELIMINATED",
-        "baseline_validation": None,
-        "baseline_diff": None,
-    }
-    if baseline is not None:
-        engine_certs = {row["label"]: row["certificate"] for row in poly_rows}
-        report["baseline_validation"] = _validate_printed(
-            baseline, polys_by_label, engine_certs, {}
-        )
-        report["baseline_diff"] = diff_baseline(report, baseline)
-    return report
+    return rows, tables, cases, ids
 
 
-def _validate_obstruction(
-    label: str, entry: dict, polys_by_label: dict, elim_certs: dict
-) -> dict:
+# Printed obstruction kind -> (certificate tag, the live data it is about).
+_PRINTED = {
+    "modular": ("modular", "poly"),
+    "divisor": ("divisor", "poly"),
+    "congruence-mod12": ("congruence-mod12", "char_numbers"),
+    "ahat": ("ahat-nonintegral", "case"),
+}
+
+
+def _validate_obstruction(label: str, entry: dict, live: dict) -> dict:
+    """Complete a printed obstruction into a certificate and verify it
+    against the run's own data for the same case."""
     kind = entry["kind"]
     row: dict = {"id": label, "kind": "obstruction", "obstruction": kind}
     if "note" in entry:
         row["note"] = entry["note"]
     row["verified"] = False
+    if kind not in _PRINTED:
+        row["note"] = f"unknown obstruction kind {kind!r}"
+        return row
+    tag, about = _PRINTED[kind]
+    subject = live[about].get(label)
+    if subject is None:
+        return row
+    # The printed form is the headline data; what it leaves out is
+    # filled in from the live data and re-checked by the verifier.
+    data = {**entry, "type": tag, "m_power": 0}
     if kind == "modular":
-        poly = polys_by_label.get(label)
-        if poly is None:
-            return row
-        content = parse_int_str(entry["content"])
+        # No residues when the printed content does not divide the
+        # polynomial; the verifier rejects the content first either way.
         modulus = entry["modulus"]
-        reduced, _ = _check_reduction(poly, content, 0)
-        if reduced is None:
-            return row
-        cert = ModularObstruction(
-            content=content,
-            m_power=0,
-            modulus=modulus,
-            residues=tuple(reduced.evaluate_mod(t, modulus) for t in range(modulus)),
+        reduced, _ = _check_reduction(subject, parse_int_str(entry["content"]), 0)
+        points = range(modulus) if reduced is not None else ()
+        data["residues"] = [reduced.evaluate_mod(t, modulus) for t in points]
+    elif kind == "congruence-mod12":
+        data["residue"] = parse_int_str(entry["value"]) % 12
+    cert = certificate_from_json(data)
+    row["verified"] = verify_certificate(subject, cert)
+    if kind == "divisor" and "approx_values" in entry:
+        lookup = dict(zip(cert.divisors, cert.values))
+        row["approx_match"] = all(
+            sci_5(lookup[parse_int_str(where)]) == text
+            for where, text in entry["approx_values"].items()
         )
-        row["verified"] = verify_certificate(poly, cert)
-        return row
-    if kind == "divisor":
-        poly = polys_by_label.get(label)
-        if poly is None:
-            return row
-        divisors = tuple(parse_int_str(x) for x in entry["divisors"])
-        values = tuple(parse_int_str(x) for x in entry["values"])
-        cert = ConstantDivisorTest(
-            content=parse_int_str(entry["content"]),
-            m_power=0,
-            divisors=divisors,
-            values=values,
-        )
-        row["verified"] = verify_certificate(poly, cert)
-        if "approx_values" in entry:
-            lookup = dict(zip(divisors, values))
-            row["approx_match"] = all(
-                sci_5(lookup[parse_int_str(where)]) == text
-                for where, text in entry["approx_values"].items()
-            )
-        return row
-    if kind == "congruence-mod12":
-        ours = elim_certs.get(label)
-        value = parse_int_str(entry["value"])
-        row["verified"] = (
-            ours is not None
-            and ours.get("type") == "congruence-mod12"
-            and parse_int_str(ours["value"]) == value
-            and value % 12 != 0
-        )
-        return row
-    if kind == "ahat":
-        ours = elim_certs.get(label)
-        value = parse_frac(entry["value"])
-        row["verified"] = (
-            ours is not None
-            and ours.get("type") == "ahat-nonintegral"
-            and parse_frac(ours["value"]) == value
-            and value.denominator != 1
-        )
-        return row
-    row["note"] = f"unknown obstruction kind {kind!r}"
     return row
 
 
-def _validate_printed(
-    baseline: dict,
-    polys_by_label: dict[str, IntPoly],
-    engine_certs: dict[str, dict],
-    elim_certs: dict[str, dict],
-) -> list[dict]:
+def _validate_printed(baseline: dict, live: dict, poly_rows: list[dict]) -> list[dict]:
     """Rebuild every printed artifact of the baseline and re-check it.
 
     Polynomial coefficient lists are compared exactly. Printed
-    obstructions carry only their headline data (content and modulus,
-    or the divisor values), so they are completed into full
-    certificates and then pushed through the verifier. Expected engine
-    certificates must match the run's output verbatim and re-verify.
+    obstructions are verified as described in _validate_obstruction.
+    Expected engine certificates must match the run's output verbatim
+    and re-verify.
     """
+    polys = live["poly"]
     rows = []
-    for label in sorted(baseline.get("polynomials", {})):
-        expected = baseline["polynomials"][label]
-        poly = polys_by_label.get(label)
-        ours = None if poly is None else [int_str(c) for c in poly.desc_coeffs]
-        rows.append(
-            {"id": label, "kind": "polynomial", "verified": ours == expected}
+    for label, expected in sorted(baseline.get("polynomials", {}).items()):
+        ours = polys.get(label)
+        ours = None if ours is None else [int_str(c) for c in ours.desc_coeffs]
+        rows.append({"id": label, "kind": "polynomial", "verified": ours == expected})
+    for label, entry in sorted(baseline.get("obstructions", {}).items()):
+        rows.append(_validate_obstruction(label, entry, live))
+    engine_certs = {row["label"]: row["certificate"] for row in poly_rows}
+    for label, expected in sorted(baseline.get("expected_certificates", {}).items()):
+        ok = engine_certs.get(label) == expected and verify_certificate(
+            polys[label], certificate_from_json(expected)
         )
-    for label in sorted(baseline.get("obstructions", {})):
-        rows.append(
-            _validate_obstruction(
-                label, baseline["obstructions"][label], polys_by_label, elim_certs
-            )
-        )
-    for label in sorted(baseline.get("expected_certificates", {})):
-        expected = baseline["expected_certificates"][label]
-        poly = polys_by_label.get(label)
-        ok = engine_certs.get(label) == expected
-        if ok and poly is not None:
-            ok = verify_certificate(poly, certificate_from_json(expected))
         rows.append({"id": label, "kind": "expected-certificate", "verified": ok})
     return rows
 

@@ -83,97 +83,76 @@ def sci_5(n: int) -> str:
     return str(_FIVE_FIGURES.create_decimal(Decimal(n)))
 
 
+def _same(x):
+    return x
+
+
+# (encode, decode) pairs for certificate fields. Big integers travel as
+# decimal strings, small ones (moduli, residues, exponents) as JSON ints.
+_BIG = (int_str, parse_int_str)
+_SMALL = (_same, int)
+_BIGS = (lambda xs: [int_str(x) for x in xs], lambda xs: tuple(map(parse_int_str, xs)))
+_SMALLS = (list, lambda xs: tuple(map(int, xs)))
+_TEXT = (_same, _same)
+
+# Certificate tag -> (class, field codecs). A field whose value is None
+# is left out of the JSON, and a field missing from the JSON is left to
+# the class default.
+_CODECS = {
+    "modular": (
+        ModularObstruction,
+        {"content": _BIG, "m_power": _SMALL, "modulus": _SMALL, "residues": _SMALLS},
+    ),
+    "divisor": (
+        ConstantDivisorTest,
+        {"content": _BIG, "m_power": _SMALL, "divisors": _BIGS, "values": _BIGS},
+    ),
+    "exhaustive": (
+        BoundedExhaustive,
+        {"content": _BIG, "m_power": _SMALL, "bound": _BIG},
+    ),
+    "root": (RootFound, {"m": _BIG}),
+    "congruence-mod12": (CongruenceMod12, {"value": _BIG, "residue": _SMALL}),
+    "ahat-nonintegral": (AhatNonIntegral, {"value": (frac_str, parse_frac)}),
+    "external-fact": (
+        ExternalFactCertificate,
+        {
+            "index": _SMALL,
+            "constraint": _TEXT,
+            "citation": _TEXT,
+            "outcome": _TEXT,
+            "violated_by": _BIG,
+            "conclusion": _TEXT,
+        },
+    ),
+}
+_TAGS = {cls: tag for tag, (cls, _) in _CODECS.items()}
+
+
 def certificate_to_json(cert) -> dict:
-    if isinstance(cert, ModularObstruction):
-        return {
-            "type": "modular",
-            "content": int_str(cert.content),
-            "m_power": cert.m_power,
-            "modulus": cert.modulus,
-            "residues": list(cert.residues),
-        }
-    if isinstance(cert, ConstantDivisorTest):
-        return {
-            "type": "divisor",
-            "content": int_str(cert.content),
-            "m_power": cert.m_power,
-            "divisors": [int_str(d) for d in cert.divisors],
-            "values": [int_str(v) for v in cert.values],
-        }
-    if isinstance(cert, BoundedExhaustive):
-        return {
-            "type": "exhaustive",
-            "content": int_str(cert.content),
-            "m_power": cert.m_power,
-            "bound": int_str(cert.bound),
-        }
-    if isinstance(cert, RootFound):
-        return {"type": "root", "m": int_str(cert.m)}
-    if isinstance(cert, CongruenceMod12):
-        return {
-            "type": "congruence-mod12",
-            "value": int_str(cert.value),
-            "residue": cert.residue,
-        }
-    if isinstance(cert, AhatNonIntegral):
-        return {"type": "ahat-nonintegral", "value": frac_str(cert.value)}
-    if isinstance(cert, ExternalFactCertificate):
-        out = {
-            "type": "external-fact",
-            "index": cert.index,
-            "constraint": cert.constraint,
-            "citation": cert.citation,
-            "outcome": cert.outcome,
-        }
-        if cert.violated_by is not None:
-            out["violated_by"] = int_str(cert.violated_by)
-        if cert.conclusion is not None:
-            out["conclusion"] = cert.conclusion
-        return out
-    raise TypeError(f"not a certificate: {type(cert).__name__}")
+    tag = _TAGS.get(type(cert))
+    if tag is None:
+        raise TypeError(f"not a certificate: {type(cert).__name__}")
+    out = {"type": tag}
+    for name, (encode, _) in _CODECS[tag][1].items():
+        value = getattr(cert, name)
+        if value is not None:
+            out[name] = encode(value)
+    return out
 
 
 def certificate_from_json(data: dict):
     kind = data.get("type")
-    if kind == "modular":
-        return ModularObstruction(
-            content=parse_int_str(data["content"]),
-            m_power=int(data["m_power"]),
-            modulus=int(data["modulus"]),
-            residues=tuple(int(x) for x in data["residues"]),
-        )
-    if kind == "divisor":
-        return ConstantDivisorTest(
-            content=parse_int_str(data["content"]),
-            m_power=int(data["m_power"]),
-            divisors=tuple(parse_int_str(x) for x in data["divisors"]),
-            values=tuple(parse_int_str(x) for x in data["values"]),
-        )
-    if kind == "exhaustive":
-        return BoundedExhaustive(
-            content=parse_int_str(data["content"]),
-            m_power=int(data["m_power"]),
-            bound=parse_int_str(data["bound"]),
-        )
-    if kind == "root":
-        return RootFound(m=parse_int_str(data["m"]))
-    if kind == "congruence-mod12":
-        return CongruenceMod12(
-            value=parse_int_str(data["value"]), residue=int(data["residue"])
-        )
-    if kind == "ahat-nonintegral":
-        return AhatNonIntegral(value=parse_frac(data["value"]))
-    if kind == "external-fact":
-        violated = data.get("violated_by")
-        return ExternalFactCertificate(
-            index=int(data["index"]),
-            constraint=data["constraint"],
-            citation=data["citation"],
-            outcome=data["outcome"],
-            violated_by=None if violated is None else parse_int_str(violated),
-            conclusion=data.get("conclusion"),
-        )
-    raise ValueError(f"unknown certificate type {kind!r}")
+    if not isinstance(kind, str) or kind not in _CODECS:
+        raise ValueError(f"unknown certificate type {kind!r}")
+    cls, fields = _CODECS[kind]
+    return cls(
+        **{
+            name: decode(data[name])
+            for name, (_, decode) in fields.items()
+            if data.get(name) is not None
+        }
+    )
 
 
 def canonical_json(obj) -> bytes:

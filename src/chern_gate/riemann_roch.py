@@ -37,7 +37,6 @@ __all__ = [
     "complete_invariants",
     "chi_O_from_class",
     "pontryagin_numbers",
-    "a_hat_genus",
     "l_genus_signature",
 ]
 
@@ -132,17 +131,14 @@ def pontryagin_numbers(case: ChernCase) -> PontryaginData:
     )
 
 
-def a_hat_genus(pd: PontryaginData) -> Fraction:
-    return (7 * pd.p1_sq - 4 * pd.p2) / 5760
-
-
 def l_genus_signature(pd: PontryaginData) -> Fraction:
     return (7 * pd.p2 - pd.p1_sq) / 45
 
 
 # Anchor check for the signature convention: the formula above must give
 # 1 on the diagonal diamond of P^4 and 2 on the diamond with middle row
-# 0 0 2 0 0. Evaluated at import so a convention slip cannot go quiet.
+# 0 0 2 0 0. Evaluated at import so a convention slip cannot go quiet;
+# it raises rather than asserts so that python -O keeps it.
 
 def _signature_anchor_check() -> None:
     p4 = HodgeDiamond.from_rows(
@@ -157,8 +153,9 @@ def _signature_anchor_check() -> None:
             [0, 0, 0, 0, 1],
         ]
     )
-    assert invariants_from_diamond(p4).signature == 1
-    assert invariants_from_diamond(mid2).signature == 2
+    for diamond, expected in ((p4, 1), (mid2, 2)):
+        if invariants_from_diamond(diamond).signature != expected:
+            raise ArithmeticError(f"signature anchor: expected {expected}")
 
 
 _signature_anchor_check()

@@ -10,24 +10,10 @@ from chern_gate.exact import (
     factorize,
     integer_sqrt_exact,
     is_probable_prime,
-    normalize_rational,
     polynomial_content,
     rational_sqrt,
     solve_quadratic_rational,
 )
-
-
-def test_normalize_rational_canonical_form():
-    assert normalize_rational(2, 4) == Fraction(1, 2)
-    assert normalize_rational(-6, -9) == Fraction(2, 3)
-    q = normalize_rational(5, -10)
-    assert q == Fraction(-1, 2)
-    assert q.denominator > 0
-
-
-def test_normalize_rational_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        normalize_rational(1, 0)
 
 
 def test_integer_sqrt_exact_squares_and_non_squares():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from chern_gate.obstruction import (
     verify_certificate,
     verify_certificate_detailed,
 )
+from chern_gate.riemann_roch import pontryagin_numbers
 from chern_gate.ring import ChernCase, Geometry
 from chern_gate.search import CaseSolution, CharNumbers
 
@@ -279,6 +281,51 @@ def test_embedding_polynomial_keeps_real_embeddings_alive(quadric_case, p4_case)
         assert poly.evaluate(m) == 0
         cert = eliminate(poly)
         assert cert == RootFound(m)
+
+
+def test_verifier_rejects_tampered_filter_certificates():
+    row = CharNumbers(c1_4=81, c1c3=48, c1_2c2=99, c2_2=121, c4=6)
+    assert verify_certificate(row, CongruenceMod12(value=261, residue=9))
+    assert not verify_certificate(row, CongruenceMod12(value=261, residue=3))
+    assert not verify_certificate(row, CongruenceMod12(value=262, residue=10))
+
+    spin_bad = ChernCase(
+        r=-2, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(14)
+    )
+    assert verify_certificate(spin_bad, AhatNonIntegral(value=Fraction(1, 4)))
+    assert not verify_certificate(spin_bad, AhatNonIntegral(value=Fraction(3, 4)))
+    # r odd: the genus is 1/4 here too, but nothing forces it to be integral
+    odd_index = ChernCase(
+        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(224)
+    )
+    ok, reason = verify_certificate_detailed(
+        odd_index, AhatNonIntegral(value=Fraction(1, 4))
+    )
+    assert not ok and "odd" in reason
+    spin_fine = ChernCase(
+        r=-4, k=Fraction(1, 2), c1c3=112, euler=16, geometry=Geometry.free(3)
+    )
+    integral = AhatNonIntegral(value=pontryagin_numbers(spin_fine).a_hat)
+    assert not verify_certificate(spin_fine, integral)
+
+    sol = CaseSolution(
+        ordinal=1, geometry=Geometry.rank1(15), r=1, k=Fraction(2, 3)
+    )
+    cert = external_fact_filter(sol, FACTS)
+    assert verify_certificate((sol, FACTS), cert)
+    assert not verify_certificate((sol, FACTS), replace(cert, index=2))
+    assert not verify_certificate((sol, FACTS), replace(cert, violated_by=224))
+    inside = CaseSolution(ordinal=1, geometry=Geometry.rank1(2), r=1, k=Fraction(1))
+    assert not verify_certificate((inside, FACTS), replace(cert, violated_by=4))
+    p4 = CaseSolution(ordinal=1, geometry=Geometry.rank1(1), r=5, k=Fraction(2, 5))
+    concluded = external_fact_filter(p4, FACTS)
+    assert verify_certificate((p4, FACTS), concluded)
+    assert not verify_certificate((p4, FACTS), replace(concluded, conclusion="Q4"))
+
+
+def test_verifier_rejects_non_certificates():
+    with pytest.raises(TypeError):
+        verify_certificate(IntPoly.from_desc(DEGREE_225_DESC), "modular")
 
 
 def test_verify_detailed_reasons_are_informative():

@@ -187,6 +187,32 @@ def test_fault_injection_obstruction_value():
     assert any("divisor obstruction 2" in d and "failed" in d for d in diff)
 
 
+def test_flipped_filters_keep_printed_obstructions_verified():
+    # embedding-poly now claims the cases the baseline attributes to mod12;
+    # their printed congruences still hold for the run's own Chern numbers
+    spec = replace(load_scenario("3.1"), filters=("embedding-poly", "mod12"))
+    report = run_lemma(spec, baseline=load_baseline("3.1"))
+    assert not [d for d in report["baseline_diff"] if "re-verification" in d]
+    assert all(row["verified"] for row in report["baseline_validation"])
+    assert "case 1: eliminated via embedding-poly, baseline says mod12" in (
+        report["baseline_diff"]
+    )
+
+
+def test_fault_injection_printed_mod12_value():
+    baseline = load_baseline("3.1")
+    baseline["obstructions"]["1"]["value"] = "262"
+    diff = run_31_against(baseline)
+    assert "congruence-mod12 obstruction 1: failed re-verification" in diff
+
+
+def test_fault_injection_printed_ahat_value():
+    baseline = load_baseline("4.2")
+    baseline["obstructions"]["2"]["value"] = "3/4"
+    diff = run_lemma(load_scenario("4.2"), baseline=baseline)["baseline_diff"]
+    assert "ahat obstruction 2: failed re-verification" in diff
+
+
 def test_fault_injection_expected_certificate():
     baseline = load_baseline("2.1")
     baseline["expected_certificates"]["1"]["modulus"] = 5

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chern_gate
+
 from chern_gate.riemann_roch import (
     HodgeDiamond,
-    a_hat_genus,
     chi_O_from_class,
     complete_invariants,
     invariants_from_diamond,
@@ -122,8 +127,7 @@ def test_pontryagin_numbers_spin_cases():
     assert pd.spin_applicable is True
     assert (pd.p1_sq, pd.p2) == (224, 32)
     assert pd.a_hat == Fraction(1, 4)
-    assert a_hat_genus(pd) == Fraction(1, 4)
-    assert a_hat_genus(pd) == Fraction(7 * 224 - 4 * 32, 5760)
+    assert pd.a_hat == Fraction(7 * 224 - 4 * 32, 5760)
 
 
 def test_pontryagin_numbers_integral_spin_case():
@@ -156,3 +160,27 @@ def test_l_genus_matches_signature_on_rank1_and_rank2_cases(pipeline_runs):
         for sol in solutions:
             pd = pontryagin_numbers(to_chern_case(sol, inv))
             assert l_genus_signature(pd) == inv.signature
+
+
+def test_signature_anchor_check_survives_python_O():
+    # Under -O every assert is stripped, so the check must raise by hand.
+    script = (
+        "from dataclasses import replace\n"
+        "import chern_gate.riemann_roch as rr\n"
+        "assert False, 'asserts are live: not running under -O'\n"
+        "real = rr.invariants_from_diamond\n"
+        "rr.invariants_from_diamond = lambda hd: replace(real(hd), signature=0)\n"
+        "rr._signature_anchor_check()\n"
+    )
+    src = str(Path(chern_gate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ArithmeticError" in proc.stderr, proc.stderr

@@ -1,10 +1,26 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from chern_gate.cli import dispatch
 from chern_gate.pipeline import load_baseline, scenario_bytes
-from chern_gate.report import parse_frac, parse_int_str, sci_5
+from chern_gate.obstruction import (
+    AhatNonIntegral,
+    BoundedExhaustive,
+    CongruenceMod12,
+    ConstantDivisorTest,
+    ExternalFactCertificate,
+    ModularObstruction,
+    RootFound,
+)
+from chern_gate.report import (
+    certificate_from_json,
+    certificate_to_json,
+    parse_frac,
+    parse_int_str,
+    sci_5,
+)
 from chern_gate.scenario import (
     ScenarioError,
     emit_scenario,
@@ -175,6 +191,49 @@ def test_string_codecs():
     assert sci_5(256124722255338) == "2.5612E+14"
     assert sci_5(65568274898807400) == "6.5568E+16"
     assert sci_5(377759458293) == "3.7776E+11"
+
+
+def test_certificate_json_round_trip_for_every_kind():
+    certs = [
+        ModularObstruction(content=15, m_power=0, modulus=3, residues=(2, 2, 2)),
+        ConstantDivisorTest(
+            content=2, m_power=1, divisors=(1, 7), values=(-462, 5547528)
+        ),
+        BoundedExhaustive(content=1, m_power=3, bound=10**30),
+        RootFound(m=5),
+        CongruenceMod12(value=261, residue=9),
+        AhatNonIntegral(value=Fraction(-1, 4)),
+        ExternalFactCertificate(
+            index=1,
+            constraint="degree in {2, 4, 5}",
+            citation="classification",
+            outcome="eliminated",
+            violated_by=225,
+        ),
+        ExternalFactCertificate(
+            index=5,
+            constraint="classified as P4",
+            citation="index n+1",
+            outcome="concluded",
+            conclusion="P4",
+        ),
+    ]
+    tags = set()
+    for cert in certs:
+        data = certificate_to_json(cert)
+        tags.add(data["type"])
+        assert json.loads(json.dumps(data)) == data
+        assert certificate_from_json(data) == cert
+    assert len(tags) == 7
+    assert "violated_by" not in certificate_to_json(certs[-1])
+    with pytest.raises(ValueError):
+        certificate_from_json({"type": "lucky-guess"})
+    with pytest.raises(ValueError):
+        certificate_from_json({})
+    with pytest.raises(ValueError):
+        certificate_from_json({"type": ["modular"]})
+    with pytest.raises(TypeError):
+        certificate_to_json({"type": "modular"})
 
 
 def test_cli_reproduce_all(capsys):
