@@ -7,13 +7,13 @@ when it names one), enumerate (cases only, no filters), and eliminate
 
 Exit codes: 0 when everything verified and matched, 1 when a root was
 found, a case survived, a certificate failed verification, or the
-baseline disagreed, 2 for unusable input.
+baseline disagreed, 2 for unusable input, 3 when an internal
+consistency check failed (an ArithmeticError, reported in one line).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -28,16 +28,6 @@ from .report import canonical_json, certificate_to_json, emit_report, int_str
 from .scenario import ScenarioError, parse_scenario
 
 __all__ = ["dispatch", "main"]
-
-
-def _workers() -> int:
-    raw = os.environ.get("CHERN_GATE_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_out(data: bytes, out: str | None) -> None:
@@ -67,7 +57,7 @@ def _cmd_reproduce(args) -> int:
     reports = {}
     worst = 0
     for lemma_id in ids:
-        report = reproduce_lemma(lemma_id, workers=_workers())
+        report = reproduce_lemma(lemma_id)
         reports[lemma_id] = report
         worst = max(worst, _report_exit(report))
         diff = report["baseline_diff"]
@@ -92,7 +82,7 @@ def _read_scenario(path: str) -> bytes:
 def _cmd_run(args) -> int:
     spec = parse_scenario(_read_scenario(args.scenario))
     baseline = load_baseline(spec.baseline_id) if spec.baseline_id else None
-    report = run_lemma(spec, baseline=baseline, workers=_workers())
+    report = run_lemma(spec, baseline=baseline)
     _write_out(emit_report(report, args.format), args.out)
     return _report_exit(report)
 
@@ -103,7 +93,7 @@ def _cmd_enumerate(args) -> int:
         print("error: direct scenarios have nothing to enumerate", file=sys.stderr)
         return 2
     bare = replace(spec, filters=(), facts=(), baseline_id=None)
-    report = run_lemma(bare, workers=_workers())
+    report = run_lemma(bare)
     _write_out(emit_report(report, args.format), args.out)
     return 0
 
@@ -200,6 +190,9 @@ def dispatch(argv: list[str]) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

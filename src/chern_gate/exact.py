@@ -86,6 +86,7 @@ def polynomial_content(coeffs) -> int:
 # fixed parameter schedule above trial division, so the divisor list for
 # a given integer never varies between runs.
 
+# The first twelve primes: Miller-Rabin witnesses and the first trial divisors.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -147,7 +148,7 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

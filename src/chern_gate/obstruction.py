@@ -252,19 +252,12 @@ def _cauchy_bound(poly: IntPoly) -> int:
     return 1 + -(-biggest // lead)
 
 
-def eliminate(
-    poly: IntPoly,
-    max_modulus: int = 720,
-    search_override: int | None = None,
-):
+def eliminate(poly: IntPoly, max_modulus: int = 720):
     """Certify that poly has no positive integer root, or find one.
 
     Tries the cheapest certificate first: reduce by content and powers
     of m, scan moduli 2..max_modulus for one where no residue class
     vanishes, then fall back to the divisor test on the constant term.
-    search_override forces the bounded exhaustive route instead of the
-    divisor test, scanning up to max(Cauchy bound, override); it is
-    meant for inputs whose constant term is unreasonable to factor.
     """
     content, m_power, reduced = _reduce(poly)
     if reduced.degree == 0:
@@ -281,12 +274,6 @@ def eliminate(
                 modulus=modulus,
                 residues=residues,
             )
-    if search_override is not None:
-        bound = max(_cauchy_bound(reduced), search_override)
-        for m in range(1, bound + 1):
-            if reduced.evaluate(m) == 0:
-                return RootFound(m=m)
-        return BoundedExhaustive(content=content, m_power=m_power, bound=bound)
     candidates = divisors(abs(reduced.coeffs[0]))
     values = tuple(reduced.evaluate(m) for m in candidates)
     for m, value in zip(candidates, values):

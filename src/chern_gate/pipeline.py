@@ -31,6 +31,7 @@ from .obstruction import (
     verify_certificate,
 )
 from .report import (
+    _COLUMNS,
     certificate_from_json,
     certificate_to_json,
     frac_str,
@@ -68,14 +69,6 @@ __all__ = [
 
 SHIPPED_LEMMAS = LEMMA_IDS
 
-_COLUMNS = (
-    ("c1_4", "c1^4"),
-    ("c1c3", "c1*c3"),
-    ("c1_2c2", "c1^2*c2"),
-    ("c2_2", "c2^2"),
-    ("c4", "c4"),
-)
-
 
 def constraint_system_for(spec: LemmaSpec, target: int) -> ConstraintSystem:
     """Build the Diophantine search for a pipeline scenario.
@@ -106,12 +99,7 @@ def _key_str(key) -> str:
     return f"{inside}, r={r}, k={k}"
 
 
-def run_lemma(
-    spec: LemmaSpec,
-    baseline: dict | None = None,
-    workers: int = 1,
-    max_modulus: int = 720,
-) -> dict:
+def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -> dict:
     if baseline is not None and baseline.get("lemma") != spec.lemma_id:
         raise ValueError(
             f"baseline is for lemma {baseline.get('lemma')!r}, "
@@ -124,7 +112,7 @@ def run_lemma(
     survivors: list[dict] = []
 
     def certify(ordinal: int, bid, label: str, poly: IntPoly):
-        cert = eliminate(poly, max_modulus=max_modulus)
+        cert = eliminate(poly)
         ok = verify_certificate(poly, cert)
         live["poly"][label] = poly
         poly_rows.append(
@@ -503,8 +491,6 @@ def load_baseline(lemma_id: str) -> dict:
     return json.loads(raw.decode("utf-8"))
 
 
-def reproduce_lemma(lemma_id: str, workers: int = 1) -> dict:
+def reproduce_lemma(lemma_id: str) -> dict:
     """Run a shipped scenario against its shipped baseline."""
-    return run_lemma(
-        load_scenario(lemma_id), baseline=load_baseline(lemma_id), workers=workers
-    )
+    return run_lemma(load_scenario(lemma_id), baseline=load_baseline(lemma_id))

@@ -37,6 +37,15 @@ __all__ = [
 
 _FIVE_FIGURES = Context(prec=5)
 
+# Characteristic-number field -> column symbol, in report order.
+_COLUMNS = (
+    ("c1_4", "c1^4"),
+    ("c1c3", "c1*c3"),
+    ("c1_2c2", "c1^2*c2"),
+    ("c2_2", "c2^2"),
+    ("c4", "c4"),
+)
+
 
 def frac_str(q: Fraction) -> str:
     """Exact decimal form: "p/q", or plain "p" for integers."""
@@ -95,25 +104,50 @@ _BIGS = (lambda xs: [int_str(x) for x in xs], lambda xs: tuple(map(parse_int_str
 _SMALLS = (list, lambda xs: tuple(map(int, xs)))
 _TEXT = (_same, _same)
 
-# Certificate tag -> (class, field codecs). A field whose value is None
-# is left out of the JSON, and a field missing from the JSON is left to
-# the class default.
+
+def _md_divisor(cert: dict) -> str:
+    pairs = ", ".join(f"P({d})={v}" for d, v in zip(cert["divisors"], cert["values"]))
+    return f"divisor test after content {cert['content']}: {pairs}"
+
+
+def _md_external_fact(cert: dict) -> str:
+    text = f"fact {cert['index']}: {cert['constraint']} ({cert['citation']})"
+    if cert["outcome"] == "concluded":
+        return f"{text} -> {cert['conclusion']}"
+    return f"{text}, violated by {cert.get('violated_by')}"
+
+
+# Certificate tag -> (class, field codecs, markdown sentence). A field
+# whose value is None is left out of the JSON, and a field missing from
+# the JSON is left to the class default. The sentence is rendered from
+# the certificate's JSON form.
 _CODECS = {
     "modular": (
         ModularObstruction,
         {"content": _BIG, "m_power": _SMALL, "modulus": _SMALL, "residues": _SMALLS},
+        "no roots modulo {modulus} (content {content}, m^{m_power})".format_map,
     ),
     "divisor": (
         ConstantDivisorTest,
         {"content": _BIG, "m_power": _SMALL, "divisors": _BIGS, "values": _BIGS},
+        _md_divisor,
     ),
     "exhaustive": (
         BoundedExhaustive,
         {"content": _BIG, "m_power": _SMALL, "bound": _BIG},
+        "no roots in 1..{bound} (content {content})".format_map,
     ),
-    "root": (RootFound, {"m": _BIG}),
-    "congruence-mod12": (CongruenceMod12, {"value": _BIG, "residue": _SMALL}),
-    "ahat-nonintegral": (AhatNonIntegral, {"value": (frac_str, parse_frac)}),
+    "root": (RootFound, {"m": _BIG}, "root found at m={m}".format_map),
+    "congruence-mod12": (
+        CongruenceMod12,
+        {"value": _BIG, "residue": _SMALL},
+        "{value} is {residue} mod 12".format_map,
+    ),
+    "ahat-nonintegral": (
+        AhatNonIntegral,
+        {"value": (frac_str, parse_frac)},
+        "A-hat genus {value} is not an integer".format_map,
+    ),
     "external-fact": (
         ExternalFactCertificate,
         {
@@ -124,9 +158,17 @@ _CODECS = {
             "violated_by": _BIG,
             "conclusion": _TEXT,
         },
+        _md_external_fact,
     ),
 }
-_TAGS = {cls: tag for tag, (cls, _) in _CODECS.items()}
+_TAGS = {cls: tag for tag, (cls, _, _) in _CODECS.items()}
+
+
+def _codec(data: dict) -> tuple:
+    kind = data.get("type")
+    if not isinstance(kind, str) or kind not in _CODECS:
+        raise ValueError(f"unknown certificate type {kind!r}")
+    return _CODECS[kind]
 
 
 def certificate_to_json(cert) -> dict:
@@ -142,10 +184,7 @@ def certificate_to_json(cert) -> dict:
 
 
 def certificate_from_json(data: dict):
-    kind = data.get("type")
-    if not isinstance(kind, str) or kind not in _CODECS:
-        raise ValueError(f"unknown certificate type {kind!r}")
-    cls, fields = _CODECS[kind]
+    cls, fields, _ = _codec(data)
     return cls(
         **{
             name: decode(data[name])
@@ -163,6 +202,10 @@ def _params_str(params: dict) -> str:
     return ", ".join(f"{name}={value}" for name, value in params.items())
 
 
+def _md_row(cells) -> str:
+    return "| " + " | ".join(map(str, cells)) + " |"
+
+
 def _md_case_table(cases: list[dict]) -> list[str]:
     rows = cases
     if all(c.get("baseline_id") is not None for c in cases):
@@ -170,49 +213,24 @@ def _md_case_table(cases: list[dict]) -> list[str]:
             rows = sorted(cases, key=lambda c: int(c["baseline_id"]))
         else:
             rows = sorted(cases, key=lambda c: c["baseline_id"])
-    lines = [
-        "| case | parameters | r | k | c1^4 | c1*c3 | c1^2*c2 | c2^2 | c4 |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
-    ]
+    header = ["case", "parameters", "r", "k", *(symbol for _, symbol in _COLUMNS)]
+    lines = [_md_row(header), _md_row(["---"] * len(header))]
     for c in rows:
         label = c.get("baseline_id")
         if label is None:
             label = c["ordinal"]
         cn = c["char_numbers"]
         lines.append(
-            f"| {label} | {_params_str(c['params'])} | {c['r']} | {c['k']} "
-            f"| {cn['c1_4']} | {cn['c1c3']} | {cn['c1_2c2']} | {cn['c2_2']} "
-            f"| {cn['c4']} |"
+            _md_row(
+                [label, _params_str(c["params"]), c["r"], c["k"]]
+                + [cn[field] for field, _ in _COLUMNS]
+            )
         )
     return lines
 
 
 def _md_certificate(cert: dict) -> str:
-    kind = cert["type"]
-    if kind == "modular":
-        return (
-            f"no roots modulo {cert['modulus']} "
-            f"(content {cert['content']}, m^{cert['m_power']})"
-        )
-    if kind == "divisor":
-        pairs = ", ".join(
-            f"P({d})={v}" for d, v in zip(cert["divisors"], cert["values"])
-        )
-        return f"divisor test after content {cert['content']}: {pairs}"
-    if kind == "exhaustive":
-        return f"no roots in 1..{cert['bound']} (content {cert['content']})"
-    if kind == "root":
-        return f"root found at m={cert['m']}"
-    if kind == "congruence-mod12":
-        return f"{cert['value']} is {cert['residue']} mod 12"
-    if kind == "ahat-nonintegral":
-        return f"A-hat genus {cert['value']} is not an integer"
-    if kind == "external-fact":
-        text = f"fact {cert['index']}: {cert['constraint']} ({cert['citation']})"
-        if cert["outcome"] == "concluded":
-            return f"{text} -> {cert['conclusion']}"
-        return f"{text}, violated by {cert.get('violated_by')}"
-    return kind
+    return _codec(cert)[2](cert)
 
 
 def _emit_markdown(report: dict) -> bytes:

@@ -154,11 +154,7 @@ class Geometry:
 
     @property
     def sort_params(self) -> tuple[int, ...]:
-        if self.model == "rank1":
-            return (self.e,)
-        if self.model == "rank2":
-            return (self.a, self.b)
-        return (self.degree,)
+        return tuple(self.params.values())
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,12 @@ __all__ = [
     "to_chern_case",
 ]
 
-DIVISIBILITY_RULES = ("l_div_er2", "l_div_ar2_br2", "l2_div_dr4")
-
 _RULE_FOR_MODEL = {
     "rank1": "l_div_er2",
     "rank2": "l_div_ar2_br2",
     "free": "l2_div_dr4",
 }
+DIVISIBILITY_RULES = tuple(_RULE_FOR_MODEL.values())
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,6 @@ def _passes_divisibility(rule: str, geom: Geometry, r: int, k: Fraction) -> bool
 def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
     found = []
     for r in range(system.r_min, system.r_max + 1):
-        if r == 0:
-            continue
         c14 = r**4 * geom.degree
         if system.c14_max is not None and c14 > system.c14_max:
             continue

@@ -17,6 +17,7 @@ from chern_gate.obstruction import (
 from chern_gate.report import (
     certificate_from_json,
     certificate_to_json,
+    emit_report,
     parse_frac,
     parse_int_str,
     sci_5,
@@ -236,6 +237,61 @@ def test_certificate_json_round_trip_for_every_kind():
         certificate_to_json({"type": "modular"})
 
 
+def _markdown_lines(certificates: list[dict]) -> list[str]:
+    report = {
+        "lemma": "X",
+        "verdict": "ALL-ELIMINATED",
+        "polynomials": [
+            {"label": f"p{i}", "coefficients": ["1"], "certificate": cert}
+            for i, cert in enumerate(certificates)
+        ],
+        "baseline_diff": None,
+    }
+    lines = emit_report(report, "md").decode("ascii").splitlines()
+    return [line[4:] for line in lines if line.startswith("  - ")]
+
+
+def test_markdown_sentence_for_every_certificate_kind():
+    expected = {
+        ModularObstruction(
+            content=15, m_power=0, modulus=3, residues=(1, 1, 1)
+        ): "no roots modulo 3 (content 15, m^0)",
+        ConstantDivisorTest(
+            content=1, m_power=0, divisors=(1, 7), values=(5, 9)
+        ): "divisor test after content 1: P(1)=5, P(7)=9",
+        BoundedExhaustive(
+            content=1, m_power=0, bound=0
+        ): "no roots in 1..0 (content 1)",
+        RootFound(m=2): "root found at m=2",
+        CongruenceMod12(value=26, residue=2): "26 is 2 mod 12",
+        AhatNonIntegral(
+            value=Fraction(1, 8)
+        ): "A-hat genus 1/8 is not an integer",
+        ExternalFactCertificate(
+            index=1,
+            constraint="degree <= 5",
+            citation="X",
+            outcome="eliminated",
+            violated_by=9,
+        ): "fact 1: degree <= 5 (X), violated by 9",
+        ExternalFactCertificate(
+            index=2,
+            constraint="classified as P4",
+            citation="Y",
+            outcome="concluded",
+            conclusion="P4",
+        ): "fact 2: classified as P4 (Y) -> P4",
+    }
+    certificates = [certificate_to_json(cert) for cert in expected]
+    assert len({c["type"] for c in certificates}) == 7
+    assert _markdown_lines(certificates) == list(expected.values())
+
+
+def test_markdown_rejects_an_unknown_certificate_kind():
+    with pytest.raises(ValueError, match="bogus"):
+        _markdown_lines([{"type": "bogus"}])
+
+
 def test_cli_reproduce_all(capsys):
     assert dispatch(["reproduce", "--lemma", "all"]) == 0
     out = capsys.readouterr()
@@ -323,3 +379,16 @@ def test_baselines_are_loadable_and_consistent():
         baseline = load_baseline(lid)
         assert baseline["lemma"] == lid
         assert baseline["verdict"] in ("ALL-ELIMINATED", "CONCLUDES-P4")
+
+
+def test_cli_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("chi_O recomputed from the Chern class is 2")
+
+    monkeypatch.setattr("chern_gate.cli.reproduce_lemma", broken)
+    assert dispatch(["reproduce", "--lemma", "2.1"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "internal error: chi_O recomputed from the Chern class is 2"
+    ]
+    assert "Traceback" not in err
