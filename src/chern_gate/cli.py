@@ -24,8 +24,14 @@ from .pipeline import (
     reproduce_lemma,
     run_lemma,
 )
-from .report import canonical_json, certificate_to_json, emit_report, int_str
-from .scenario import ScenarioError, parse_scenario
+from .report import (
+    canonical_json,
+    certificate_to_json,
+    emit_report,
+    int_str,
+    parse_int_str,
+)
+from .scenario import parse_scenario
 
 __all__ = ["dispatch", "main"]
 
@@ -90,8 +96,7 @@ def _cmd_run(args) -> int:
 def _cmd_enumerate(args) -> int:
     spec = parse_scenario(_read_scenario(args.scenario))
     if spec.mode != "pipeline":
-        print("error: direct scenarios have nothing to enumerate", file=sys.stderr)
-        return 2
+        raise ValueError("direct scenarios have nothing to enumerate")
     bare = replace(spec, filters=(), facts=(), baseline_id=None)
     report = run_lemma(bare)
     _write_out(emit_report(report, args.format), args.out)
@@ -100,20 +105,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_eliminate(args) -> int:
     parts = [p.strip() for p in args.coeffs.split(",")]
-    try:
-        desc = [int(p) for p in parts if p]
-    except ValueError:
-        print(f"error: coefficients must be integers: {args.coeffs!r}", file=sys.stderr)
-        return 2
+    desc = [parse_int_str(p) for p in parts if p]
     if not desc:
-        print("error: no coefficients given", file=sys.stderr)
-        return 2
-    try:
-        poly = IntPoly.from_desc(desc)
-        cert = eliminate(poly, max_modulus=args.max_modulus)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("no coefficients given")
+    poly = IntPoly.from_desc(desc)
+    cert = eliminate(poly)
     ok = verify_certificate(poly, cert)
     payload = {
         "polynomial": [int_str(c) for c in poly.desc_coeffs],
@@ -168,7 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated integer coefficients, highest power first",
     )
-    elim.add_argument("--max-modulus", type=int, default=720)
     elim.add_argument("--out", help="write the certificate here instead of stdout")
     elim.set_defaults(func=_cmd_eliminate)
     return parser
@@ -184,10 +179,7 @@ def dispatch(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -23,6 +23,7 @@ from the data the filter consumed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -60,14 +61,15 @@ class IntPoly:
     polynomial is kept as a single zero coefficient. scale records the
     denominator LCM that was cleared to reach integer coefficients (1
     when the source was already integral); it does not participate in
-    evaluation since scaling never moves a root.
+    evaluation since scaling never moves a root. A coefficient that is
+    not an integer (a float or a Fraction) raises TypeError.
     """
 
     coeffs: tuple[int, ...]
     scale: int = 1
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(operator.index(c) for c in self.coeffs)
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -148,6 +150,14 @@ class AhatNonIntegral:
     value: Fraction
 
 
+# Fact kind -> the field that carries its data, and that data's type.
+FACT_KINDS = {
+    "degree-in": ("degrees", tuple),
+    "degree-max": ("max_degree", int),
+    "concludes": ("conclusion", str),
+}
+
+
 @dataclass(frozen=True)
 class ExternalFact:
     """A classification fact imported from the literature, keyed by r.
@@ -155,6 +165,7 @@ class ExternalFact:
     kind is one of degree-in (admissible degrees form a finite set),
     degree-max (degrees are bounded), concludes (the case is a known
     variety and the run may close it out instead of eliminating it).
+    The field FACT_KINDS names for the kind must be set and nonempty.
     """
 
     index: int
@@ -166,14 +177,12 @@ class ExternalFact:
     conclusion: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("degree-in", "degree-max", "concludes"):
+        if self.kind not in FACT_KINDS:
             raise ValueError(f"unknown fact kind {self.kind!r}")
-        if self.kind == "degree-in" and not self.degrees:
-            raise ValueError("degree-in fact needs a nonempty degree set")
-        if self.kind == "degree-max" and self.max_degree is None:
-            raise ValueError("degree-max fact needs a bound")
-        if self.kind == "concludes" and not self.conclusion:
-            raise ValueError("concludes fact needs a conclusion label")
+        name, kind_type = FACT_KINDS[self.kind]
+        value = getattr(self, name)
+        if not isinstance(value, kind_type) or value in ((), ""):
+            raise ValueError(f"{self.kind} fact needs a nonempty {name}")
 
     @property
     def constraint(self) -> str:
@@ -223,23 +232,16 @@ def build_embedding_polynomial(case: ChernCase) -> IntPoly:
 def _reduce(poly: IntPoly) -> tuple[int, int, IntPoly]:
     """Split off content and the power of m dividing the polynomial.
 
-    Returns (content, m_power, reduced) with poly == content * m^m_power
-    * reduced, reduced primitive with nonzero constant term. Positive
-    integer roots are preserved by the reduction.
+    Returns (content, m_power, reduced) with poly == +-content * m^m_power
+    * reduced, reduced primitive with positive lead and nonzero constant
+    term. Positive integer roots are preserved by the reduction.
     """
     if poly.is_zero:
         raise ValueError("zero polynomial: every m is a root")
     content = polynomial_content(poly.coeffs)
-    if poly.coeffs[poly.degree] < 0:
-        # Roots are insensitive to an overall sign; normalise the lead
-        # positive so certificates are canonical.
-        content = -content
-    cs = [c // content for c in poly.coeffs]
-    m_power = 0
-    while cs[0] == 0:
-        cs.pop(0)
-        m_power += 1
-    return abs(content), m_power, IntPoly(tuple(cs))
+    m_power = next(i for i, c in enumerate(poly.coeffs) if c)
+    reduced, _ = _check_reduction(poly, content, m_power)
+    return content, m_power, reduced
 
 
 def _cauchy_bound(poly: IntPoly) -> int:

@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -56,13 +57,12 @@ def frac_str(q: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
+    """Parse "p" or "p/q", where p and q are decimal strings."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     num, sep, den = text.partition("/")
     try:
-        if sep:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        return Fraction(parse_int_str(num), parse_int_str(den) if sep else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
@@ -71,17 +71,16 @@ def int_str(n: int) -> str:
     return str(int(n))
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def parse_int_str(text) -> int:
-    """Accept decimal-string integers (the file policy) and plain ints."""
-    if isinstance(text, bool):
-        raise ValueError("boolean is not an integer")
-    if isinstance(text, int):
+    """Accept plain ints and decimal strings: ASCII digits, optionally
+    after a minus sign (so not "1_0", " 7", "+5" or non-ASCII digits)."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return text
-    if isinstance(text, str):
-        try:
-            return int(text, 10)
-        except ValueError as exc:
-            raise ValueError(f"not an integer: {text!r}") from exc
+    if isinstance(text, str) and _DECIMAL.fullmatch(text):
+        return int(text)
     raise ValueError(f"not an integer: {text!r}")
 
 

@@ -66,14 +66,6 @@ class GradedClass:
                 out[i + j] += a[i] * b[j]
         return GradedClass(tuple(out))
 
-    def __pow__(self, n: int) -> "GradedClass":
-        if n < 0:
-            raise ValueError("use inverse() for negative powers")
-        acc = GradedClass.unit()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def inverse(self) -> "GradedClass":
         """Multiplicative inverse; requires a unit constant term.
 

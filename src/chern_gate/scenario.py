@@ -5,20 +5,23 @@ of c1, lattice grid, divisibility rule, filters, literature facts) or
 a direct run over explicit obstruction polynomials. Parsing is strict:
 floats are rejected outright, rationals travel as "p/q" strings, big
 integers as decimal strings, and every error names the JSON path it
-was found at.
+was found at. The vocabulary is declared where its types live: the
+lattice models, their bounds and rules in search.LATTICE_MODELS, the
+fact kinds and their data fields in obstruction.FACT_KINDS.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .obstruction import ExternalFact, IntPoly
+from .obstruction import FACT_KINDS, ExternalFact, IntPoly
 from .report import canonical_json, frac_str, int_str, parse_frac, parse_int_str
 from .riemann_roch import HodgeDiamond
-from .search import DIVISIBILITY_RULES, LatticeSpec
+from .search import LATTICE_MODELS, LatticeSpec
 
 __all__ = [
     "LEMMA_IDS",
@@ -31,8 +34,8 @@ __all__ = [
 
 LEMMA_IDS = ("2.1", "2.2", "3.1", "4.2", "A.1", "A.2", "A.3")
 FILTER_NAMES = ("mod12", "ahat", "embedding-poly", "external-facts")
-
-_BOUND_KEYS = {"rank1": ("e_max",), "rank2": ("a_max", "b_max"), "free": ("d_max",)}
+# Most grid points times values of r one scenario may ask the search for.
+GRID_BUDGET = 100_000
 
 
 class ScenarioError(ValueError):
@@ -85,16 +88,24 @@ def _find_float(node, path: str) -> str | None:
     return None
 
 
-def _require(mapping: dict, key: str, path: str):
+# JSON type -> its name in "expected ..." messages.
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
+
+
+def _expect(value, kind: type, path: str, nonempty: bool = False):
+    """value, if it is a JSON value of type kind (and not "" or [] if nonempty)."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        if not (nonempty and value in ("", [])):
+            return value
+    name = ("nonempty " if nonempty else "") + _JSON_TYPES[kind]
+    raise ScenarioError(path, f"expected {name}, got {reprlib.repr(value)}")
+
+
+def _require(mapping: dict, key: str, path: str, kind=None, nonempty=False):
+    """mapping[key], checked by _expect when kind is given."""
     if key not in mapping:
-        raise ScenarioError(path or key, f"missing required key {key!r}")
-    return mapping[key]
-
-
-def _plain_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(path, f"expected an integer, got {value!r}")
-    return value
+        raise ScenarioError(path, f"missing required key {key!r}")
+    return mapping[key] if kind is None else _expect(mapping[key], kind, path, nonempty)
 
 
 def _parse_hodge(raw, path: str) -> HodgeDiamond:
@@ -104,7 +115,7 @@ def _parse_hodge(raw, path: str) -> HodgeDiamond:
     for p, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != 5:
             raise ScenarioError(f"{path}[{p}]", "expected a row of 5 integers")
-        grid.append([_plain_int(x, f"{path}[{p}][{q}]") for q, x in enumerate(row)])
+        grid.append([_expect(x, int, f"{path}[{p}][{q}]") for q, x in enumerate(row)])
     for p in range(5):
         for q in range(p + 1, 5):
             if grid[p][q] != grid[q][p]:
@@ -120,98 +131,55 @@ def _parse_hodge(raw, path: str) -> HodgeDiamond:
 
 
 def _parse_lattice(raw, path: str) -> LatticeSpec:
-    if not isinstance(raw, dict):
-        raise ScenarioError(path, "expected an object")
+    raw = _expect(raw, dict, path)
     model = _require(raw, "model", f"{path}.model")
-    if model not in _BOUND_KEYS:
+    if not isinstance(model, str) or model not in LATTICE_MODELS:
         raise ScenarioError(f"{path}.model", f"unknown lattice model {model!r}")
-    expected = _BOUND_KEYS[model]
+    names, _ = LATTICE_MODELS[model]
     for key in raw:
-        if key != "model" and key not in expected:
+        if key != "model" and key not in names:
             raise ScenarioError(f"{path}.{key}", f"not a bound of model {model!r}")
     bounds = {}
-    for key in expected:
-        value = _plain_int(_require(raw, key, f"{path}.{key}"), f"{path}.{key}")
-        if value < 0:
+    for key in names:
+        bounds[key] = _require(raw, key, f"{path}.{key}", int)
+        if bounds[key] < 0:
             raise ScenarioError(f"{path}.{key}", "bound must be non-negative")
-        bounds[key] = value
     return LatticeSpec(model=model, **bounds)
 
 
 def _parse_fact(raw, path: str) -> ExternalFact:
-    if not isinstance(raw, dict):
-        raise ScenarioError(path, "expected an object")
-    index = _plain_int(_require(raw, "index", f"{path}.index"), f"{path}.index")
-    r = _plain_int(_require(raw, "r", f"{path}.r"), f"{path}.r")
-    citation = _require(raw, "citation", f"{path}.citation")
-    if not isinstance(citation, str) or not citation:
-        raise ScenarioError(f"{path}.citation", "citation must be a nonempty string")
-    constraint = _require(raw, "constraint", f"{path}.constraint")
-    if not isinstance(constraint, dict):
-        raise ScenarioError(f"{path}.constraint", "expected an object")
-    kind = _require(constraint, "kind", f"{path}.constraint.kind")
-    try:
-        if kind == "degree-in":
-            degrees = _require(constraint, "degrees", f"{path}.constraint.degrees")
-            if not isinstance(degrees, list) or not degrees:
-                raise ScenarioError(
-                    f"{path}.constraint.degrees", "expected a nonempty list"
-                )
-            return ExternalFact(
-                index=index,
-                r=r,
-                kind=kind,
-                citation=citation,
-                degrees=tuple(
-                    _plain_int(x, f"{path}.constraint.degrees[{i}]")
-                    for i, x in enumerate(degrees)
-                ),
-            )
-        if kind == "degree-max":
-            bound = _require(constraint, "max_degree", f"{path}.constraint.max_degree")
-            return ExternalFact(
-                index=index,
-                r=r,
-                kind=kind,
-                citation=citation,
-                max_degree=_plain_int(bound, f"{path}.constraint.max_degree"),
-            )
-        if kind == "concludes":
-            conclusion = _require(
-                constraint, "conclusion", f"{path}.constraint.conclusion"
-            )
-            if not isinstance(conclusion, str):
-                raise ScenarioError(
-                    f"{path}.constraint.conclusion", "expected a string"
-                )
-            return ExternalFact(
-                index=index, r=r, kind=kind, citation=citation, conclusion=conclusion
-            )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{path}.constraint", str(exc)) from exc
-    raise ScenarioError(f"{path}.constraint.kind", f"unknown fact kind {kind!r}")
+    raw = _expect(raw, dict, path)
+    index = _require(raw, "index", f"{path}.index", int)
+    r = _require(raw, "r", f"{path}.r", int)
+    citation = _require(raw, "citation", f"{path}.citation", str, nonempty=True)
+    here = f"{path}.constraint"
+    constraint = _require(raw, "constraint", here, dict)
+    kind = _require(constraint, "kind", f"{here}.kind")
+    if not isinstance(kind, str) or kind not in FACT_KINDS:
+        raise ScenarioError(f"{here}.kind", f"unknown fact kind {kind!r}")
+    name, kind_type = FACT_KINDS[kind]
+    here = f"{here}.{name}"
+    if kind_type is tuple:  # a nonempty JSON list of integers
+        value = _require(constraint, name, here, list, nonempty=True)
+        value = tuple(_expect(x, int, f"{here}[{i}]") for i, x in enumerate(value))
+    else:
+        value = _require(constraint, name, here, kind_type, nonempty=True)
+    return ExternalFact(index=index, r=r, kind=kind, citation=citation, **{name: value})
 
 
 def _parse_polynomials(raw, path: str) -> tuple[tuple[str, IntPoly], ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioError(path, "expected a nonempty list")
     out = []
     seen = set()
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_expect(raw, list, path, nonempty=True)):
         here = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(here, "expected an object")
-        label = _require(entry, "label", f"{here}.label")
-        if not isinstance(label, str) or not label:
-            raise ScenarioError(f"{here}.label", "label must be a nonempty string")
+        entry = _expect(entry, dict, here)
+        label = _require(entry, "label", f"{here}.label", str, nonempty=True)
         if label in seen:
             raise ScenarioError(f"{here}.label", f"duplicate label {label!r}")
         seen.add(label)
-        coeffs = _require(entry, "coefficients", f"{here}.coefficients")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ScenarioError(f"{here}.coefficients", "expected a nonempty list")
+        coeffs = _require(
+            entry, "coefficients", f"{here}.coefficients", list, nonempty=True
+        )
         values = []
         for j, c in enumerate(coeffs):
             try:
@@ -246,11 +214,13 @@ _DIRECT_KEYS = {"lemma", "mode", "polynomials", "baseline_id"}
 def parse_scenario(raw: bytes) -> LemmaSpec:
     try:
         doc = json.loads(raw.decode("utf-8"), parse_float=_Float)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        float_path = _find_float(doc, "")
+    except RecursionError as exc:
+        raise ScenarioError("$", "nested too deeply") from exc
+    except ValueError as exc:  # also undecodable bytes and oversized integers
         raise ScenarioError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("$", "top level must be an object")
-    float_path = _find_float(doc, "")
     if float_path:
         raise ScenarioError(
             float_path, "float literals are forbidden; use \"p/q\" strings"
@@ -285,24 +255,34 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         )
 
     diamond = _parse_hodge(_require(doc, "hodge", "hodge"), "hodge")
-    c1_sign = _plain_int(_require(doc, "c1_sign", "c1_sign"), "c1_sign")
+    c1_sign = _require(doc, "c1_sign", "c1_sign", int)
     if c1_sign not in (-1, 1):
         raise ScenarioError("c1_sign", f"must be -1 or 1, got {c1_sign}")
     lattice = _parse_lattice(_require(doc, "lattice", "lattice"), "lattice")
     r_raw = _require(doc, "r_bounds", "r_bounds")
     if not isinstance(r_raw, list) or len(r_raw) != 2:
         raise ScenarioError("r_bounds", "expected [min, max]")
-    r_min = _plain_int(r_raw[0], "r_bounds[0]")
-    r_max = _plain_int(r_raw[1], "r_bounds[1]")
+    r_min = _expect(r_raw[0], int, "r_bounds[0]")
+    r_max = _expect(r_raw[1], int, "r_bounds[1]")
     if r_min > r_max:
         raise ScenarioError("r_bounds", f"empty range [{r_min}, {r_max}]")
     if c1_sign < 0 and r_max >= 0:
         raise ScenarioError("r_bounds", "c1_sign -1 needs a negative r range")
     if c1_sign > 0 and r_min <= 0:
         raise ScenarioError("r_bounds", "c1_sign +1 needs a positive r range")
+    r_values = r_max - r_min + 1  # the range excludes r = 0
+    if lattice.points * r_values > GRID_BUDGET:
+        raise ScenarioError(
+            "lattice",
+            f"{lattice.points} grid points times {r_values} values of r "
+            f"exceed the budget of {GRID_BUDGET}",
+        )
     divisibility = _require(doc, "divisibility", "divisibility")
-    if divisibility not in DIVISIBILITY_RULES:
-        raise ScenarioError("divisibility", f"unknown rule {divisibility!r}")
+    if divisibility != lattice.rule:
+        raise ScenarioError(
+            "divisibility",
+            f"rule {divisibility!r} does not fit model {lattice.model!r}",
+        )
     k_lower = None
     if doc.get("k_lower") is not None:
         try:
@@ -311,22 +291,17 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
             raise ScenarioError("k_lower", str(exc)) from exc
     c14_max = None
     if doc.get("c14_max") is not None:
-        c14_max = _plain_int(doc["c14_max"], "c14_max")
+        c14_max = _expect(doc["c14_max"], int, "c14_max")
         if c14_max < 1:
             raise ScenarioError("c14_max", "cap must be positive")
-    filters_raw = doc.get("filters", [])
-    if not isinstance(filters_raw, list):
-        raise ScenarioError("filters", "expected a list")
     filters = []
-    for i, name in enumerate(filters_raw):
+    for i, name in enumerate(_expect(doc.get("filters", []), list, "filters")):
         if name not in FILTER_NAMES:
             raise ScenarioError(f"filters[{i}]", f"unknown filter {name!r}")
         if name in filters:
             raise ScenarioError(f"filters[{i}]", f"duplicate filter {name!r}")
         filters.append(name)
-    facts_raw = doc.get("facts", [])
-    if not isinstance(facts_raw, list):
-        raise ScenarioError("facts", "expected a list")
+    facts_raw = _expect(doc.get("facts", []), list, "facts")
     facts = tuple(
         _parse_fact(entry, f"facts[{i}]") for i, entry in enumerate(facts_raw)
     )
@@ -336,7 +311,7 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
             raise ScenarioError(f"facts[{i}].r", f"second fact for r={fact.r}")
         seen_r.add(fact.r)
 
-    spec = LemmaSpec(
+    return LemmaSpec(
         lemma_id=lemma,
         mode=mode,
         diamond=diamond,
@@ -351,27 +326,14 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         baseline_id=baseline_id,
         input_sha256=sha,
     )
-    try:
-        from .pipeline import constraint_system_for  # deferred; avoids a cycle
-
-        constraint_system_for(spec, target=720)  # any positive target validates
-    except ValueError as exc:
-        raise ScenarioError("$", str(exc)) from exc
-    return spec
 
 
 def _fact_to_json(fact: ExternalFact) -> dict:
-    constraint: dict = {"kind": fact.kind}
-    if fact.kind == "degree-in":
-        constraint["degrees"] = list(fact.degrees)
-    elif fact.kind == "degree-max":
-        constraint["max_degree"] = fact.max_degree
-    else:
-        constraint["conclusion"] = fact.conclusion
+    name, _ = FACT_KINDS[fact.kind]
     return {
         "index": fact.index,
         "r": fact.r,
-        "constraint": constraint,
+        "constraint": {"kind": fact.kind, name: getattr(fact, name)},
         "citation": fact.citation,
     }
 
@@ -389,9 +351,7 @@ def emit_scenario(spec: LemmaSpec) -> bytes:
         return canonical_json(doc)
     doc["hodge"] = [list(row) for row in spec.diamond.h]
     doc["c1_sign"] = spec.c1_sign
-    doc["lattice"] = {"model": spec.lattice.model}
-    for key in _BOUND_KEYS[spec.lattice.model]:
-        doc["lattice"][key] = getattr(spec.lattice, key)
+    doc["lattice"] = {"model": spec.lattice.model, **spec.lattice.bounds}
     doc["r_bounds"] = list(spec.r_bounds)
     doc["divisibility"] = spec.divisibility
     if spec.k_lower is not None:

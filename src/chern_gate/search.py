@@ -35,12 +35,13 @@ __all__ = [
     "to_chern_case",
 ]
 
-_RULE_FOR_MODEL = {
-    "rank1": "l_div_er2",
-    "rank2": "l_div_ar2_br2",
-    "free": "l2_div_dr4",
+# Lattice model -> (its grid bounds, the divisibility rule that fits it).
+LATTICE_MODELS = {
+    "rank1": (("e_max",), "l_div_er2"),
+    "rank2": (("a_max", "b_max"), "l_div_ar2_br2"),
+    "free": (("d_max",), "l2_div_dr4"),
 }
-DIVISIBILITY_RULES = tuple(_RULE_FOR_MODEL.values())
+DIVISIBILITY_RULES = tuple(rule for _, rule in LATTICE_MODELS.values())
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,25 @@ class LatticeSpec:
     d_max: int = 0
 
     def __post_init__(self):
-        if self.model not in _RULE_FOR_MODEL:
+        if self.model not in LATTICE_MODELS:
             raise ValueError(f"unknown lattice model {self.model!r}")
+
+    @property
+    def bounds(self) -> dict[str, int]:
+        """The model's bounds by name, in declaration order."""
+        return {name: getattr(self, name) for name in LATTICE_MODELS[self.model][0]}
+
+    @property
+    def rule(self) -> str:
+        """The divisibility rule that fits the model."""
+        return LATTICE_MODELS[self.model][1]
+
+    @property
+    def points(self) -> int:
+        """len(self.grid()), counted from the bounds."""
+        if self.model == "rank2":
+            return self.a_max * (self.b_max + 1)
+        return self.e_max if self.model == "rank1" else self.d_max
 
     def grid(self) -> list[Geometry]:
         if self.model == "rank1":
@@ -93,7 +111,7 @@ class ConstraintSystem:
             raise ValueError("r range must not contain zero")
         if self.divisibility not in DIVISIBILITY_RULES:
             raise ValueError(f"unknown divisibility rule {self.divisibility!r}")
-        if self.divisibility != _RULE_FOR_MODEL[self.lattice.model]:
+        if self.divisibility != self.lattice.rule:
             raise ValueError(
                 f"rule {self.divisibility!r} does not fit model "
                 f"{self.lattice.model!r}"

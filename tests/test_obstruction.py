@@ -31,6 +31,14 @@ DEGREE_225_DESC = [50625, 0, 0, 0, -28350, -18900, -2700, 225, 30]
 RANK2_CASE_2_DESC = [4, 0, 0, 0, -252, -168, 648, -90, -232]
 
 
+def test_intpoly_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        IntPoly((0.5, 1.9))
+    with pytest.raises(TypeError):
+        IntPoly.from_desc([1, Fraction(1, 2)])
+    assert IntPoly((3, 0, 0)).coeffs == (3,)
+
+
 def test_intpoly_round_trip_and_evaluation():
     p = IntPoly.from_desc(DEGREE_225_DESC)
     assert p.desc_coeffs == tuple(DEGREE_225_DESC)

@@ -392,3 +392,80 @@ def test_cli_internal_error_exits_3_with_one_line(capsys, monkeypatch):
         "internal error: chi_O recomputed from the Chern class is 2"
     ]
     assert "Traceback" not in err
+
+
+def test_rule_that_does_not_fit_the_model_errors_at_divisibility():
+    doc = shipped("2.1")
+    doc["divisibility"] = "l2_div_dr4"
+    assert error_path(doc) == "divisibility"
+
+
+def test_empty_fact_data_errors_at_its_field():
+    doc = shipped("2.2")
+    doc["facts"][0]["constraint"]["degrees"] = []
+    assert error_path(doc) == "facts[0].constraint.degrees"
+    doc = shipped("2.2")
+    doc["facts"][2]["constraint"]["conclusion"] = ""
+    assert error_path(doc) == "facts[2].constraint.conclusion"
+    doc = shipped("2.2")
+    doc["facts"][0]["constraint"]["degrees"] = [2, "4"]
+    assert error_path(doc) == "facts[0].constraint.degrees[1]"
+
+
+def test_malformed_json_shapes_are_scenario_errors():
+    doc = shipped("2.1")
+    doc["lattice"]["model"] = ["rank1"]
+    assert error_path(doc) == "lattice.model"
+    doc = shipped("2.2")
+    doc["facts"][0]["constraint"]["kind"] = {"degree-in": True}
+    assert error_path(doc) == "facts[0].constraint.kind"
+    for raw in (b"[" * 100_000, b'{"lemma": ' + b"1" * 5000 + b"}"):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.path == "$"
+
+
+def test_grid_budget_is_checked_from_the_bounds(tmp_path, capsys, monkeypatch):
+    from chern_gate.search import LatticeSpec
+
+    def no_grid(self):
+        raise RuntimeError("the parser must not build the grid")
+
+    monkeypatch.setattr(LatticeSpec, "grid", no_grid)
+    for lid in ALL_LEMMAS:
+        parse_scenario(scenario_bytes(lid))
+    doc = shipped("2.1")
+    doc["lattice"]["e_max"] = 10**8
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["enumerate", "--scenario", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("error: lattice: ")
+    doc = shipped("2.2")
+    doc["r_bounds"] = [1, 10**12]
+    assert error_path(doc) == "lattice"
+
+
+def test_decimal_strings_are_exact():
+    for text in ("1_000", " 7", "7 ", "+5", "٣", "0x10", ""):
+        with pytest.raises(ValueError):
+            parse_int_str(text)
+        with pytest.raises(ValueError):
+            parse_frac(text)
+    for text in ("1_0/3", "+1/2", "1/ 2", "1/٣"):
+        with pytest.raises(ValueError):
+            parse_frac(text)
+    assert parse_int_str(-7) == -7
+    assert parse_frac("-2/-4") == Fraction(1, 2)
+    doc = shipped("A.1")
+    doc["polynomials"][0]["coefficients"][0] = "1_0"
+    assert error_path(doc) == "polynomials[0].coefficients[0]"
+    doc = shipped("2.1")
+    doc["k_lower"] = "+2/5"
+    assert error_path(doc) == "k_lower"
+
+
+def test_cli_eliminate_has_no_max_modulus_flag(capsys):
+    assert dispatch(["eliminate", "--coeffs", "1,2,3", "--max-modulus", "720"]) == 2
+    capsys.readouterr()
+    assert dispatch(["eliminate", "--coeffs", "1_0,3"]) == 2
+    assert capsys.readouterr().err == "error: not an integer: '1_0'\n"
