@@ -31,7 +31,7 @@ from .report import (
     int_str,
     parse_int_str,
 )
-from .scenario import parse_scenario
+from .scenario import MAX_DEGREE, parse_scenario
 
 __all__ = ["dispatch", "main"]
 
@@ -109,6 +109,8 @@ def _cmd_eliminate(args) -> int:
     if not desc:
         raise ValueError("no coefficients given")
     poly = IntPoly.from_desc(desc)
+    if poly.degree > MAX_DEGREE:
+        raise ValueError(f"degree {poly.degree} exceeds the budget of {MAX_DEGREE}")
     cert = eliminate(poly)
     ok = verify_certificate(poly, cert)
     payload = {

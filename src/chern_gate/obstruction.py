@@ -7,7 +7,8 @@ witness when a root exists:
 
   ModularObstruction   the reduced polynomial is nonzero in Z/M for
                        every residue class, so it has no integer roots
-                       at all;
+                       at all (M is the smallest such modulus, always a
+                       prime power; see eliminate);
   ConstantDivisorTest  every positive divisor of the constant term is
                        evaluated and none is a root (by the rational
                        root theorem this covers every candidate);
@@ -26,7 +27,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import isqrt, lcm
 
 from .exact import divisors, polynomial_content
 from .ring import ChernCase, normal_c4_polynomial
@@ -254,27 +256,52 @@ def _cauchy_bound(poly: IntPoly) -> int:
     return 1 + -(-biggest // lead)
 
 
+@lru_cache(maxsize=8)
+def _prime_powers(limit: int) -> tuple[int, ...]:
+    """The prime powers 2, 3, 4, 5, 7, 8, 9, ... up to limit, ascending."""
+    powers = []
+    for p in range(2, limit + 1):
+        if all(p % d for d in range(2, isqrt(p) + 1)):  # p is prime
+            q = p
+            while q <= limit:
+                powers.append(q)
+                q *= p
+    return tuple(sorted(powers))
+
+
 def eliminate(poly: IntPoly, max_modulus: int = 720):
     """Certify that poly has no positive integer root, or find one.
 
     Tries the cheapest certificate first: reduce by content and powers
-    of m, scan moduli 2..max_modulus for one where no residue class
+    of m, look for a modulus at most max_modulus where no residue class
     vanishes, then fall back to the divisor test on the constant term.
+
+    Only prime-power moduli are scanned, in ascending order, and each
+    is dropped at its first vanishing residue. That finds the modulus
+    a scan of every modulus 2..max_modulus finds. Suppose no residue
+    vanishes mod M. If each prime power q exactly dividing M had a
+    residue t_q vanishing mod q, the Chinese remainder theorem would
+    give a t congruent to every t_q, and t would vanish mod M. So some
+    prime power q <= M has no vanishing residue, and the smallest
+    modulus that works is a prime power.
     """
     content, m_power, reduced = _reduce(poly)
     if reduced.degree == 0:
         # A nonzero constant: no roots anywhere.
         return BoundedExhaustive(content=content, m_power=m_power, bound=0)
-    for modulus in range(2, max_modulus + 1):
-        residues = tuple(
-            reduced.evaluate_mod(t, modulus) for t in range(modulus)
-        )
-        if all(residues):
+    for modulus in _prime_powers(max_modulus):
+        residues = []
+        for t in range(modulus):
+            value = reduced.evaluate_mod(t, modulus)
+            if value == 0:
+                break
+            residues.append(value)
+        else:
             return ModularObstruction(
                 content=content,
                 m_power=m_power,
                 modulus=modulus,
-                residues=residues,
+                residues=tuple(residues),
             )
     candidates = divisors(abs(reduced.coeffs[0]))
     values = tuple(reduced.evaluate(m) for m in candidates)

@@ -36,6 +36,9 @@ LEMMA_IDS = ("2.1", "2.2", "3.1", "4.2", "A.1", "A.2", "A.3")
 FILTER_NAMES = ("mod12", "ahat", "embedding-poly", "external-facts")
 # Most grid points times values of r one scenario may ask the search for.
 GRID_BUDGET = 100_000
+# Highest degree of a polynomial given as input; the modulus scan of
+# eliminate costs time in proportion to it.
+MAX_DEGREE = 64
 
 
 class ScenarioError(ValueError):
@@ -180,6 +183,12 @@ def _parse_polynomials(raw, path: str) -> tuple[tuple[str, IntPoly], ...]:
         coeffs = _require(
             entry, "coefficients", f"{here}.coefficients", list, nonempty=True
         )
+        degree = len(coeffs) - 1  # leading zeros are rejected below
+        if degree > MAX_DEGREE:
+            raise ScenarioError(
+                f"{here}.coefficients",
+                f"degree {degree} exceeds the budget of {MAX_DEGREE}",
+            )
         values = []
         for j, c in enumerate(coeffs):
             try:

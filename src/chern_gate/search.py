@@ -8,9 +8,11 @@ rational k with
 
 subject to an optional strict lower bound on k and an integrality rule
 tying the denominator of k to the degree lattice. The grid, the rule
-and the bounds are data; the solver is one exact quadratic per grid
-point. Output order is deterministic (lattice parameters, then r, then
-k, ascending) and independent of how the grid is partitioned across
+and the bounds are data. At each grid point and r the solver first
+tests one integer for being a perfect square, which decides whether k
+can be rational, and solves the exact quadratic only where it is.
+Output order is deterministic (lattice parameters, then r, then k,
+ascending) and independent of how the grid is partitioned across
 workers.
 """
 
@@ -21,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import solve_quadratic_rational
+from .exact import integer_sqrt_exact, solve_quadratic_rational
 from .riemann_roch import DerivedInvariants
 from .ring import ChernCase, Geometry
 
@@ -145,7 +147,12 @@ def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
         c14 = r**4 * geom.degree
         if system.c14_max is not None and c14 > system.c14_max:
             continue
-        # (3k^2 + 4k - 1) c14 = target  <=>  3k^2 + 4k - (1 + target/c14) = 0
+        # (3k^2 + 4k - 1) c14 = target  <=>  3k^2 + 4k - (1 + target/c14) = 0,
+        # whose discriminant 4 (7 c14 + 3 target) / c14 is a rational
+        # square exactly when c14 (7 c14 + 3 target) is an integer square.
+        # Most points fail that integer test and never build a Fraction.
+        if integer_sqrt_exact(c14 * (7 * c14 + 3 * system.target)) is None:
+            continue
         roots = solve_quadratic_rational(3, 4, -1 - Fraction(system.target, c14))
         for k in roots:
             if system.k_lower is not None and not k > system.k_lower:

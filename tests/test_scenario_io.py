@@ -469,3 +469,27 @@ def test_cli_eliminate_has_no_max_modulus_flag(capsys):
     capsys.readouterr()
     assert dispatch(["eliminate", "--coeffs", "1_0,3"]) == 2
     assert capsys.readouterr().err == "error: not an integer: '1_0'\n"
+
+
+def test_polynomial_degree_is_capped(tmp_path, capsys):
+    from chern_gate.scenario import MAX_DEGREE
+
+    def trinomial(degree):  # m^degree + m + 1 is odd at every m: mod 2
+        return ["1"] + ["0"] * (degree - 2) + ["1", "1"]
+
+    doc = shipped("A.1")
+    doc["polynomials"][0]["coefficients"] = trinomial(MAX_DEGREE)
+    assert reparse(doc).polynomials[0][1].degree == MAX_DEGREE
+    doc["polynomials"][0]["coefficients"] = trinomial(MAX_DEGREE + 1)
+    assert error_path(doc) == "polynomials[0].coefficients"
+    src = tmp_path / "long.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["run", "--scenario", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("error: polynomials[0].coefficients: ")
+    assert dispatch(["eliminate", "--coeffs", ",".join(trinomial(MAX_DEGREE))]) == 0
+    capsys.readouterr()
+    too_long = ",".join(trinomial(MAX_DEGREE + 1))
+    assert dispatch(["eliminate", "--coeffs", too_long]) == 2
+    assert capsys.readouterr().err == (
+        f"error: degree {MAX_DEGREE + 1} exceeds the budget of {MAX_DEGREE}\n"
+    )
