@@ -81,13 +81,15 @@ def polynomial_content(coeffs) -> int:
     return g
 
 
-# Factoring support for the constant-divisor root test. Deterministic
-# Miller-Rabin below 3.3e24 (fixed witness set), Brent-Pollard rho with a
-# fixed parameter schedule above trial division, so the divisor list for
-# a given integer never varies between runs.
+# Factoring support for the constant-divisor root test. Miller-Rabin to
+# the first thirteen prime bases is deterministic below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
+# of them (Sorenson & Webster, Math. Comp. 86, 2017); Brent-Pollard rho
+# with a fixed parameter schedule runs above trial division, so the
+# divisor list for a given integer never varies between runs.
 
-# The first twelve primes: Miller-Rabin witnesses and the first trial divisors.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes: Miller-Rabin witnesses and the first trial divisors.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -152,7 +154,7 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 41
+    f = 43
     while f * f <= n and f < 10_000:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1

@@ -284,24 +284,25 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
     give a t congruent to every t_q, and t would vanish mod M. So some
     prime power q <= M has no vanishing residue, and the smallest
     modulus that works is a prime power.
+
+    Each residue t is evaluated once, exactly, for all moduli: modulus
+    q reads p(t) mod q for t < q from that one value, and no value past
+    the current modulus is computed. verify_certificate shares none of
+    this; it recomputes every residue with Horner's rule mod M.
     """
     content, m_power, reduced = _reduce(poly)
     if reduced.degree == 0:
         # A nonzero constant: no roots anywhere.
         return BoundedExhaustive(content=content, m_power=m_power, bound=0)
+    exact: list[int] = []  # reduced(t) for t = 0, 1, ..., each computed once
     for modulus in _prime_powers(max_modulus):
-        residues = []
-        for t in range(modulus):
-            value = reduced.evaluate_mod(t, modulus)
-            if value == 0:
-                break
-            residues.append(value)
-        else:
+        exact.extend(map(reduced.evaluate, range(len(exact), modulus)))
+        if all(v % modulus for v in exact):
             return ModularObstruction(
                 content=content,
                 m_power=m_power,
                 modulus=modulus,
-                residues=tuple(residues),
+                residues=tuple(v % modulus for v in exact),
             )
     candidates = divisors(abs(reduced.coeffs[0]))
     values = tuple(reduced.evaluate(m) for m in candidates)

@@ -1,9 +1,11 @@
 """Differential tests for the two hot paths against their plain forms.
 
-eliminate scans only prime-power moduli and drops each at its first
-vanishing residue; the enumeration solves the quadratic only where an
-integer square test says k is rational. The oracles below are the plain
-forms: every modulus 2..max_modulus with every residue, and one Fraction
+eliminate scans only prime-power moduli, evaluates each residue t once,
+exactly, for all of them, and drops each modulus at its first vanishing
+residue; the enumeration solves the quadratic only where an integer
+square test says k is rational. The oracles below are the plain forms:
+every modulus 2..max_modulus with every residue, the prime-power scan
+with Horner's rule mod q run afresh for every modulus, and one Fraction
 quadratic per grid point and r. Both hot paths must return exactly what
 the oracles return.
 """
@@ -21,10 +23,12 @@ from chern_gate.obstruction import (
     IntPoly,
     ModularObstruction,
     RootFound,
+    _prime_powers,
     _reduce,
     eliminate,
     verify_certificate,
 )
+from chern_gate.report import parse_int_str
 from chern_gate.search import (
     LATTICE_MODELS,
     ConstraintSystem,
@@ -50,6 +54,36 @@ def full_scan_eliminate(poly: IntPoly, max_modulus: int = 720):
                 m_power=m_power,
                 modulus=modulus,
                 residues=residues,
+            )
+    candidates = divisors(abs(reduced.coeffs[0]))
+    values = tuple(reduced.evaluate(m) for m in candidates)
+    for m, value in zip(candidates, values):
+        if value == 0:
+            return RootFound(m=m)
+    return ConstantDivisorTest(
+        content=content, m_power=m_power, divisors=candidates, values=values
+    )
+
+
+def prime_power_horner_eliminate(poly: IntPoly, max_modulus: int = 720):
+    """eliminate as a prime-power scan that runs Horner mod q for every
+    residue of every modulus q."""
+    content, m_power, reduced = _reduce(poly)
+    if reduced.degree == 0:
+        return BoundedExhaustive(content=content, m_power=m_power, bound=0)
+    for modulus in _prime_powers(max_modulus):
+        residues = []
+        for t in range(modulus):
+            value = reduced.evaluate_mod(t, modulus)
+            if value == 0:
+                break
+            residues.append(value)
+        else:
+            return ModularObstruction(
+                content=content,
+                m_power=m_power,
+                modulus=modulus,
+                residues=tuple(residues),
             )
     candidates = divisors(abs(reduced.coeffs[0]))
     values = tuple(reduced.evaluate(m) for m in candidates)
@@ -138,6 +172,39 @@ def test_eliminate_matches_the_full_modulus_scan(poly, max_modulus):
     assert verify_certificate(poly, cert)
     if isinstance(cert, ModularObstruction):
         assert is_prime_power(cert.modulus)
+
+
+@DIFFERENTIAL
+@given(polynomials(), st.integers(min_value=2, max_value=720))
+def test_eliminate_matches_the_horner_prime_power_scan(poly, max_modulus):
+    cert = eliminate(poly, max_modulus=max_modulus)
+    assert cert == prime_power_horner_eliminate(poly, max_modulus=max_modulus)
+    assert verify_certificate(poly, cert)
+
+
+def test_each_residue_is_evaluated_once_for_every_modulus(
+    shipped_reports, monkeypatch
+):
+    divisor_route = [
+        IntPoly.from_desc(map(parse_int_str, row["coefficients"]))
+        for report in shipped_reports.values()
+        for row in report["polynomials"]
+        if row["certificate"]["type"] == "divisor"
+    ]
+    assert len(divisor_route) == 2
+    calls = []
+    for name in ("evaluate", "evaluate_mod"):
+
+        def counting(self, *args, plain=getattr(IntPoly, name)):
+            calls.append(args)
+            return plain(self, *args)
+
+        monkeypatch.setattr(IntPoly, name, counting)
+    for poly in divisor_route:
+        calls.clear()
+        cert = eliminate(poly)  # scans every prime power up to 720
+        assert isinstance(cert, ConstantDivisorTest)
+        assert len(calls) <= 720 + len(cert.divisors)
 
 
 @DIFFERENTIAL

@@ -29,6 +29,11 @@ from chern_gate.search import CaseSolution, CharNumbers
 
 DEGREE_225_DESC = [50625, 0, 0, 0, -28350, -18900, -2700, 225, 30]
 RANK2_CASE_2_DESC = [4, 0, 0, 0, -252, -168, 648, -90, -232]
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to the
+# first twelve prime bases; (m - 399165290221)(m + 798330580441) has a
+# positive root that a twelve-base Miller-Rabin test hides.
+PSI_12 = 318665857834031151167461
+PSI_12_DESC = [1, 399165290220, -PSI_12]
 
 
 def test_intpoly_rejects_inexact_coefficients():
@@ -141,6 +146,25 @@ def test_divisor_certificate_on_rank2_case_2():
         content=2, m_power=0, divisors=(1, 2, 4, 29, 58), values=values[:5]
     )
     assert not verify_certificate(poly, missing)
+
+
+def test_psi_12_constant_term_is_factored():
+    poly = IntPoly.from_desc(PSI_12_DESC)
+    cert = eliminate(poly)
+    assert cert == RootFound(399165290221)
+    assert verify_certificate(poly, cert)
+
+
+def test_divisor_list_that_misses_the_factors_of_psi_12_is_rejected():
+    poly = IntPoly.from_desc(PSI_12_DESC)
+    claimed = (1, PSI_12)
+    cert = ConstantDivisorTest(
+        content=1,
+        m_power=0,
+        divisors=claimed,
+        values=tuple(poly.evaluate(m) for m in claimed),
+    )
+    assert not verify_certificate(poly, cert)
 
 
 def test_root_certificates():

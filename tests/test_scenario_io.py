@@ -493,3 +493,24 @@ def test_polynomial_degree_is_capped(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: degree {MAX_DEGREE + 1} exceeds the budget of {MAX_DEGREE}\n"
     )
+
+
+def test_psi_12_root_is_found_from_the_cli_and_a_direct_scenario(tmp_path, capsys):
+    # (m - p)(m + q) with pq = psi_12, the least strong pseudoprime to the
+    # first twelve prime bases: the positive root p must be reported.
+    coeffs = ["1", "399165290220", "-318665857834031151167461"]
+    assert dispatch(["eliminate", "--coeffs", ",".join(coeffs)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"] == {"m": "399165290221", "type": "root"}
+    assert payload["verified"] is True
+    doc = shipped("A.1")
+    del doc["baseline_id"]
+    doc["polynomials"][0]["coefficients"] = coeffs
+    src = tmp_path / "psi12.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["run", "--scenario", str(src)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "SURVIVORS-REMAIN"
+    assert payload["survivors"] == [
+        {"baseline_id": "1", "ordinal": 1, "root": "399165290221"}
+    ]
