@@ -82,14 +82,15 @@ def polynomial_content(coeffs) -> int:
 
 
 # Factoring support for the constant-divisor root test. Miller-Rabin to
-# the first thirteen prime bases is deterministic below
-# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
-# of them (Sorenson & Webster, Math. Comp. 86, 2017); Brent-Pollard rho
-# with a fixed parameter schedule runs above trial division, so the
-# divisor list for a given integer never varies between runs.
+# the first thirteen prime bases is deterministic below PSI_13, the least
+# strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86,
+# 2017); Brent-Pollard rho with a fixed parameter schedule runs above
+# trial division, so the divisor list for a given integer never varies
+# between runs.
 
 # The first thirteen primes: Miller-Rabin witnesses and the first trial divisors.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
 
 
 def is_probable_prime(n: int) -> bool:

@@ -2,8 +2,8 @@
 
 A candidate surface class is ruled out by showing that its embedding
 polynomial has no positive integer root. The engine produces one of
-three self-contained certificates for that claim, or a RootFound
-witness when a root exists:
+two self-contained certificates for that claim, or a RootFound witness
+when a root exists:
 
   ModularObstruction   the reduced polynomial is nonzero in Z/M for
                        every residue class, so it has no integer roots
@@ -11,9 +11,7 @@ witness when a root exists:
                        prime power; see eliminate);
   ConstantDivisorTest  every positive divisor of the constant term is
                        evaluated and none is a root (by the rational
-                       root theorem this covers every candidate);
-  BoundedExhaustive    every integer in [1, bound] is evaluated, with
-                       bound at least the Cauchy root bound.
+                       root theorem this covers every candidate).
 
 The cheaper filters certify with CongruenceMod12, AhatNonIntegral and
 ExternalFactCertificate. Every certificate carries the data needed to
@@ -30,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .exact import divisors, polynomial_content
+from .exact import PSI_13, divisors, is_probable_prime, polynomial_content
 from .ring import ChernCase, normal_c4_polynomial
 from .riemann_roch import pontryagin_numbers
 from .search import CaseSolution, CharNumbers
@@ -39,7 +37,6 @@ __all__ = [
     "IntPoly",
     "ModularObstruction",
     "ConstantDivisorTest",
-    "BoundedExhaustive",
     "RootFound",
     "CongruenceMod12",
     "AhatNonIntegral",
@@ -72,9 +69,8 @@ class IntPoly:
 
     def __post_init__(self):
         cs = tuple(operator.index(c) for c in self.coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        top = next((i for i in reversed(range(len(cs))) if cs[i]), 0)
+        object.__setattr__(self, "coeffs", cs[: top + 1])
         if self.scale < 1:
             raise ValueError("scale must be a positive integer")
 
@@ -121,13 +117,6 @@ class ConstantDivisorTest:
     m_power: int
     divisors: tuple[int, ...]
     values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BoundedExhaustive:
-    content: int
-    m_power: int
-    bound: int
 
 
 @dataclass(frozen=True)
@@ -246,16 +235,6 @@ def _reduce(poly: IntPoly) -> tuple[int, int, IntPoly]:
     return content, m_power, reduced
 
 
-def _cauchy_bound(poly: IntPoly) -> int:
-    """Integer B with every root of poly of absolute value < B + 1."""
-    lead = abs(poly.coeffs[-1])
-    rest = [abs(c) for c in poly.coeffs[:-1]]
-    if not rest:
-        return 0
-    biggest = max(rest)
-    return 1 + -(-biggest // lead)
-
-
 @lru_cache(maxsize=8)
 def _prime_powers(limit: int) -> tuple[int, ...]:
     """The prime powers 2, 3, 4, 5, 7, 8, 9, ... up to limit, ascending."""
@@ -275,6 +254,7 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
     Tries the cheapest certificate first: reduce by content and powers
     of m, look for a modulus at most max_modulus where no residue class
     vanishes, then fall back to the divisor test on the constant term.
+    A nonzero constant reduces to 1, which modulus 2 certifies.
 
     Only prime-power moduli are scanned, in ascending order, and each
     is dropped at its first vanishing residue. That finds the modulus
@@ -291,9 +271,6 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
     this; it recomputes every residue with Horner's rule mod M.
     """
     content, m_power, reduced = _reduce(poly)
-    if reduced.degree == 0:
-        # A nonzero constant: no roots anywhere.
-        return BoundedExhaustive(content=content, m_power=m_power, bound=0)
     exact: list[int] = []  # reduced(t) for t = 0, 1, ..., each computed once
     for modulus in _prime_powers(max_modulus):
         exact.extend(map(reduced.evaluate, range(len(exact), modulus)))
@@ -372,6 +349,11 @@ def _divisor_flaw(reduced: IntPoly, cert: ConstantDivisorTest) -> str:
             f"divisor list {cert.divisors} does not match the "
             f"divisors of {abs(reduced.coeffs[0])}"
         )
+    # That match trusts factorize, whose Miller-Rabin test is proven only
+    # below PSI_13; a larger divisor it calls prime may hide factors.
+    for d in cert.divisors:
+        if d >= PSI_13 and is_probable_prime(d):
+            return f"divisor {d} is at least psi_13, so its primality is unproven"
     if len(cert.values) != len(cert.divisors):
         return "one value per divisor required"
     for m, claimed in zip(cert.divisors, cert.values):
@@ -380,18 +362,6 @@ def _divisor_flaw(reduced: IntPoly, cert: ConstantDivisorTest) -> str:
             return f"value at {m} is {actual}, certificate claims {claimed}"
         if claimed == 0:
             return f"divisor {m} is a root"
-    return ""
-
-
-def _exhaustive_flaw(reduced: IntPoly, cert: BoundedExhaustive) -> str:
-    if reduced.degree == 0:
-        return ""
-    needed = _cauchy_bound(reduced)
-    if cert.bound < needed:
-        return f"bound {cert.bound} is below the root bound {needed}"
-    for m in range(1, cert.bound + 1):
-        if reduced.evaluate(m) == 0:
-            return f"{m} is a root inside the claimed bound"
     return ""
 
 
@@ -440,28 +410,27 @@ def _fact_flaw(subject, cert: ExternalFactCertificate) -> str:
     return ""
 
 
-# Certificate class -> the check that finds its first flaw. The three
+# Certificate class -> the check that finds its first flaw. The two
 # polynomial obstructions are checked against the polynomial reduced by
 # their claimed content and m power.
 _CHECKS = {
     RootFound: _root_flaw,
     ModularObstruction: _modular_flaw,
     ConstantDivisorTest: _divisor_flaw,
-    BoundedExhaustive: _exhaustive_flaw,
     CongruenceMod12: _mod12_flaw,
     AhatNonIntegral: _ahat_flaw,
     ExternalFactCertificate: _fact_flaw,
 }
-_REDUCED = (ModularObstruction, ConstantDivisorTest, BoundedExhaustive)
+_REDUCED = (ModularObstruction, ConstantDivisorTest)
 
 
 def verify_certificate_detailed(subject, cert) -> tuple[bool, str]:
     """Re-derive every claim a certificate makes about its subject.
 
     The subject is the data the filter consumed: the IntPoly for
-    modular, divisor, exhaustive and root certificates, the CharNumbers
-    row for CongruenceMod12, the ChernCase for AhatNonIntegral, and the
-    pair (CaseSolution, facts) for ExternalFactCertificate. Returns
+    modular, divisor and root certificates, the CharNumbers row for
+    CongruenceMod12, the ChernCase for AhatNonIntegral, and the pair
+    (CaseSolution, facts) for ExternalFactCertificate. Returns
     (True, "") when the certificate is sound, otherwise (False, reason).
     RootFound verifies as a valid witness that a root exists, i.e. that
     elimination legitimately failed.

@@ -83,7 +83,6 @@ def constraint_system_for(spec: LemmaSpec, target: int) -> ConstraintSystem:
         lattice=spec.lattice,
         r_min=spec.r_bounds[0],
         r_max=spec.r_bounds[1],
-        divisibility=spec.divisibility,
         k_lower=spec.k_lower,
         c14_max=spec.c14_max,
     )

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .obstruction import (
     AhatNonIntegral,
-    BoundedExhaustive,
     CongruenceMod12,
     ConstantDivisorTest,
     ExternalFactCertificate,
@@ -130,11 +129,6 @@ _CODECS = {
         ConstantDivisorTest,
         {"content": _BIG, "m_power": _SMALL, "divisors": _BIGS, "values": _BIGS},
         _md_divisor,
-    ),
-    "exhaustive": (
-        BoundedExhaustive,
-        {"content": _BIG, "m_power": _SMALL, "bound": _BIG},
-        "no roots in 1..{bound} (content {content})".format_map,
     ),
     "root": (RootFound, {"m": _BIG}, "root found at m={m}".format_map),
     "congruence-mod12": (

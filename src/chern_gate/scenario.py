@@ -58,7 +58,6 @@ class LemmaSpec:
     c1_sign: int | None = None
     lattice: LatticeSpec | None = None
     r_bounds: tuple[int, int] | None = None
-    divisibility: str | None = None
     k_lower: Fraction | None = None
     c14_max: int | None = None
     filters: tuple[str, ...] = ()
@@ -327,7 +326,6 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         c1_sign=c1_sign,
         lattice=lattice,
         r_bounds=(r_min, r_max),
-        divisibility=divisibility,
         k_lower=k_lower,
         c14_max=c14_max,
         filters=tuple(filters),
@@ -362,7 +360,7 @@ def emit_scenario(spec: LemmaSpec) -> bytes:
     doc["c1_sign"] = spec.c1_sign
     doc["lattice"] = {"model": spec.lattice.model, **spec.lattice.bounds}
     doc["r_bounds"] = list(spec.r_bounds)
-    doc["divisibility"] = spec.divisibility
+    doc["divisibility"] = spec.lattice.rule
     if spec.k_lower is not None:
         doc["k_lower"] = frac_str(spec.k_lower)
     if spec.c14_max is not None:

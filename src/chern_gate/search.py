@@ -43,7 +43,6 @@ LATTICE_MODELS = {
     "rank2": (("a_max", "b_max"), "l_div_ar2_br2"),
     "free": (("d_max",), "l2_div_dr4"),
 }
-DIVISIBILITY_RULES = tuple(rule for _, rule in LATTICE_MODELS.values())
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,6 @@ class ConstraintSystem:
     lattice: LatticeSpec
     r_min: int
     r_max: int
-    divisibility: str
     k_lower: Fraction | None = None  # strict bound when present
     c14_max: int | None = None  # cap on <c1^4> = r^4 * d when present
 
@@ -111,13 +109,6 @@ class ConstraintSystem:
             raise ValueError("empty r range")
         if self.r_min <= 0 <= self.r_max:
             raise ValueError("r range must not contain zero")
-        if self.divisibility not in DIVISIBILITY_RULES:
-            raise ValueError(f"unknown divisibility rule {self.divisibility!r}")
-        if self.divisibility != self.lattice.rule:
-            raise ValueError(
-                f"rule {self.divisibility!r} does not fit model "
-                f"{self.lattice.model!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
         for k in roots:
             if system.k_lower is not None and not k > system.k_lower:
                 continue
-            if not _passes_divisibility(system.divisibility, geom, r, k):
+            if not _passes_divisibility(system.lattice.rule, geom, r, k):
                 continue
             if (3 * k * k + 4 * k - 1) * c14 != system.target:
                 raise ArithmeticError("solver produced a non-solution")

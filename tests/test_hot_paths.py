@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from chern_gate import constraint_system_for, enumerate_cases, search
 from chern_gate.exact import divisors, factorize, solve_quadratic_rational
 from chern_gate.obstruction import (
-    BoundedExhaustive,
     ConstantDivisorTest,
     IntPoly,
     ModularObstruction,
@@ -44,8 +43,6 @@ DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True)
 def full_scan_eliminate(poly: IntPoly, max_modulus: int = 720):
     """eliminate as a scan of every modulus with every residue."""
     content, m_power, reduced = _reduce(poly)
-    if reduced.degree == 0:
-        return BoundedExhaustive(content=content, m_power=m_power, bound=0)
     for modulus in range(2, max_modulus + 1):
         residues = tuple(reduced.evaluate_mod(t, modulus) for t in range(modulus))
         if all(residues):
@@ -69,8 +66,6 @@ def prime_power_horner_eliminate(poly: IntPoly, max_modulus: int = 720):
     """eliminate as a prime-power scan that runs Horner mod q for every
     residue of every modulus q."""
     content, m_power, reduced = _reduce(poly)
-    if reduced.degree == 0:
-        return BoundedExhaustive(content=content, m_power=m_power, bound=0)
     for modulus in _prime_powers(max_modulus):
         residues = []
         for t in range(modulus):
@@ -106,7 +101,7 @@ def fraction_solve_point(system: ConstraintSystem, geom) -> list[tuple]:
         for k in roots:
             if system.k_lower is not None and not k > system.k_lower:
                 continue
-            if not _passes_divisibility(system.divisibility, geom, r, k):
+            if not _passes_divisibility(system.lattice.rule, geom, r, k):
                 continue
             if (3 * k * k + 4 * k - 1) * c14 != system.target:
                 raise ArithmeticError("solver produced a non-solution")
@@ -136,7 +131,7 @@ def constraint_systems(draw) -> ConstraintSystem:
     """A small grid of any model; the target is random or planted so that
     (3k^2 + 4k - 1) r^4 d == target has a solution k = p/l on the grid."""
     model = draw(st.sampled_from(sorted(LATTICE_MODELS)))
-    names, rule = LATTICE_MODELS[model]
+    names, _ = LATTICE_MODELS[model]
     top = 6 if model == "rank2" else 30
     bounds = {
         name: draw(st.integers(min_value=int(name != "b_max"), max_value=top))
@@ -157,7 +152,7 @@ def constraint_systems(draw) -> ConstraintSystem:
         | st.fractions(min_value=-3, max_value=3, max_denominator=4)
     )
     c14_max = draw(st.none() | st.integers(min_value=1, max_value=10**5))
-    return ConstraintSystem(target, lattice, r_min, r_max, rule, k_lower, c14_max)
+    return ConstraintSystem(target, lattice, r_min, r_max, k_lower, c14_max)
 
 
 def is_prime_power(q: int) -> bool:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from chern_gate.obstruction import (
     AhatNonIntegral,
-    BoundedExhaustive,
     CongruenceMod12,
     ConstantDivisorTest,
     ExternalFact,
@@ -34,6 +33,10 @@ RANK2_CASE_2_DESC = [4, 0, 0, 0, -252, -168, 648, -90, -232]
 # positive root that a twelve-base Miller-Rabin test hides.
 PSI_12 = 318665857834031151167461
 PSI_12_DESC = [1, 399165290220, -PSI_12]
+# psi_13 = 1287836182261 * 2575672364521 also fools the thirteenth base,
+# 41, so factorize calls it prime.
+PSI_13 = 3317044064679887385961981
+PSI_13_DESC = [1, 1287836182260, -PSI_13]
 
 
 def test_intpoly_rejects_inexact_coefficients():
@@ -167,6 +170,25 @@ def test_divisor_list_that_misses_the_factors_of_psi_12_is_rejected():
     assert not verify_certificate(poly, cert)
 
 
+def test_divisor_certificate_over_psi_13_is_unproven():
+    poly = IntPoly.from_desc(PSI_13_DESC)
+    cert = eliminate(poly)
+    assert cert.divisors == (1, PSI_13)
+    ok, reason = verify_certificate_detailed(poly, cert)
+    assert not ok
+    assert reason == f"divisor {PSI_13} is at least psi_13, so its primality is unproven"
+
+
+def test_composite_divisors_above_psi_13_still_verify():
+    # m^2 + m + 2^90 vanishes mod 2 everywhere, so modulus 2 forces the
+    # divisor route; every divisor past psi_13 is a composite power of 2.
+    poly = IntPoly.from_desc([1, 1, 2**90])
+    cert = eliminate(poly, max_modulus=2)
+    assert isinstance(cert, ConstantDivisorTest)
+    assert cert.divisors[-1] == 2**90 > PSI_13
+    assert verify_certificate(poly, cert)
+
+
 def test_root_certificates():
     poly = IntPoly.from_desc([1, 0, 0, 0, 0, 0, 0, 0, -1])  # m^8 - 1
     cert = eliminate(poly)
@@ -184,13 +206,15 @@ def test_eliminate_strips_m_powers():
     assert cert == RootFound(5)
 
 
-def test_bounded_exhaustive_certificate():
-    poly = IntPoly.from_desc([1, -5, 0, 0, 0])
-    cert = BoundedExhaustive(content=1, m_power=3, bound=4)
-    # bound 4 genuinely checks 1..4 and misses the root at 5
-    assert not verify_certificate(poly, cert)
-    clean = IntPoly.from_desc([1, 5, 0, 0, 0])  # root at -5 only
-    assert verify_certificate(clean, BoundedExhaustive(content=1, m_power=3, bound=6))
+def test_constants_are_certified_at_modulus_2():
+    # A nonzero constant times a power of m reduces to 1.
+    for desc, expected in (
+        ([5], ModularObstruction(5, 0, 2, (1, 1))),
+        ([-3, 0, 0], ModularObstruction(3, 2, 2, (1, 1))),
+    ):
+        poly = IntPoly.from_desc(desc)
+        assert eliminate(poly) == expected
+        assert verify_certificate(poly, expected)
 
 
 @settings(max_examples=150, deadline=None)

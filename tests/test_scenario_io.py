@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,15 @@ from chern_gate.cli import dispatch
 from chern_gate.pipeline import load_baseline, scenario_bytes
 from chern_gate.obstruction import (
     AhatNonIntegral,
-    BoundedExhaustive,
     CongruenceMod12,
     ConstantDivisorTest,
     ExternalFactCertificate,
+    IntPoly,
     ModularObstruction,
     RootFound,
 )
 from chern_gate.report import (
+    _CODECS,
     certificate_from_json,
     certificate_to_json,
     emit_report,
@@ -200,7 +202,6 @@ def test_certificate_json_round_trip_for_every_kind():
         ConstantDivisorTest(
             content=2, m_power=1, divisors=(1, 7), values=(-462, 5547528)
         ),
-        BoundedExhaustive(content=1, m_power=3, bound=10**30),
         RootFound(m=5),
         CongruenceMod12(value=261, residue=9),
         AhatNonIntegral(value=Fraction(-1, 4)),
@@ -225,7 +226,7 @@ def test_certificate_json_round_trip_for_every_kind():
         tags.add(data["type"])
         assert json.loads(json.dumps(data)) == data
         assert certificate_from_json(data) == cert
-    assert len(tags) == 7
+    assert tags == set(_CODECS)
     assert "violated_by" not in certificate_to_json(certs[-1])
     with pytest.raises(ValueError):
         certificate_from_json({"type": "lucky-guess"})
@@ -259,9 +260,6 @@ def test_markdown_sentence_for_every_certificate_kind():
         ConstantDivisorTest(
             content=1, m_power=0, divisors=(1, 7), values=(5, 9)
         ): "divisor test after content 1: P(1)=5, P(7)=9",
-        BoundedExhaustive(
-            content=1, m_power=0, bound=0
-        ): "no roots in 1..0 (content 1)",
         RootFound(m=2): "root found at m=2",
         CongruenceMod12(value=26, residue=2): "26 is 2 mod 12",
         AhatNonIntegral(
@@ -283,13 +281,21 @@ def test_markdown_sentence_for_every_certificate_kind():
         ): "fact 2: classified as P4 (Y) -> P4",
     }
     certificates = [certificate_to_json(cert) for cert in expected]
-    assert len({c["type"] for c in certificates}) == 7
+    assert {c["type"] for c in certificates} == set(_CODECS)
     assert _markdown_lines(certificates) == list(expected.values())
 
 
 def test_markdown_rejects_an_unknown_certificate_kind():
     with pytest.raises(ValueError, match="bogus"):
         _markdown_lines([{"type": "bogus"}])
+
+
+def test_exhaustive_certificates_are_not_read():
+    exhaustive = {"type": "exhaustive", "content": "1", "m_power": 0, "bound": "0"}
+    with pytest.raises(ValueError, match="exhaustive"):
+        certificate_from_json(exhaustive)
+    with pytest.raises(ValueError, match="exhaustive"):
+        _markdown_lines([exhaustive])
 
 
 def test_cli_reproduce_all(capsys):
@@ -514,3 +520,44 @@ def test_psi_12_root_is_found_from_the_cli_and_a_direct_scenario(tmp_path, capsy
     assert payload["survivors"] == [
         {"baseline_id": "1", "ordinal": 1, "root": "399165290221"}
     ]
+
+
+def _direct_scenario(tmp_path, coeffs: list[str]) -> str:
+    doc = shipped("A.1")
+    del doc["baseline_id"]
+    doc["polynomials"][0]["coefficients"] = coeffs
+    src = tmp_path / "direct.json"
+    src.write_text(json.dumps(doc))
+    return str(src)
+
+
+def test_constant_is_certified_from_the_cli_and_a_direct_scenario(tmp_path, capsys):
+    assert dispatch(["eliminate", "--coeffs", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"]["type"] == "modular"
+    assert payload["verified"] is True
+    assert dispatch(["run", "--scenario", _direct_scenario(tmp_path, ["5"])]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["polynomials"]
+    assert row["certificate"]["type"] == "modular"
+    assert row["verified"] is True
+
+
+def test_psi_13_divisor_certificate_is_not_verified(tmp_path, capsys):
+    # (m - p)(m + q) with pq = psi_13, which the thirteen-base Miller-Rabin
+    # test calls prime: the divisor list (1, psi_13) misses the root p.
+    coeffs = ["1", "1287836182260", "-3317044064679887385961981"]
+    assert dispatch(["eliminate", "--coeffs", ",".join(coeffs)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"]["type"] == "divisor"
+    assert payload["verified"] is False
+    assert dispatch(["run", "--scenario", _direct_scenario(tmp_path, coeffs)]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["polynomials"]
+    assert row["verified"] is False
+
+
+def test_leading_zeros_are_stripped_in_linear_time(capsys):
+    start = time.perf_counter_ns()
+    assert IntPoly((2, 1) + (0,) * 100_000).coeffs == (2, 1)
+    assert dispatch(["eliminate", "--coeffs", "0," * 60_000 + "1,2"]) == 0
+    assert time.perf_counter_ns() - start < 2 * 10**9
+    assert json.loads(capsys.readouterr().out)["polynomial"] == ["1", "2"]

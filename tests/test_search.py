@@ -59,17 +59,17 @@ def brute_force_cases(system: ConstraintSystem):
 
 
 def _max_denominator(system, geom, r) -> int:
-    if system.divisibility == "l_div_er2":
+    if system.lattice.rule == "l_div_er2":
         return geom.e * r * r
-    if system.divisibility == "l_div_ar2_br2":
+    if system.lattice.rule == "l_div_ar2_br2":
         return geom.a * r * r  # b*r^2 may be 0; a >= 1 always divides
     return isqrt(geom.degree * r**4)
 
 
 def _denominator_allowed(system, geom, r, el) -> bool:
-    if system.divisibility == "l_div_er2":
+    if system.lattice.rule == "l_div_er2":
         return geom.e * r * r % el == 0
-    if system.divisibility == "l_div_ar2_br2":
+    if system.lattice.rule == "l_div_ar2_br2":
         return geom.a * r * r % el == 0 and geom.b * r * r % el == 0
     return geom.degree * r**4 % (el * el) == 0
 
