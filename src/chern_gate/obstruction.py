@@ -343,20 +343,37 @@ def _modular_flaw(reduced: IntPoly, cert: ModularObstruction) -> str:
 
 
 def _divisor_flaw(reduced: IntPoly, cert: ConstantDivisorTest) -> str:
-    expected = divisors(abs(reduced.coeffs[0]))
-    if cert.divisors != expected:
-        return (
-            f"divisor list {cert.divisors} does not match the "
-            f"divisors of {abs(reduced.coeffs[0])}"
-        )
-    # That match trusts factorize, whose Miller-Rabin test is proven only
-    # below PSI_13; a larger divisor it calls prime may hide factors.
-    for d in cert.divisors:
-        if d >= PSI_13 and is_probable_prime(d):
-            return f"divisor {d} is at least psi_13, so its primality is unproven"
-    if len(cert.values) != len(cert.divisors):
+    """Prove the list is every positive divisor of n, without factoring n.
+
+    n is |constant term|. The list must ascend strictly from 1 and each
+    entry must divide n. Its entries that Miller-Rabin accepts below
+    PSI_13, where the test is a proof, must account for all of n, say
+    n = prod p^e_p, and then n has prod (e_p + 1) divisors: a list of
+    that many distinct divisors is all of them.
+    """
+    divs, n = cert.divisors, abs(reduced.coeffs[0])
+    if not divs or divs[0] != 1 or any(a >= b for a, b in zip(divs, divs[1:])):
+        return f"divisor list {divs} does not ascend strictly from 1"
+    for d in divs:
+        if n % d:
+            return f"{d} does not divide {n}"
+    rest, count = n, 1
+    for p in divs:
+        if p < PSI_13 and is_probable_prime(p):
+            e = 0
+            while rest % p == 0:
+                rest, e = rest // p, e + 1
+            count *= e + 1
+    if rest != 1:
+        for d in divs:
+            if d >= PSI_13 and is_probable_prime(d):
+                return f"divisor {d} is at least psi_13, so its primality is unproven"
+        return f"the listed primes leave {rest} of {n} unfactored"
+    if len(divs) != count:
+        return f"{n} has {count} divisors, the list has {len(divs)}"
+    if len(cert.values) != len(divs):
         return "one value per divisor required"
-    for m, claimed in zip(cert.divisors, cert.values):
+    for m, claimed in zip(divs, cert.values):
         actual = reduced.evaluate(m)
         if actual != claimed:
             return f"value at {m} is {actual}, certificate claims {claimed}"

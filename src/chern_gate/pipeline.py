@@ -5,7 +5,10 @@ target, lattice enumeration, characteristic-number tables and the
 configured elimination filters, or, for a direct scenario, just the
 listed polynomials. Both modes share one report builder. Every
 certificate, whichever filter produced it, is re-checked by
-obstruction.verify_certificate against the data the filter consumed.
+obstruction.verify_certificate against the data the filter consumed,
+and only a verified one decides a case: a certificate that fails is
+listed with verified false and the case stays alive. The verdict is
+read from the survivors, so it says what the rows say.
 When a baseline is supplied the run is compared against it cell by
 cell, and every obstruction the baseline records in printed form is
 completed into a certificate and verified against the run's own data
@@ -110,9 +113,7 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
     eliminations: list[dict] = []
     survivors: list[dict] = []
 
-    def certify(ordinal: int, bid, label: str, poly: IntPoly):
-        cert = eliminate(poly)
-        ok = verify_certificate(poly, cert)
+    def poly_row(ordinal: int, bid, label: str, poly: IntPoly, cert, ok: bool):
         live["poly"][label] = poly
         poly_rows.append(
             {
@@ -125,16 +126,19 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
                 "verified": ok,
             }
         )
-        return cert, ok
 
     if spec.mode == "direct":
         invariants, case_rows = None, []
         for i, (label, poly) in enumerate(spec.polynomials, start=1):
-            cert, _ = certify(i, label, label, poly)
+            cert = eliminate(poly)
+            ok = verify_certificate(poly, cert)
+            poly_row(i, label, label, poly, cert, ok)
             if isinstance(cert, RootFound):
                 survivors.append(
                     {"ordinal": i, "baseline_id": label, "root": int_str(cert.m)}
                 )
+            elif not ok:
+                survivors.append({"ordinal": i, "baseline_id": label})
     else:
         inv = complete_invariants(invariants_from_diamond(spec.diamond))
         invariants = asdict(inv)  # chi, chi_O, chi1, signature, c1c3, target
@@ -153,28 +157,31 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
                 if status[o] != "alive":
                     continue
                 if name == "embedding-poly":
-                    poly = build_embedding_polynomial(cases[o])
-                    cert, ok = certify(o, ids[o], labels[o], poly)
-                    if isinstance(cert, RootFound):
-                        # A positive integer root means the filter has no
-                        # objection; the case stays alive.
-                        continue
-                else:
-                    if name == "mod12":
-                        subject, cert = tables[o], mod12_filter(tables[o])
-                    elif name == "ahat":
-                        subject, cert = cases[o], ahat_filter(cases[o])
-                    else:  # external-facts
-                        subject = (sol, spec.facts)
-                        cert = external_fact_filter(sol, spec.facts)
-                    if cert is None:
-                        continue
-                    if getattr(cert, "outcome", None) == "concluded":
-                        status[o] = "concluded"
-                        concluded[o] = cert
-                        continue
-                    ok = verify_certificate(subject, cert)
-                status[o] = "eliminated"
+                    subject = build_embedding_polynomial(cases[o])
+                    cert = eliminate(subject)
+                elif name == "mod12":
+                    subject, cert = tables[o], mod12_filter(tables[o])
+                elif name == "ahat":
+                    subject, cert = cases[o], ahat_filter(cases[o])
+                else:  # external-facts
+                    subject = (sol, spec.facts)
+                    cert = external_fact_filter(sol, spec.facts)
+                if cert is None:
+                    continue
+                ok = verify_certificate(subject, cert)
+                if name == "embedding-poly":
+                    poly_row(o, ids[o], labels[o], subject, cert, ok)
+                if isinstance(cert, RootFound):
+                    # A positive integer root means the filter has no
+                    # objection; the case stays alive.
+                    continue
+                # Only a verified certificate decides the case; a failed
+                # one is listed below and the case stays alive.
+                if ok and getattr(cert, "outcome", None) == "concluded":
+                    status[o], concluded[o] = "concluded", cert
+                    continue
+                if ok:
+                    status[o] = "eliminated"
                 eliminations.append(
                     {
                         "ordinal": o,
@@ -392,7 +399,7 @@ def diff_baseline(report: dict, baseline: dict) -> list[str]:
     actual_elim = {}
     for e in report.get("eliminations", []):
         label = e.get("baseline_id")
-        if label is None:
+        if label is None or not e["verified"]:
             continue
         name = e["filter"]
         if name == "external-facts":

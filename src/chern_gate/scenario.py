@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .obstruction import FACT_KINDS, ExternalFact, IntPoly
-from .report import canonical_json, frac_str, int_str, parse_frac, parse_int_str
+from .report import parse_frac, parse_int_str
 from .riemann_roch import HodgeDiamond
 from .search import LATTICE_MODELS, LatticeSpec
 
@@ -29,7 +29,6 @@ __all__ = [
     "ScenarioError",
     "LemmaSpec",
     "parse_scenario",
-    "emit_scenario",
 ]
 
 LEMMA_IDS = ("2.1", "2.2", "3.1", "4.2", "A.1", "A.2", "A.3")
@@ -333,38 +332,3 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         baseline_id=baseline_id,
         input_sha256=sha,
     )
-
-
-def _fact_to_json(fact: ExternalFact) -> dict:
-    name, _ = FACT_KINDS[fact.kind]
-    return {
-        "index": fact.index,
-        "r": fact.r,
-        "constraint": {"kind": fact.kind, name: getattr(fact, name)},
-        "citation": fact.citation,
-    }
-
-
-def emit_scenario(spec: LemmaSpec) -> bytes:
-    """Serialize a spec back to scenario JSON (canonical bytes)."""
-    doc: dict = {"lemma": spec.lemma_id, "mode": spec.mode}
-    if spec.baseline_id is not None:
-        doc["baseline_id"] = spec.baseline_id
-    if spec.mode == "direct":
-        doc["polynomials"] = [
-            {"label": label, "coefficients": [int_str(c) for c in poly.desc_coeffs]}
-            for label, poly in spec.polynomials
-        ]
-        return canonical_json(doc)
-    doc["hodge"] = [list(row) for row in spec.diamond.h]
-    doc["c1_sign"] = spec.c1_sign
-    doc["lattice"] = {"model": spec.lattice.model, **spec.lattice.bounds}
-    doc["r_bounds"] = list(spec.r_bounds)
-    doc["divisibility"] = spec.lattice.rule
-    if spec.k_lower is not None:
-        doc["k_lower"] = frac_str(spec.k_lower)
-    if spec.c14_max is not None:
-        doc["c14_max"] = spec.c14_max
-    doc["filters"] = list(spec.filters)
-    doc["facts"] = [_fact_to_json(f) for f in spec.facts]
-    return canonical_json(doc)

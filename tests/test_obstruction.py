@@ -1,11 +1,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chern_gate import exact
 from chern_gate.obstruction import (
     AhatNonIntegral,
     CongruenceMod12,
@@ -14,6 +16,7 @@ from chern_gate.obstruction import (
     IntPoly,
     ModularObstruction,
     RootFound,
+    _divisor_flaw,
     ahat_filter,
     build_embedding_polynomial,
     eliminate,
@@ -37,6 +40,8 @@ PSI_12_DESC = [1, 399165290220, -PSI_12]
 # 41, so factorize calls it prime.
 PSI_13 = 3317044064679887385961981
 PSI_13_DESC = [1, 1287836182260, -PSI_13]
+# The two largest primes below 2^32; their product needs 64 bits.
+SEMIPRIME_64 = 4294967291 * 4294967279
 
 
 def test_intpoly_rejects_inexact_coefficients():
@@ -187,6 +192,63 @@ def test_composite_divisors_above_psi_13_still_verify():
     assert isinstance(cert, ConstantDivisorTest)
     assert cert.divisors[-1] == 2**90 > PSI_13
     assert verify_certificate(poly, cert)
+
+
+def test_divisor_verification_never_factors(monkeypatch):
+    polys = [
+        IntPoly.from_desc(RANK2_CASE_2_DESC),  # constant 116 after content 2
+        IntPoly.from_desc([1, SEMIPRIME_64]),
+        IntPoly.from_desc([1, 1, 2**90]),
+    ]
+    # no modulus to try: eliminate goes straight to the divisor route
+    certs = [eliminate(poly, max_modulus=1) for poly in polys]
+    assert certs[0].divisors == (1, 2, 4, 29, 58, 116)
+    assert certs[1].divisors == (1, 4294967279, 4294967291, SEMIPRIME_64)
+    factored = []
+    real = exact.factorize
+    monkeypatch.setattr(exact, "factorize", lambda n: factored.append(n) or real(n))
+    for poly, cert in zip(polys, certs):
+        assert verify_certificate(poly, cert)
+    assert factored == []
+
+
+# Divisor lists the verifier must accept, for integers too big to trial-divide.
+KNOWN_DIVISORS = {
+    PSI_12: (1, 399165290221, 798330580441, PSI_12),
+    PSI_13: (1, 1287836182261, 2575672364521, PSI_13),
+}
+
+
+def trial_divisors(n: int) -> tuple[int, ...]:
+    if n in KNOWN_DIVISORS:
+        return KNOWN_DIVISORS[n]
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return tuple(sorted({*low, *(n // d for d in low)}))
+
+
+def divisor_flaw(n: int, divs) -> str:
+    poly = IntPoly.from_desc([1, n])  # m + n: no positive root
+    values = tuple(poly.evaluate(d) for d in divs)
+    return _divisor_flaw(poly, ConstantDivisorTest(1, 0, tuple(divs), values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(1, 10**6), st.sampled_from(sorted(KNOWN_DIVISORS))),
+    st.data(),
+)
+def test_divisor_lists_are_proven_against_trial_division(n, data):
+    true = list(trial_divisors(n))
+    assert divisor_flaw(n, true) == ""
+    i = data.draw(st.integers(0, len(true) - 1))
+    assert divisor_flaw(n, true[:i] + true[i + 1 :])  # a divisor missing
+    assert divisor_flaw(n, true[: i + 1] + true[i:])  # a duplicate
+    stranger = data.draw(st.integers(2, 2 * 10**6).filter(lambda x: n % x))
+    assert divisor_flaw(n, sorted(true + [stranger]))  # a non-divisor added
+    if len(true) > 1:
+        j = data.draw(st.integers(0, len(true) - 2))
+        swapped = true[:j] + [true[j + 1], true[j]] + true[j + 2 :]
+        assert divisor_flaw(n, swapped)  # out of order
 
 
 def test_root_certificates():

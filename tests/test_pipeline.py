@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+from chern_gate import pipeline
+from chern_gate.cli import dispatch
 from chern_gate.pipeline import (
     SHIPPED_LEMMAS,
     diff_baseline,
@@ -227,6 +229,74 @@ def test_fault_injection_concluded_case():
     baseline["concluded"]["10"] = "quadric"
     diff = run_lemma(load_scenario("2.2"), baseline=baseline)["baseline_diff"]
     assert "case 10: run concludes P4, baseline concludes quadric" in diff
+
+
+def test_fault_injection_unclaimed_elimination():
+    baseline = load_baseline("3.1")
+    del baseline["eliminated_by"]["1"]
+    diff = run_31_against(baseline)
+    assert "case 1: eliminated via mod12, baseline keeps it" in diff
+
+
+def test_fault_injection_elimination_the_run_does_not_make():
+    baseline = load_baseline("2.2")
+    baseline["eliminated_by"]["10"] = "mod12"
+    diff = run_lemma(load_scenario("2.2"), baseline=baseline)["baseline_diff"]
+    assert "case 10: baseline eliminates it via mod12, the run leaves it alive" in diff
+
+
+def test_fault_injection_polynomial_degree():
+    baseline = load_baseline("3.1")
+    del baseline["polynomials"]["2"][0]
+    diff = run_31_against(baseline)
+    assert "polynomial 2: run has degree 8, baseline has degree 7" in diff
+
+
+def test_fault_injection_polynomial_the_run_does_not_build():
+    baseline = load_baseline("3.1")
+    baseline["polynomials"]["99"] = ["1", "2"]
+    diff = run_31_against(baseline)
+    assert "polynomial 99: baseline lists it, run built none" in diff
+
+
+def test_unverified_conclusion_leaves_the_case_alive(monkeypatch, capsys):
+    real = pipeline.external_fact_filter
+
+    def forged(sol, facts):
+        cert = real(sol, facts)
+        if cert is not None and cert.outcome == "concluded":
+            return replace(cert, citation="a citation no fact carries")
+        return cert
+
+    monkeypatch.setattr(pipeline, "external_fact_filter", forged)
+    assert dispatch(["reproduce", "--lemma", "2.2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "SURVIVORS-REMAIN"
+    assert report["survivors"] == [{"baseline_id": "10", "ordinal": 1}]
+    (row,) = [e for e in report["eliminations"] if not e["verified"]]
+    assert row["baseline_id"] == "10"
+    assert row["certificate"]["citation"] == "a citation no fact carries"
+    assert "case 10: run concludes None, baseline concludes P4" in (
+        report["baseline_diff"]
+    )
+
+
+def test_unverified_elimination_leaves_the_case_alive(monkeypatch):
+    real = pipeline.mod12_filter
+
+    def wrong_residue(cn):
+        cert = real(cn)
+        return cert and replace(cert, residue=(cert.residue + 1) % 12)
+
+    monkeypatch.setattr(pipeline, "mod12_filter", wrong_residue)
+    spec = replace(load_scenario("3.1"), filters=("mod12",))
+    report = run_lemma(spec, baseline=load_baseline("3.1"))
+    assert len(report["survivors"]) == len(report["cases"]) == 10
+    assert report["verdict"] == "SURVIVORS-REMAIN"
+    assert [e["verified"] for e in report["eliminations"]] == [False] * 4
+    assert "case 1: baseline eliminates it via mod12, the run leaves it alive" in (
+        report["baseline_diff"]
+    )
 
 
 def test_fault_injection_leaves_original_data_untouched():

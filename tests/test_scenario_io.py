@@ -26,7 +26,6 @@ from chern_gate.report import (
 )
 from chern_gate.scenario import (
     ScenarioError,
-    emit_scenario,
     parse_scenario,
 )
 
@@ -53,13 +52,6 @@ def test_all_shipped_scenarios_parse():
         spec = parse_scenario(scenario_bytes(lid))
         assert spec.lemma_id == lid
         assert spec.baseline_id == lid
-
-
-def test_parse_emit_parse_is_identity():
-    for lid in ALL_LEMMAS:
-        spec = parse_scenario(scenario_bytes(lid))
-        again = parse_scenario(emit_scenario(spec))
-        assert again == spec, lid
 
 
 def test_float_literals_are_rejected_with_a_path():
@@ -553,6 +545,20 @@ def test_psi_13_divisor_certificate_is_not_verified(tmp_path, capsys):
     assert dispatch(["run", "--scenario", _direct_scenario(tmp_path, coeffs)]) == 1
     (row,) = json.loads(capsys.readouterr().out)["polynomials"]
     assert row["verified"] is False
+
+
+def test_psi_13_direct_row_is_a_survivor(tmp_path, capsys):
+    coeffs = ["1", "1287836182260", "-3317044064679887385961981"]
+    assert dispatch(["run", "--scenario", _direct_scenario(tmp_path, coeffs)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "SURVIVORS-REMAIN"
+    assert payload["survivors"] == [{"baseline_id": "1", "ordinal": 1}]
+
+
+@pytest.mark.parametrize("coeffs", ["1,,2", "1,2,", ""])
+def test_cli_eliminate_rejects_empty_coefficients(coeffs, capsys):
+    assert dispatch(["eliminate", "--coeffs", coeffs]) == 2
+    assert capsys.readouterr().err == "error: not an integer: ''\n"
 
 
 def test_leading_zeros_are_stripped_in_linear_time(capsys):
