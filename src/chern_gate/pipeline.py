@@ -149,12 +149,11 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
         for o, label in labels.items():
             live["char_numbers"][label] = tables[o]
             live["case"][label] = cases[o]
-        status = {sol.ordinal: "alive" for sol in solutions}
-        concluded = {}
+        decided = {}  # ordinal -> the verified certificate that took the case
         for name in spec.filters:
             for sol in solutions:
                 o = sol.ordinal
-                if status[o] != "alive":
+                if o in decided:
                     continue
                 if name == "embedding-poly":
                     subject = build_embedding_polynomial(cases[o])
@@ -177,11 +176,10 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
                     continue
                 # Only a verified certificate decides the case; a failed
                 # one is listed below and the case stays alive.
-                if ok and getattr(cert, "outcome", None) == "concluded":
-                    status[o], concluded[o] = "concluded", cert
-                    continue
                 if ok:
-                    status[o] = "eliminated"
+                    decided[o] = cert
+                    if getattr(cert, "outcome", None) == "concluded":
+                        continue
                 eliminations.append(
                     {
                         "ordinal": o,
@@ -193,12 +191,12 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
                 )
         for sol in solutions:
             o = sol.ordinal
-            if status[o] == "eliminated":
-                continue
             row = {"ordinal": o, "baseline_id": ids[o]}
-            if status[o] == "concluded":
-                row["conclusion"] = concluded[o].conclusion
-                row["certificate"] = certificate_to_json(concluded[o])
+            if o in decided:
+                if getattr(decided[o], "outcome", None) != "concluded":
+                    continue  # eliminated
+                row["conclusion"] = decided[o].conclusion
+                row["certificate"] = certificate_to_json(decided[o])
             survivors.append(row)
 
     if not survivors:
@@ -325,22 +323,20 @@ def _validate_printed(baseline: dict, live: dict, poly_rows: list[dict]) -> list
 
     Polynomial coefficient lists are compared exactly. Printed
     obstructions are verified as described in _validate_obstruction.
-    Expected engine certificates must match the run's output verbatim
-    and re-verify.
+    Expected engine certificates must match the run's output verbatim,
+    and the run's row must record that its certificate verified.
     """
-    polys = live["poly"]
     rows = []
     for label, expected in sorted(baseline.get("polynomials", {}).items()):
-        ours = polys.get(label)
+        ours = live["poly"].get(label)
         ours = None if ours is None else [int_str(c) for c in ours.desc_coeffs]
         rows.append({"id": label, "kind": "polynomial", "verified": ours == expected})
     for label, entry in sorted(baseline.get("obstructions", {}).items()):
         rows.append(_validate_obstruction(label, entry, live))
-    engine_certs = {row["label"]: row["certificate"] for row in poly_rows}
+    engine = {row["label"]: row for row in poly_rows}
     for label, expected in sorted(baseline.get("expected_certificates", {}).items()):
-        ok = engine_certs.get(label) == expected and verify_certificate(
-            polys[label], certificate_from_json(expected)
-        )
+        row = engine.get(label)
+        ok = row is not None and row["certificate"] == expected and row["verified"]
         rows.append({"id": label, "kind": "expected-certificate", "verified": ok})
     return rows
 
@@ -427,11 +423,18 @@ def diff_baseline(report: dict, baseline: dict) -> list[str]:
         if s.get("conclusion") and s.get("baseline_id")
     }
     for label in sorted(set(expected_conc) | set(actual_conc)):
-        if expected_conc.get(label) != actual_conc.get(label):
+        exp = expected_conc.get(label)
+        act = actual_conc.get(label)
+        if exp == act:
+            continue
+        if exp is None:
+            diffs.append(f"case {label}: run concludes {act}, baseline keeps it")
+        elif act is None:
             diffs.append(
-                f"case {label}: run concludes {actual_conc.get(label)}, "
-                f"baseline concludes {expected_conc.get(label)}"
+                f"case {label}: baseline concludes {exp}, the run leaves it alive"
             )
+        else:
+            diffs.append(f"case {label}: run concludes {act}, baseline concludes {exp}")
 
     if report.get("verdict") != baseline.get("verdict"):
         diffs.append(

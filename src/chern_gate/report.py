@@ -222,8 +222,12 @@ def _md_case_table(cases: list[dict]) -> list[str]:
     return lines
 
 
-def _md_certificate(cert: dict) -> str:
-    return _codec(cert)[2](cert)
+def _md_certificate(row: dict) -> str:
+    """The sentence for a row's certificate, marked if the row says it
+    failed to verify."""
+    cert = row["certificate"]
+    text = _codec(cert)[2](cert)
+    return f"{text} (not verified)" if row.get("verified") is False else text
 
 
 def _emit_markdown(report: dict) -> bytes:
@@ -249,10 +253,7 @@ def _emit_markdown(report: dict) -> bytes:
         for e in report["eliminations"]:
             label = e.get("baseline_id")
             label = e["ordinal"] if label is None else label
-            lines.append(
-                f"- case {label}: {e['filter']} -> "
-                f"{_md_certificate(e['certificate'])}"
-            )
+            lines.append(f"- case {label}: {e['filter']} -> {_md_certificate(e)}")
         lines.append("")
     if report.get("polynomials"):
         lines.append("## Obstruction polynomials")
@@ -260,7 +261,7 @@ def _emit_markdown(report: dict) -> bytes:
         for p in report["polynomials"]:
             coeffs = ", ".join(p["coefficients"])
             lines.append(f"- {p['label']}: [{coeffs}]")
-            lines.append(f"  - {_md_certificate(p['certificate'])}")
+            lines.append(f"  - {_md_certificate(p)}")
         lines.append("")
     if report.get("survivors"):
         lines.append("## Survivors")

@@ -2,12 +2,14 @@
 
 A scenario either describes a full pipeline run (Hodge diamond, sign
 of c1, lattice grid, divisibility rule, filters, literature facts) or
-a direct run over explicit obstruction polynomials. Parsing is strict:
-floats are rejected outright, rationals travel as "p/q" strings, big
-integers as decimal strings, and every error names the JSON path it
-was found at. The vocabulary is declared where its types live: the
-lattice models, their bounds and rules in search.LATTICE_MODELS, the
-fact kinds and their data fields in obstruction.FACT_KINDS.
+a direct run over explicit obstruction polynomials. Parsing is strict
+and typed: every object rejects a key it does not define, every value
+is read by a check of its field's type, so a float fails at its own
+field (rationals travel as "p/q" strings, big integers as decimal
+strings), and every error names the JSON path it was found at. The
+vocabulary is declared where its types live: the lattice models, their
+bounds and rules in search.LATTICE_MODELS, the fact kinds and their
+data fields in obstruction.FACT_KINDS.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class LemmaSpec:
     lemma_id: str
     mode: str
     diamond: HodgeDiamond | None = None
-    c1_sign: int | None = None
     lattice: LatticeSpec | None = None
     r_bounds: tuple[int, int] | None = None
     k_lower: Fraction | None = None
@@ -64,29 +65,6 @@ class LemmaSpec:
     polynomials: tuple[tuple[str, IntPoly], ...] = ()
     baseline_id: str | None = None
     input_sha256: str = field(compare=False, default="")
-
-
-class _Float:
-    """Marker for a float literal, kept so the walk can name its path."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-def _find_float(node, path: str) -> str | None:
-    if isinstance(node, _Float):
-        return path
-    if isinstance(node, dict):
-        for key, value in node.items():
-            hit = _find_float(value, f"{path}.{key}" if path else str(key))
-            if hit:
-                return hit
-    if isinstance(node, list):
-        for i, value in enumerate(node):
-            hit = _find_float(value, f"{path}[{i}]")
-            if hit:
-                return hit
-    return None
 
 
 # JSON type -> its name in "expected ..." messages.
@@ -107,6 +85,13 @@ def _require(mapping: dict, key: str, path: str, kind=None, nonempty=False):
     if key not in mapping:
         raise ScenarioError(path, f"missing required key {key!r}")
     return mapping[key] if kind is None else _expect(mapping[key], kind, path, nonempty)
+
+
+def _known_keys(mapping: dict, allowed, path: str, reason: str) -> None:
+    """Reject, at its own path, the first key of mapping not in allowed."""
+    for key in mapping:
+        if key not in allowed:
+            raise ScenarioError(f"{path}.{key}" if path else key, reason)
 
 
 def _parse_hodge(raw, path: str) -> HodgeDiamond:
@@ -137,9 +122,7 @@ def _parse_lattice(raw, path: str) -> LatticeSpec:
     if not isinstance(model, str) or model not in LATTICE_MODELS:
         raise ScenarioError(f"{path}.model", f"unknown lattice model {model!r}")
     names, _ = LATTICE_MODELS[model]
-    for key in raw:
-        if key != "model" and key not in names:
-            raise ScenarioError(f"{path}.{key}", f"not a bound of model {model!r}")
+    _known_keys(raw, ("model", *names), path, f"not a bound of model {model!r}")
     bounds = {}
     for key in names:
         bounds[key] = _require(raw, key, f"{path}.{key}", int)
@@ -148,8 +131,13 @@ def _parse_lattice(raw, path: str) -> LatticeSpec:
     return LatticeSpec(model=model, **bounds)
 
 
+_FACT_KEYS = ("index", "r", "citation", "constraint")
+_POLYNOMIAL_KEYS = ("label", "coefficients")
+
+
 def _parse_fact(raw, path: str) -> ExternalFact:
     raw = _expect(raw, dict, path)
+    _known_keys(raw, _FACT_KEYS, path, "unknown key for a fact")
     index = _require(raw, "index", f"{path}.index", int)
     r = _require(raw, "r", f"{path}.r", int)
     citation = _require(raw, "citation", f"{path}.citation", str, nonempty=True)
@@ -159,6 +147,7 @@ def _parse_fact(raw, path: str) -> ExternalFact:
     if not isinstance(kind, str) or kind not in FACT_KINDS:
         raise ScenarioError(f"{here}.kind", f"unknown fact kind {kind!r}")
     name, kind_type = FACT_KINDS[kind]
+    _known_keys(constraint, ("kind", name), here, f"unknown key for fact kind {kind!r}")
     here = f"{here}.{name}"
     if kind_type is tuple:  # a nonempty JSON list of integers
         value = _require(constraint, name, here, list, nonempty=True)
@@ -174,6 +163,7 @@ def _parse_polynomials(raw, path: str) -> tuple[tuple[str, IntPoly], ...]:
     for i, entry in enumerate(_expect(raw, list, path, nonempty=True)):
         here = f"{path}[{i}]"
         entry = _expect(entry, dict, here)
+        _known_keys(entry, _POLYNOMIAL_KEYS, here, "unknown key for a polynomial")
         label = _require(entry, "label", f"{here}.label", str, nonempty=True)
         if label in seen:
             raise ScenarioError(f"{here}.label", f"duplicate label {label!r}")
@@ -220,18 +210,13 @@ _DIRECT_KEYS = {"lemma", "mode", "polynomials", "baseline_id"}
 
 def parse_scenario(raw: bytes) -> LemmaSpec:
     try:
-        doc = json.loads(raw.decode("utf-8"), parse_float=_Float)
-        float_path = _find_float(doc, "")
+        doc = json.loads(raw.decode("utf-8"))
     except RecursionError as exc:
         raise ScenarioError("$", "nested too deeply") from exc
     except ValueError as exc:  # also undecodable bytes and oversized integers
         raise ScenarioError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("$", "top level must be an object")
-    if float_path:
-        raise ScenarioError(
-            float_path, "float literals are forbidden; use \"p/q\" strings"
-        )
 
     lemma = _require(doc, "lemma", "lemma")
     if lemma not in LEMMA_IDS:
@@ -241,9 +226,7 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         raise ScenarioError("mode", f"unknown mode {mode!r}")
 
     allowed = _PIPELINE_KEYS if mode == "pipeline" else _DIRECT_KEYS
-    for key in doc:
-        if key not in allowed:
-            raise ScenarioError(key, f"unknown key for mode {mode!r}")
+    _known_keys(doc, allowed, "", f"unknown key for mode {mode!r}")
 
     baseline_id = doc.get("baseline_id")
     if baseline_id is not None and baseline_id not in LEMMA_IDS:
@@ -322,7 +305,6 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         lemma_id=lemma,
         mode=mode,
         diamond=diamond,
-        c1_sign=c1_sign,
         lattice=lattice,
         r_bounds=(r_min, r_max),
         k_lower=k_lower,

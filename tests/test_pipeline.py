@@ -276,7 +276,7 @@ def test_unverified_conclusion_leaves_the_case_alive(monkeypatch, capsys):
     (row,) = [e for e in report["eliminations"] if not e["verified"]]
     assert row["baseline_id"] == "10"
     assert row["certificate"]["citation"] == "a citation no fact carries"
-    assert "case 10: run concludes None, baseline concludes P4" in (
+    assert "case 10: baseline concludes P4, the run leaves it alive" in (
         report["baseline_diff"]
     )
 
@@ -315,3 +315,62 @@ def test_markdown_has_the_table_and_trailer(shipped_reports):
     assert "baseline: exact match" in md
     unchecked = emit_report(run_lemma(load_scenario("3.1")), "md").decode()
     assert "baseline: not checked" in unchecked
+
+
+def _forge_concluded_citation(monkeypatch):
+    real = pipeline.external_fact_filter
+
+    def forged(sol, facts):
+        cert = real(sol, facts)
+        if cert is not None and cert.outcome == "concluded":
+            return replace(cert, citation="a citation no fact carries")
+        return cert
+
+    monkeypatch.setattr(pipeline, "external_fact_filter", forged)
+
+
+def test_markdown_marks_an_unverified_elimination(monkeypatch, capsys):
+    _forge_concluded_citation(monkeypatch)
+    assert dispatch(["reproduce", "--lemma", "2.2", "--format", "md"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "- case 10: external-facts -> fact 5: classified as P4 "
+        "(a citation no fact carries) -> P4 (not verified)"
+    ) in lines
+    assert sum(line.endswith(" (not verified)") for line in lines) == 1
+    assert "- case 10: baseline concludes P4, the run leaves it alive" in lines
+
+
+def test_conclusion_the_baseline_does_not_make():
+    baseline = load_baseline("2.2")
+    baseline["concluded"] = {}
+    diff = run_lemma(load_scenario("2.2"), baseline=baseline)["baseline_diff"]
+    assert diff == ["case 10: run concludes P4, baseline keeps it"]
+
+
+def test_a_real_embedding_survives_a_pipeline_replay(tmp_path, capsys):
+    # The smooth quadric fourfold (d=2, r=4, k=7/16): its embedding
+    # polynomial has the root m=1, so the case must stay alive.
+    doc = json.loads(pipeline.scenario_bytes("3.1").decode())
+    del doc["k_lower"], doc["baseline_id"]
+    doc.update(
+        c1_sign=1,
+        r_bounds=[1, 5],
+        lattice={"model": "free", "d_max": 2},
+        divisibility="l2_div_dr4",
+        filters=["embedding-poly"],
+    )
+    src = tmp_path / "quadric.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["run", "--scenario", str(src)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "SURVIVORS-REMAIN"
+    assert report["survivors"] == [{"baseline_id": None, "ordinal": 4}]
+    (case,) = [c for c in report["cases"] if c["ordinal"] == 4]
+    assert (case["params"], case["r"], case["k"]) == ({"d": 2}, 4, "7/16")
+    (row,) = [p for p in report["polynomials"] if p["ordinal"] == 4]
+    assert row["certificate"] == {"type": "root", "m": "1"}
+    assert row["verified"] is True
+    assert dispatch(["run", "--scenario", str(src), "--format", "md"]) == 1
+    md = capsys.readouterr().out
+    assert "## Survivors\n\n- case 4\n" in md

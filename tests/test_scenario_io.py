@@ -567,3 +567,83 @@ def test_leading_zeros_are_stripped_in_linear_time(capsys):
     assert dispatch(["eliminate", "--coeffs", "0," * 60_000 + "1,2"]) == 0
     assert time.perf_counter_ns() - start < 2 * 10**9
     assert json.loads(capsys.readouterr().out)["polynomial"] == ["1", "2"]
+
+
+def _leaves(node, keys=()):
+    """The key path of every scalar in a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, keys + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, keys + (i,))
+    else:
+        yield keys
+
+
+def _path_text(keys) -> str:
+    text = ""
+    for key in keys:
+        if isinstance(key, int):
+            text += f"[{key}]"
+        else:
+            text += f".{key}" if text else key
+    return text
+
+
+def test_a_float_at_any_leaf_fails_at_that_leaf():
+    # No separate float check: each field's own type check names the path.
+    count = 0
+    for lid in ALL_LEMMAS:
+        for keys in _leaves(shipped(lid)):
+            doc = shipped(lid)
+            node = doc
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = 0.5
+            assert error_path(doc) == _path_text(keys), (lid, keys)
+            count += 1
+    assert count == 283
+
+
+def test_a_float_fails_with_its_fields_reason():
+    doc = shipped("2.1")
+    doc["hodge"][1][2] = 0.5
+    with pytest.raises(ScenarioError) as err:
+        reparse(doc)
+    assert str(err.value) == "hodge[1][2]: expected integer, got 0.5"
+    doc = shipped("2.1")
+    doc["k_lower"] = 0.4
+    with pytest.raises(ScenarioError) as err:
+        reparse(doc)
+    assert str(err.value) == "k_lower: rational must be a string, got float"
+
+
+@pytest.mark.parametrize(
+    "lid, keys, path",
+    [
+        ("2.2", ("facts", 0), "facts[0].note"),
+        ("2.2", ("facts", 0, "constraint"), "facts[0].constraint.note"),
+        ("A.1", ("polynomials", 0), "polynomials[0].note"),
+    ],
+)
+def test_unknown_keys_are_rejected_in_every_object(lid, keys, path, tmp_path, capsys):
+    doc = shipped(lid)
+    node = doc
+    for key in keys:
+        node = node[key]
+    node["note"] = "x"
+    assert error_path(doc) == path
+    src = tmp_path / "note.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["run", "--scenario", str(src)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: unknown key")
+
+
+def test_markdown_marks_an_unverified_polynomial_row(tmp_path, capsys):
+    coeffs = ["1", "1287836182260", "-3317044064679887385961981"]
+    src = _direct_scenario(tmp_path, coeffs)
+    assert dispatch(["run", "--scenario", src, "--format", "md"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [line for line in lines if line.startswith("  - divisor test")]
+    assert line.endswith(" (not verified)")
