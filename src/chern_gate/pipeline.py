@@ -127,18 +127,19 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
             }
         )
 
+    decided = {}  # ordinal -> the verified certificate that took the case
+    roots = {}  # ordinal -> a verified positive integer root
     if spec.mode == "direct":
-        invariants, case_rows = None, []
+        invariants, case_rows, ids = None, [], {}
         for i, (label, poly) in enumerate(spec.polynomials, start=1):
+            ids[i] = label
             cert = eliminate(poly)
             ok = verify_certificate(poly, cert)
             poly_row(i, label, label, poly, cert, ok)
-            if isinstance(cert, RootFound):
-                survivors.append(
-                    {"ordinal": i, "baseline_id": label, "root": int_str(cert.m)}
-                )
-            elif not ok:
-                survivors.append({"ordinal": i, "baseline_id": label})
+            if ok and isinstance(cert, RootFound):
+                roots[i] = cert.m
+            elif ok:
+                decided[i] = cert
     else:
         inv = complete_invariants(invariants_from_diamond(spec.diamond))
         invariants = asdict(inv)  # chi, chi_O, chi1, signature, c1c3, target
@@ -149,7 +150,6 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
         for o, label in labels.items():
             live["char_numbers"][label] = tables[o]
             live["case"][label] = cases[o]
-        decided = {}  # ordinal -> the verified certificate that took the case
         for name in spec.filters:
             for sol in solutions:
                 o = sol.ordinal
@@ -173,6 +173,8 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
                 if isinstance(cert, RootFound):
                     # A positive integer root means the filter has no
                     # objection; the case stays alive.
+                    if ok:
+                        roots[o] = cert.m
                     continue
                 # Only a verified certificate decides the case; a failed
                 # one is listed below and the case stays alive.
@@ -189,15 +191,19 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
                         "verified": ok,
                     }
                 )
-        for sol in solutions:
-            o = sol.ordinal
-            row = {"ordinal": o, "baseline_id": ids[o]}
-            if o in decided:
-                if getattr(decided[o], "outcome", None) != "concluded":
-                    continue  # eliminated
-                row["conclusion"] = decided[o].conclusion
-                row["certificate"] = certificate_to_json(decided[o])
-            survivors.append(row)
+    # Every case is eliminated, concluded or alive; a live one says its
+    # root when a verified one was found.
+    for o, bid in ids.items():
+        row = {"ordinal": o, "baseline_id": bid}
+        cert = decided.get(o)
+        if cert is not None:
+            if getattr(cert, "outcome", None) != "concluded":
+                continue  # eliminated
+            row["conclusion"] = cert.conclusion
+            row["certificate"] = certificate_to_json(cert)
+        elif o in roots:
+            row["root"] = int_str(roots[o])
+        survivors.append(row)
 
     if not survivors:
         verdict = "ALL-ELIMINATED"
@@ -341,6 +347,23 @@ def _validate_printed(baseline: dict, live: dict, poly_rows: list[dict]) -> list
     return rows
 
 
+# Baseline key -> how the run and the baseline disagree about one case:
+# when only the run has a value, when only the baseline has one, when
+# both have different ones.
+_CASE_WORDING = {
+    "eliminated_by": (
+        "case {label}: eliminated via {act}, baseline keeps it",
+        "case {label}: baseline eliminates it via {exp}, the run leaves it alive",
+        "case {label}: eliminated via {act}, baseline says {exp}",
+    ),
+    "concluded": (
+        "case {label}: run concludes {act}, baseline keeps it",
+        "case {label}: baseline concludes {exp}, the run leaves it alive",
+        "case {label}: run concludes {act}, baseline concludes {exp}",
+    ),
+}
+
+
 def diff_baseline(report: dict, baseline: dict) -> list[str]:
     """Everything the run disagrees with the baseline about, in words.
 
@@ -391,50 +414,23 @@ def diff_baseline(report: dict, baseline: dict) -> list[str]:
                     f"baseline says {expected_cn[field]}"
                 )
 
-    expected_elim = baseline.get("eliminated_by", {})
-    actual_elim = {}
+    run = {"eliminated_by": {}, "concluded": {}}
     for e in report.get("eliminations", []):
-        label = e.get("baseline_id")
-        if label is None or not e["verified"]:
-            continue
-        name = e["filter"]
-        if name == "external-facts":
-            name = f"external-facts:{e['certificate']['index']}"
-        actual_elim[label] = name
-    for label in sorted(set(expected_elim) | set(actual_elim)):
-        exp = expected_elim.get(label)
-        act = actual_elim.get(label)
-        if exp == act:
-            continue
-        if exp is None:
-            diffs.append(f"case {label}: eliminated via {act}, baseline keeps it")
-        elif act is None:
-            diffs.append(
-                f"case {label}: baseline eliminates it via {exp}, "
-                f"the run leaves it alive"
-            )
-        else:
-            diffs.append(f"case {label}: eliminated via {act}, baseline says {exp}")
-
-    expected_conc = baseline.get("concluded", {})
-    actual_conc = {
-        s["baseline_id"]: s["conclusion"]
-        for s in report.get("survivors", [])
-        if s.get("conclusion") and s.get("baseline_id")
-    }
-    for label in sorted(set(expected_conc) | set(actual_conc)):
-        exp = expected_conc.get(label)
-        act = actual_conc.get(label)
-        if exp == act:
-            continue
-        if exp is None:
-            diffs.append(f"case {label}: run concludes {act}, baseline keeps it")
-        elif act is None:
-            diffs.append(
-                f"case {label}: baseline concludes {exp}, the run leaves it alive"
-            )
-        else:
-            diffs.append(f"case {label}: run concludes {act}, baseline concludes {exp}")
+        if e.get("baseline_id") is not None and e["verified"]:
+            name = e["filter"]
+            if name == "external-facts":
+                name = f"external-facts:{e['certificate']['index']}"
+            run["eliminated_by"][e["baseline_id"]] = name
+    for s in report.get("survivors", []):
+        if s.get("conclusion") and s.get("baseline_id"):
+            run["concluded"][s["baseline_id"]] = s["conclusion"]
+    for key, (only_run, only_base, both) in _CASE_WORDING.items():
+        expected, actual = baseline.get(key, {}), run[key]
+        for label in sorted(set(expected) | set(actual)):
+            exp, act = expected.get(label), actual.get(label)
+            if exp != act:
+                text = only_run if exp is None else only_base if act is None else both
+                diffs.append(text.format(label=label, exp=exp, act=act))
 
     if report.get("verdict") != baseline.get("verdict"):
         diffs.append(

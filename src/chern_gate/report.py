@@ -269,8 +269,8 @@ def _emit_markdown(report: dict) -> bytes:
         for s in report["survivors"]:
             label = s.get("baseline_id")
             label = s["ordinal"] if label is None else label
-            conclusion = s.get("conclusion")
-            tail = f" (concluded: {conclusion})" if conclusion else ""
+            tail = f" (concluded: {s['conclusion']})" if "conclusion" in s else ""
+            tail = f" (root m={s['root']})" if "root" in s else tail
             lines.append(f"- case {label}{tail}")
         lines.append("")
     diff = report.get("baseline_diff")

@@ -23,6 +23,7 @@ so that every admissible case satisfies (3k^2 + 4k - 1) <c1^4> = target.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -61,7 +62,7 @@ class HodgeDiamond:
 
     @staticmethod
     def from_rows(rows) -> "HodgeDiamond":
-        return HodgeDiamond(tuple(tuple(int(x) for x in row) for row in rows))
+        return HodgeDiamond(tuple(tuple(map(operator.index, row)) for row in rows))
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,9 @@ _JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
 def _expect(value, kind: type, path: str, nonempty: bool = False):
     """value, if it is a JSON value of type kind (and not "" or [] if nonempty)."""
     if isinstance(value, kind) and not isinstance(value, bool):
+        # Strings reach the reports verbatim, so each must be printable ASCII.
+        if kind is str and not (value.isascii() and value.isprintable()):
+            raise ScenarioError(path, f"expected printable ASCII, got {ascii(value)}")
         if not (nonempty and value in ("", [])):
             return value
     name = ("nonempty " if nonempty else "") + _JSON_TYPES[kind]

@@ -65,11 +65,6 @@ class LatticeSpec:
             raise ValueError(f"unknown lattice model {self.model!r}")
 
     @property
-    def bounds(self) -> dict[str, int]:
-        """The model's bounds by name, in declaration order."""
-        return {name: getattr(self, name) for name in LATTICE_MODELS[self.model][0]}
-
-    @property
     def rule(self) -> str:
         """The divisibility rule that fits the model."""
         return LATTICE_MODELS[self.model][1]

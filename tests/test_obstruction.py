@@ -452,3 +452,95 @@ def test_verify_detailed_reasons_are_informative():
     ok, reason = verify_certificate_detailed(poly, bad)
     assert not ok
     assert reason
+
+
+def _poly(*desc):
+    return IntPoly.from_desc(list(desc))
+
+
+_R1 = CaseSolution(ordinal=1, geometry=Geometry.rank1(15), r=1, k=Fraction(2, 3))
+_R3 = CaseSolution(ordinal=1, geometry=Geometry.rank1(15), r=3, k=Fraction(2, 3))
+
+# Each certificate is sound but for one flaw, which only the reason's
+# check catches. With that check taken out, nine of them verify; the
+# zero polynomial and the missing fact raise, and the understated m power
+# fails later for another reason.
+TAMPERED = [
+    pytest.param(
+        IntPoly(()),
+        ModularObstruction(content=1, m_power=0, modulus=2, residues=(1, 1)),
+        "zero polynomial has every positive integer as a root",
+        id="zero-polynomial",
+    ),
+    pytest.param(
+        _poly(1, 1, 1),  # reduced by -1 to -(m^2 + m + 1): residues 1, 1 mod 2
+        ModularObstruction(content=-1, m_power=0, modulus=2, residues=(1, 1)),
+        "content -1 is not positive",
+        id="negative-content",
+    ),
+    pytest.param(
+        _poly(1, 0, -1),  # m^2 - 1; m power -1 would leave the constant 1
+        ModularObstruction(content=1, m_power=-1, modulus=2, residues=(1, 1)),
+        "m power -1 out of range",
+        id="m-power-out-of-range",
+    ),
+    pytest.param(
+        _poly(1, 1, -2),  # (m + 2)(m - 1) claimed at m^1 reduces to m + 1
+        ConstantDivisorTest(content=1, m_power=1, divisors=(1,), values=(2,)),
+        "coefficients below m^1 are not all zero",
+        id="overstated-m-power",
+    ),
+    pytest.param(
+        _poly(1, 1, 0),  # m(m + 1) claimed at m^0
+        ConstantDivisorTest(content=1, m_power=0, divisors=(1,), values=(0,)),
+        "reduced polynomial still divisible by m",
+        id="understated-m-power",
+    ),
+    pytest.param(
+        _poly(1, 1),
+        RootFound(m=-1),
+        "root -1 is not a positive integer",
+        id="non-positive-root",
+    ),
+    pytest.param(
+        _poly(1, -1),  # no residue class left to vanish at the root 1
+        ModularObstruction(content=1, m_power=0, modulus=0, residues=()),
+        "modulus 0 is too small",
+        id="modulus-zero",
+    ),
+    pytest.param(
+        _poly(1, -2),  # vanishes at the residue left out, 2 mod 3
+        ModularObstruction(content=1, m_power=0, modulus=3, residues=(1, 2)),
+        "expected 3 residues, got 2",
+        id="short-residues",
+    ),
+    pytest.param(
+        _poly(1, -2),  # the value at the root 2 is left out
+        ConstantDivisorTest(content=1, m_power=0, divisors=(1, 2), values=(-1,)),
+        "one value per divisor required",
+        id="value-omitted",
+    ),
+    pytest.param(
+        _poly(1, -2),
+        ConstantDivisorTest(content=1, m_power=0, divisors=(1, 2), values=(-1, 0)),
+        "divisor 2 is a root",
+        id="value-zero",
+    ),
+    pytest.param(
+        CharNumbers(c1_4=3, c1c3=0, c1_2c2=6, c2_2=0, c4=0),
+        CongruenceMod12(value=12, residue=0),
+        "12 is divisible by 12",
+        id="mod12-zero",
+    ),
+    pytest.param(
+        (_R3, FACTS),
+        external_fact_filter(_R1, FACTS),
+        "no fact applies to r = 3",
+        id="no-fact",
+    ),
+]
+
+
+@pytest.mark.parametrize("subject, cert, reason", TAMPERED)
+def test_verifier_names_the_one_flaw_of_a_tampered_certificate(subject, cert, reason):
+    assert verify_certificate_detailed(subject, cert) == (False, reason)

@@ -365,7 +365,7 @@ def test_a_real_embedding_survives_a_pipeline_replay(tmp_path, capsys):
     assert dispatch(["run", "--scenario", str(src)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "SURVIVORS-REMAIN"
-    assert report["survivors"] == [{"baseline_id": None, "ordinal": 4}]
+    assert report["survivors"] == [{"baseline_id": None, "ordinal": 4, "root": "1"}]
     (case,) = [c for c in report["cases"] if c["ordinal"] == 4]
     assert (case["params"], case["r"], case["k"]) == ({"d": 2}, 4, "7/16")
     (row,) = [p for p in report["polynomials"] if p["ordinal"] == 4]
@@ -373,4 +373,4 @@ def test_a_real_embedding_survives_a_pipeline_replay(tmp_path, capsys):
     assert row["verified"] is True
     assert dispatch(["run", "--scenario", str(src), "--format", "md"]) == 1
     md = capsys.readouterr().out
-    assert "## Survivors\n\n- case 4\n" in md
+    assert "## Survivors\n\n- case 4 (root m=1)\n" in md

@@ -60,6 +60,14 @@ def test_diamond_validation():
         HodgeDiamond.from_rows(unnormalized)
 
 
+
+def test_diamond_rejects_inexact_entries():
+    # h^{2,2} = 1.9 must not be truncated to 1.
+    rows = [row[:] for row in MIDDLE_TWO_ROWS]
+    rows[2][2] = 1.9
+    with pytest.raises(TypeError):
+        HodgeDiamond.from_rows(rows)
+
 @pytest.mark.parametrize(
     "rows, chi, chi_O, chi1, signature",
     [

@@ -640,6 +640,20 @@ def test_unknown_keys_are_rejected_in_every_object(lid, keys, path, tmp_path, ca
     assert capsys.readouterr().err.startswith(f"error: {path}: unknown key")
 
 
+@pytest.mark.parametrize("label", ["\u03b1", "p\n- case forged"])
+def test_scenario_text_must_be_printable_ascii(label, tmp_path, capsys):
+    # Either would reach the reports verbatim: "α" cannot be written as
+    # markdown, a newline would forge a markdown line.
+    doc = shipped("A.1")
+    doc["polynomials"][0]["label"] = label
+    assert error_path(doc) == "polynomials[0].label"
+    src = tmp_path / "label.json"
+    src.write_text(json.dumps(doc))
+    for fmt in ("json", "md"):
+        assert dispatch(["run", "--scenario", str(src), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: polynomials[0].label: expected printable ASCII")
+
 def test_markdown_marks_an_unverified_polynomial_row(tmp_path, capsys):
     coeffs = ["1", "1287836182260", "-3317044064679887385961981"]
     src = _direct_scenario(tmp_path, coeffs)
