@@ -153,7 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
     elim.add_argument(
         "--coeffs",
         required=True,
-        help="comma-separated integer coefficients, highest power first",
+        help=(
+            "comma-separated integer coefficients, highest power first; "
+            "write --coeffs=-1,5 when the first one is negative"
+        ),
     )
     elim.add_argument("--out", help="write the certificate here instead of stdout")
     elim.set_defaults(func=_cmd_eliminate)

@@ -61,7 +61,8 @@ class IntPoly:
     denominator LCM that was cleared to reach integer coefficients (1
     when the source was already integral); it does not participate in
     evaluation since scaling never moves a root. A coefficient that is
-    not an integer (a float or a Fraction) raises TypeError.
+    not an integer (a float or a Fraction) raises TypeError, and so does
+    such a scale.
     """
 
     coeffs: tuple[int, ...]
@@ -71,7 +72,7 @@ class IntPoly:
         cs = tuple(operator.index(c) for c in self.coeffs)
         top = next((i for i in reversed(range(len(cs))) if cs[i]), 0)
         object.__setattr__(self, "coeffs", cs[: top + 1])
-        if self.scale < 1:
+        if operator.index(self.scale) < 1:
             raise ValueError("scale must be a positive integer")
 
     @classmethod

@@ -2,8 +2,9 @@
 
 run_lemma drives the full chain: Hodge diamond to the Riemann-Roch
 target, lattice enumeration, characteristic-number tables and the
-configured elimination filters, or, for a direct scenario, just the
-listed polynomials. Both modes share one report builder. Every
+configured elimination filters. A direct scenario is the single filter
+embedding-poly over the polynomials it lists, so both modes decide
+their cases in one filter loop, from one record per case. Every
 certificate, whichever filter produced it, is re-checked by
 obstruction.verify_certificate against the data the filter consumed,
 and only a verified one decides a case: a certificate that fails is
@@ -23,7 +24,6 @@ from dataclasses import asdict
 from importlib import resources
 
 from .obstruction import (
-    IntPoly,
     RootFound,
     _check_reduction,
     ahat_filter,
@@ -107,81 +107,69 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
             f"baseline is for lemma {baseline.get('lemma')!r}, "
             f"scenario replays {spec.lemma_id!r}"
         )
-    # What each baseline label's printed obstructions are checked against.
-    live: dict[str, dict] = {"poly": {}, "char_numbers": {}, "case": {}}
-    poly_rows: list[dict] = []
-    eliminations: list[dict] = []
-    survivors: list[dict] = []
-
-    def poly_row(ordinal: int, bid, label: str, poly: IntPoly, cert, ok: bool):
-        live["poly"][label] = poly
-        poly_rows.append(
-            {
-                "ordinal": ordinal,
-                "baseline_id": bid,
-                "label": label,
-                "coefficients": [int_str(c) for c in poly.desc_coeffs],
-                "scale": int_str(poly.scale),
-                "certificate": certificate_to_json(cert),
-                "verified": ok,
-            }
-        )
-
-    decided = {}  # ordinal -> the verified certificate that took the case
-    roots = {}  # ordinal -> a verified positive integer root
+    # records: ordinal -> the case's data, keyed by what a filter or a
+    # printed obstruction is about ("solution", "char_numbers", "case",
+    # "poly").
     if spec.mode == "direct":
-        invariants, case_rows, ids = None, [], {}
-        for i, (label, poly) in enumerate(spec.polynomials, start=1):
-            ids[i] = label
-            cert = eliminate(poly)
-            ok = verify_certificate(poly, cert)
-            poly_row(i, label, label, poly, cert, ok)
-            if ok and isinstance(cert, RootFound):
-                roots[i] = cert.m
-            elif ok:
-                decided[i] = cert
+        invariants, case_rows, filters = None, [], ("embedding-poly",)
+        records = {i: {"poly": p} for i, (_, p) in enumerate(spec.polynomials, 1)}
+        ids = {i: label for i, (label, _) in enumerate(spec.polynomials, 1)}
     else:
         inv = complete_invariants(invariants_from_diamond(spec.diamond))
         invariants = asdict(inv)  # chi, chi_O, chi1, signature, c1c3, target
         system = constraint_system_for(spec, target=inv.target)
         solutions = enumerate_cases(system, workers=workers)
-        case_rows, tables, cases, ids = _case_rows(solutions, inv, baseline)
-        labels = {o: f"case-{o}" if bid is None else bid for o, bid in ids.items()}
-        for o, label in labels.items():
-            live["char_numbers"][label] = tables[o]
-            live["case"][label] = cases[o]
-        for name in spec.filters:
-            for sol in solutions:
-                o = sol.ordinal
-                if o in decided:
-                    continue
-                if name == "embedding-poly":
-                    subject = build_embedding_polynomial(cases[o])
-                    cert = eliminate(subject)
-                elif name == "mod12":
-                    subject, cert = tables[o], mod12_filter(tables[o])
-                elif name == "ahat":
-                    subject, cert = cases[o], ahat_filter(cases[o])
-                else:  # external-facts
-                    subject = (sol, spec.facts)
-                    cert = external_fact_filter(sol, spec.facts)
-                if cert is None:
-                    continue
-                ok = verify_certificate(subject, cert)
-                if name == "embedding-poly":
-                    poly_row(o, ids[o], labels[o], subject, cert, ok)
-                if isinstance(cert, RootFound):
-                    # A positive integer root means the filter has no
-                    # objection; the case stays alive.
-                    if ok:
-                        roots[o] = cert.m
-                    continue
-                # Only a verified certificate decides the case; a failed
-                # one is listed below and the case stays alive.
+        case_rows, records, ids = _case_rows(solutions, inv, baseline)
+        filters = spec.filters
+    labels = {o: f"case-{o}" if bid is None else bid for o, bid in ids.items()}
+    poly_rows: list[dict] = []
+    eliminations: list[dict] = []
+    survivors: list[dict] = []
+    decided = {}  # ordinal -> the verified certificate that took the case
+    roots = {}  # ordinal -> a verified positive integer root
+    for name in filters:
+        for o, rec in records.items():
+            if o in decided:
+                continue
+            if name == "embedding-poly":
+                if "poly" not in rec:
+                    rec["poly"] = build_embedding_polynomial(rec["case"])
+                subject, cert = rec["poly"], eliminate(rec["poly"])
+            elif name == "mod12":
+                subject, cert = rec["char_numbers"], mod12_filter(rec["char_numbers"])
+            elif name == "ahat":
+                subject, cert = rec["case"], ahat_filter(rec["case"])
+            else:  # external-facts
+                subject = (rec["solution"], spec.facts)
+                cert = external_fact_filter(*subject)
+            if cert is None:
+                continue
+            ok = verify_certificate(subject, cert)
+            if name == "embedding-poly":
+                poly_rows.append(
+                    {
+                        "ordinal": o,
+                        "baseline_id": ids[o],
+                        "label": labels[o],
+                        "coefficients": [int_str(c) for c in subject.desc_coeffs],
+                        "scale": int_str(subject.scale),
+                        "certificate": certificate_to_json(cert),
+                        "verified": ok,
+                    }
+                )
+            if isinstance(cert, RootFound):
+                # A positive integer root means the filter has no
+                # objection; the case stays alive.
                 if ok:
-                    decided[o] = cert
-                    if getattr(cert, "outcome", None) == "concluded":
-                        continue
+                    roots[o] = cert.m
+                continue
+            # Only a verified certificate decides the case; a failed
+            # one is listed below and the case stays alive.
+            if ok:
+                decided[o] = cert
+                if getattr(cert, "outcome", None) == "concluded":
+                    continue
+            if spec.mode == "pipeline":  # direct rows are all polynomial rows
                 eliminations.append(
                     {
                         "ordinal": o,
@@ -228,20 +216,23 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
         "baseline_diff": None,
     }
     if baseline is not None:
+        # Each label's printed obstructions are checked against its record.
+        live = {labels[o]: rec for o, rec in records.items()}
         report["baseline_validation"] = _validate_printed(baseline, live, poly_rows)
         report["baseline_diff"] = diff_baseline(report, baseline)
     return report
 
 
 def _case_rows(solutions, inv, baseline: dict | None):
-    """The report's case table, plus each case's characteristic numbers,
-    Chern data and baseline id, keyed by ordinal."""
+    """The report's case table, plus each case's record (its solution,
+    characteristic numbers and Chern data) and baseline id, keyed by
+    ordinal."""
     id_by_key = {}
     if baseline is not None:
         for entry in baseline.get("cases", []):
             key = _case_key(entry["params"], entry["r"], entry["k"])
             id_by_key[key] = entry["id"]
-    rows, tables, cases, ids = [], {}, {}, {}
+    rows, records, ids = [], {}, {}
     for sol in solutions:
         cn = char_number_table(sol, inv)
         case = to_chern_case(sol, inv)
@@ -253,8 +244,7 @@ def _case_rows(solutions, inv, baseline: dict | None):
             )
         pd = pontryagin_numbers(case)
         bid = id_by_key.get(_case_key(sol.geometry.params, sol.r, frac_str(sol.k)))
-        tables[sol.ordinal] = cn
-        cases[sol.ordinal] = case
+        records[sol.ordinal] = {"solution": sol, "char_numbers": cn, "case": case}
         ids[sol.ordinal] = bid
         rows.append(
             {
@@ -274,10 +264,11 @@ def _case_rows(solutions, inv, baseline: dict | None):
                 "chi_O_check": frac_str(chio),
             }
         )
-    return rows, tables, cases, ids
+    return rows, records, ids
 
 
-# Printed obstruction kind -> (certificate tag, the live data it is about).
+# Printed obstruction kind -> (certificate tag, the record key of the live
+# data it is about).
 _PRINTED = {
     "modular": ("modular", "poly"),
     "divisor": ("divisor", "poly"),
@@ -298,7 +289,7 @@ def _validate_obstruction(label: str, entry: dict, live: dict) -> dict:
         row["note"] = f"unknown obstruction kind {kind!r}"
         return row
     tag, about = _PRINTED[kind]
-    subject = live[about].get(label)
+    subject = live.get(label, {}).get(about)
     if subject is None:
         return row
     # The printed form is the headline data; what it leaves out is
@@ -334,7 +325,7 @@ def _validate_printed(baseline: dict, live: dict, poly_rows: list[dict]) -> list
     """
     rows = []
     for label, expected in sorted(baseline.get("polynomials", {}).items()):
-        ours = live["poly"].get(label)
+        ours = live.get(label, {}).get("poly")
         ours = None if ours is None else [int_str(c) for c in ours.desc_coeffs]
         rows.append({"id": label, "kind": "polynomial", "verified": ours == expected})
     for label, entry in sorted(baseline.get("obstructions", {}).items()):

@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -48,7 +49,10 @@ _COLUMNS = (
 
 
 def frac_str(q: Fraction) -> str:
-    """Exact decimal form: "p/q", or plain "p" for integers."""
+    """Exact decimal form: "p/q", or plain "p" for integers. Anything but
+    an int or a Fraction (a float, a Decimal) raises TypeError."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {q!r}")
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
@@ -67,7 +71,9 @@ def parse_frac(text: str) -> Fraction:
 
 
 def int_str(n: int) -> str:
-    return str(int(n))
+    """Decimal form of an integer; a float or a Fraction raises TypeError
+    rather than being truncated."""
+    return str(operator.index(n))
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

@@ -193,9 +193,6 @@ class CharNumbers:
     c2_2: int
     c4: int
 
-    def as_row(self) -> tuple[int, int, int, int, int]:
-        return (self.c1_4, self.c1c3, self.c1_2c2, self.c2_2, self.c4)
-
 
 def char_number_table(sol: CaseSolution, inv: DerivedInvariants) -> CharNumbers:
     """Chern numbers of a solution: <c1^4> = r^4 d, <c1^2 c2> = k r^4 d,

@@ -52,6 +52,14 @@ def test_intpoly_rejects_inexact_coefficients():
     assert IntPoly((3, 0, 0)).coeffs == (3,)
 
 
+def test_intpoly_rejects_an_inexact_scale():
+    with pytest.raises(TypeError):
+        IntPoly((1, 2), scale=1.5)
+    with pytest.raises(TypeError):
+        IntPoly((1, 2), scale=Fraction(3, 2))
+    assert IntPoly((1, 2), scale=3).scale == 3
+
+
 def test_intpoly_round_trip_and_evaluation():
     p = IntPoly.from_desc(DEGREE_225_DESC)
     assert p.desc_coeffs == tuple(DEGREE_225_DESC)

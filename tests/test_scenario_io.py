@@ -20,6 +20,8 @@ from chern_gate.report import (
     certificate_from_json,
     certificate_to_json,
     emit_report,
+    frac_str,
+    int_str,
     parse_frac,
     parse_int_str,
     sci_5,
@@ -188,6 +190,17 @@ def test_string_codecs():
     assert sci_5(377759458293) == "3.7776E+11"
 
 
+def test_serializers_refuse_to_truncate_non_integers():
+    assert int_str(-28350) == "-28350"
+    assert frac_str(Fraction(-19, 12)) == "-19/12"
+    assert frac_str(7) == "7"
+    for bad in (2.7, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            int_str(bad)
+    with pytest.raises(TypeError):
+        frac_str(0.1)
+
+
 def test_certificate_json_round_trip_for_every_kind():
     certs = [
         ModularObstruction(content=15, m_power=0, modulus=3, residues=(2, 2, 2)),
@@ -353,6 +366,14 @@ def test_cli_eliminate_exit_codes(capsys):
     assert dispatch(["eliminate", "--coeffs", ",".join(map(str, range(1, 9)))]) == 0
     capsys.readouterr()
     assert dispatch(["eliminate", "--coeffs", "1,two,3"]) == 2
+
+
+def test_cli_eliminate_takes_a_negative_leading_coefficient_after_equals(capsys):
+    # "--coeffs -1,5" reads -1,5 as an option; the = form passes it as a value.
+    assert dispatch(["eliminate", "--coeffs=-1,5"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["polynomial"] == ["-1", "5"]
+    assert payload["certificate"] == {"type": "root", "m": "5"}
 
 
 def test_cli_error_exits(capsys):
