@@ -9,6 +9,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 import re
@@ -100,13 +101,36 @@ def _same(x):
     return x
 
 
+def _strict(kind: type):
+    """A decoder that passes a value of exactly that JSON type through;
+    anything else, a bool for an int among them, raises ValueError."""
+
+    def decode(x):
+        if isinstance(x, kind) and not isinstance(x, bool):
+            return x
+        raise ValueError(f"expected {kind.__name__}, got {x!r}")
+
+    return decode
+
+
+def _each(decode):
+    """A decoder of a JSON list, element by element, into a tuple."""
+
+    def decode_list(xs):
+        if not isinstance(xs, list):
+            raise ValueError(f"expected a list, got {xs!r}")
+        return tuple(map(decode, xs))
+
+    return decode_list
+
+
 # (encode, decode) pairs for certificate fields. Big integers travel as
 # decimal strings, small ones (moduli, residues, exponents) as JSON ints.
 _BIG = (int_str, parse_int_str)
-_SMALL = (_same, int)
-_BIGS = (lambda xs: [int_str(x) for x in xs], lambda xs: tuple(map(parse_int_str, xs)))
-_SMALLS = (list, lambda xs: tuple(map(int, xs)))
-_TEXT = (_same, _same)
+_SMALL = (_same, _strict(int))
+_BIGS = (lambda xs: [int_str(x) for x in xs], _each(parse_int_str))
+_SMALLS = (list, _each(_strict(int)))
+_TEXT = (_same, _strict(str))
 
 
 def _md_divisor(cert: dict) -> str:
@@ -164,7 +188,7 @@ _TAGS = {cls: tag for tag, (cls, _, _) in _CODECS.items()}
 
 
 def _codec(data: dict) -> tuple:
-    kind = data.get("type")
+    kind = data.get("type") if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in _CODECS:
         raise ValueError(f"unknown certificate type {kind!r}")
     return _CODECS[kind]
@@ -183,14 +207,21 @@ def certificate_to_json(cert) -> dict:
 
 
 def certificate_from_json(data: dict):
+    """The certificate a JSON object encodes. A field of the wrong JSON
+    type, or a missing one the class has no default for, raises
+    ValueError naming the certificate type and the field."""
     cls, fields, _ = _codec(data)
-    return cls(
-        **{
-            name: decode(data[name])
-            for name, (_, decode) in fields.items()
-            if data.get(name) is not None
-        }
-    )
+    values = {}
+    for name, (_, decode) in fields.items():
+        if data.get(name) is not None:
+            try:
+                values[name] = decode(data[name])
+            except ValueError as exc:
+                raise ValueError(f"{data['type']} certificate, {name}: {exc}") from exc
+    for f in dataclasses.fields(cls):
+        if f.name not in values and f.default is dataclasses.MISSING:
+            raise ValueError(f"{data['type']} certificate has no field {f.name!r}")
+    return cls(**values)
 
 
 def canonical_json(obj) -> bytes:

@@ -19,10 +19,11 @@ import json
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from .obstruction import FACT_KINDS, ExternalFact, IntPoly
 from .report import parse_frac, parse_int_str
-from .riemann_roch import HodgeDiamond
+from .riemann_roch import HodgeDiamond, invariants_from_diamond, rr_target
 from .search import LATTICE_MODELS, LatticeSpec
 
 __all__ = [
@@ -35,7 +36,9 @@ __all__ = [
 
 LEMMA_IDS = ("2.1", "2.2", "3.1", "4.2", "A.1", "A.2", "A.3")
 FILTER_NAMES = ("mod12", "ahat", "embedding-poly", "external-facts")
-# Most grid points times values of r one scenario may ask the search for.
+# Most grid points times values of r one scenario may ask the search for,
+# and the most steps its Pell search may take: isqrt(3 * target), for the
+# Riemann-Roch target of the scenario's Hodge diamond.
 GRID_BUDGET = 100_000
 # Highest degree of a polynomial given as input; the modulus scan of
 # eliminate costs time in proportion to it.
@@ -248,6 +251,13 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         )
 
     diamond = _parse_hodge(_require(doc, "hodge", "hodge"), "hodge")
+    _, target = rr_target(invariants_from_diamond(diamond))
+    if target > 0 and isqrt(3 * target) > GRID_BUDGET:
+        raise ScenarioError(
+            "hodge",
+            f"the Riemann-Roch target {target} needs isqrt(3 * target) = "
+            f"{isqrt(3 * target)} search steps, over the budget of {GRID_BUDGET}",
+        )
     c1_sign = _require(doc, "c1_sign", "c1_sign", int)
     if c1_sign not in (-1, 1):
         raise ScenarioError("c1_sign", f"must be -1 or 1, got {c1_sign}")

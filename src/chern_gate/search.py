@@ -8,12 +8,18 @@ rational k with
 
 subject to an optional strict lower bound on k and an integrality rule
 tying the denominator of k to the degree lattice. The grid, the rule
-and the bounds are data. At each grid point and r the solver first
-tests one integer for being a perfect square, which decides whether k
-can be rational, and solves the exact quadratic only where it is.
-Output order is deterministic (lattice parameters, then r, then k,
-ascending) and independent of how the grid is partitioned across
-workers.
+and the bounds are data.
+
+k is rational exactly when D * (7 r^4 D + 3 target) is a square, D the
+degree. With g = gcd(D, 3 target) that forces D = g a^2 and
+b^2 - 7 (r^2 a)^2 = 3 target / g, so the degrees come from the
+solutions of one Pell-type equation per divisor g of 3 target, not from
+a scan of the grid. The grid points of those degrees then go through
+the per-point solver, which repeats the square test for each r, solves
+the exact quadratic, and applies the bounds and the rule. The cost
+grows with the target rather than with the grid. Output order is
+deterministic (lattice parameters, then r, then k, ascending) and
+independent of how the candidates are partitioned across workers.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .exact import integer_sqrt_exact, solve_quadratic_rational
+from .exact import divisors, integer_sqrt_exact, solve_quadratic_rational
 from .riemann_roch import DerivedInvariants
 from .ring import ChernCase, Geometry
 
@@ -75,6 +82,27 @@ class LatticeSpec:
         if self.model == "rank2":
             return self.a_max * (self.b_max + 1)
         return self.e_max if self.model == "rank1" else self.d_max
+
+    @property
+    def max_degree(self) -> int:
+        """The largest degree a grid point can have."""
+        if self.model == "rank2":
+            return self.a_max**2 + self.b_max**2
+        return self.e_max**2 if self.model == "rank1" else self.d_max
+
+    def at_degree(self, d: int) -> list[Geometry]:
+        """The grid points of degree d, in grid order."""
+        if self.model == "rank1":
+            e = integer_sqrt_exact(d)
+            return [Geometry.rank1(e)] if e is not None and e <= self.e_max else []
+        if self.model == "rank2":
+            out = []
+            for a in range(1, min(self.a_max, isqrt(d)) + 1):
+                b = integer_sqrt_exact(d - a * a)
+                if b is not None and b <= self.b_max:
+                    out.append(Geometry.rank2(a, b))
+            return out
+        return [Geometry.free(d)] if d <= self.d_max else []
 
     def grid(self) -> list[Geometry]:
         if self.model == "rank1":
@@ -151,15 +179,61 @@ def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
     return found
 
 
+def _pell_ys(n: int, y_max: int) -> set[int]:
+    """Every y in 1..y_max for which x^2 - 7 y^2 == n has a solution, n >= 1.
+
+    Every class of solutions has a fundamental one (x0, y0) with
+    0 <= y0 <= sqrt(n/2) (Nagell, Introduction to Number Theory, 1951,
+    with the unit 8 + 3 sqrt 7), and x0 may have either sign.
+    Taking x0 > 0 and y of both signs, the unit's powers then reach every
+    solution with positive x and y, none of them with y below y0.
+    """
+    ys = set()
+    for y0 in range(min(isqrt(n // 2), y_max) + 1):
+        x0 = integer_sqrt_exact(n + 7 * y0 * y0)
+        if x0 is not None:
+            for x, y in ((x0, y0), (x0, -y0)):
+                while y <= y_max:
+                    if y >= 1:
+                        ys.add(y)
+                    x, y = 8 * x + 21 * y, 3 * x + 8 * y
+    return ys
+
+
+def _candidate_degrees(system: ConstraintSystem) -> set[int]:
+    """Every degree D <= the grid's largest at which D (7 r^4 D + 3 target)
+    is a square for some r in range: D = g a^2 with g dividing 3 target
+    and r^2 a a solution y of x^2 - 7 y^2 == 3 target / g."""
+    d_max = system.lattice.max_degree
+    squares = {r * r for r in range(system.r_min, system.r_max + 1)}
+    n = 3 * system.target
+    found = set()
+    for g in divisors(n):
+        a_max = isqrt(d_max // g)
+        if a_max == 0:
+            break  # the divisors ascend
+        for y in _pell_ys(n // g, max(squares) * a_max):
+            for s in squares:
+                a, rem = divmod(y, s)
+                if rem == 0 and a <= a_max:
+                    found.add(g * a * a)
+    return found
+
+
 def enumerate_cases(
     system: ConstraintSystem, workers: int = 1
 ) -> list[CaseSolution]:
     """All solutions over the grid, sorted and numbered from 1.
 
-    workers > 1 partitions the grid by stride; results are merged and
-    sorted, so the output is identical for any worker count.
+    Only the grid points at a candidate degree are solved. workers > 1
+    partitions those points by stride; results are merged and sorted, so
+    the output is identical for any worker count.
     """
-    geoms = system.lattice.grid()
+    geoms = [
+        geom
+        for d in sorted(_candidate_degrees(system))
+        for geom in system.lattice.at_degree(d)
+    ]
     if workers <= 1:
         raw = [hit for g in geoms for hit in _solve_point(system, g)]
     else:

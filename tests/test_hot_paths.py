@@ -2,15 +2,18 @@
 
 eliminate scans only prime-power moduli, evaluates each residue t once,
 exactly, for all of them, and drops each modulus at its first vanishing
-residue; the enumeration solves the quadratic only where an integer
-square test says k is rational. The oracles below are the plain forms:
-every modulus 2..max_modulus with every residue, the prime-power scan
-with Horner's rule mod q run afresh for every modulus, and one Fraction
-quadratic per grid point and r. Both hot paths must return exactly what
-the oracles return.
+residue; the enumeration visits only the degrees that solutions of
+x^2 - 7 y^2 = 3 target / g allow, and solves the quadratic only where
+an integer square test says k is rational. The oracles below are the
+plain forms: every modulus 2..max_modulus with every residue, the
+prime-power scan with Horner's rule mod q run afresh for every modulus,
+the per-point scan of every grid point and r, one Fraction quadratic
+per grid point and r, and y tried one by one. Both hot paths must
+return exactly what the oracles return.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,9 +33,11 @@ from chern_gate.obstruction import (
 from chern_gate.report import parse_int_str
 from chern_gate.search import (
     LATTICE_MODELS,
+    CaseSolution,
     ConstraintSystem,
     LatticeSpec,
     _passes_divisibility,
+    _pell_ys,
 )
 
 from conftest import PIPELINE_LEMMAS
@@ -109,6 +114,17 @@ def fraction_solve_point(system: ConstraintSystem, geom) -> list[tuple]:
     return found
 
 
+def scan_cases(system: ConstraintSystem) -> list[CaseSolution]:
+    """enumerate_cases as the per-point scan: every grid point, every r."""
+    grid = system.lattice.grid()
+    raw = [hit for geom in grid for hit in search._solve_point(system, geom)]
+    raw.sort(key=lambda hit: (hit[0].sort_params, hit[1], hit[2]))
+    return [
+        CaseSolution(ordinal=i, geometry=geom, r=r, k=k)
+        for i, (geom, r, k) in enumerate(raw, start=1)
+    ]
+
+
 COEFF = st.integers(min_value=-(10**4), max_value=10**4)
 
 
@@ -127,12 +143,14 @@ def polynomials(draw) -> IntPoly:
 
 
 @st.composite
-def constraint_systems(draw) -> ConstraintSystem:
-    """A small grid of any model; the target is random or planted so that
-    (3k^2 + 4k - 1) r^4 d == target has a solution k = p/l on the grid."""
+def constraint_systems(draw, top: int = 30) -> ConstraintSystem:
+    """A small grid of any model, bounds up to top (a fifth of it for
+    rank2). The target is planted so that (3k^2 + 4k - 1) r^4 d == target
+    has a solution k = p/l on the grid, or it is random, a multiple of 21
+    or a perfect square."""
     model = draw(st.sampled_from(sorted(LATTICE_MODELS)))
     names, _ = LATTICE_MODELS[model]
-    top = 6 if model == "rank2" else 30
+    top = top // 5 if model == "rank2" else top
     bounds = {
         name: draw(st.integers(min_value=int(name != "b_max"), max_value=top))
         for name in names
@@ -144,9 +162,14 @@ def constraint_systems(draw) -> ConstraintSystem:
     geom = draw(st.sampled_from(lattice.grid()))
     r = draw(st.integers(min_value=r_min, max_value=r_max))
     el = draw(st.sampled_from([el for el in (1, 2, 3, 4) if r * r % el == 0]))
-    p = draw(st.integers(min_value=1, max_value=30))
+    p = draw(st.integers(min_value=-30, max_value=30))
     planted = (3 * p * p + 4 * p * el - el * el) * (r**4 // (el * el)) * geom.degree
-    target = draw(st.just(planted) | st.integers(min_value=1, max_value=10**7))
+    target = draw(
+        (st.just(planted) if planted > 0 else st.nothing())
+        | st.integers(min_value=1, max_value=10**7)
+        | st.integers(min_value=1, max_value=10**5).map(lambda n: 21 * n)
+        | st.integers(min_value=1, max_value=3000).map(lambda n: n * n)
+    )
     k_lower = draw(
         st.none()
         | st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -209,6 +232,22 @@ def test_solve_point_matches_the_fraction_quadratic(system):
         assert search._solve_point(system, geom) == fraction_solve_point(
             system, geom
         )
+
+
+@DIFFERENTIAL
+@given(constraint_systems(top=60))
+def test_enumeration_matches_the_per_point_scan(system):
+    assert enumerate_cases(system) == scan_cases(system)
+
+
+def test_pell_solutions_match_trying_every_y():
+    for n in range(1, 400):
+        expected = {
+            y for y in range(1, 3001) if isqrt(n + 7 * y * y) ** 2 == n + 7 * y * y
+        }
+        for y_max in (1, 2, 5, 17, 3000):
+            ys = {y for y in expected if y <= y_max}
+            assert _pell_ys(n, y_max) == ys, (n, y_max)
 
 
 def test_quadratic_is_solved_only_where_k_is_rational(pipeline_runs, monkeypatch):

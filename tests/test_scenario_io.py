@@ -464,6 +464,95 @@ def test_grid_budget_is_checked_from_the_bounds(tmp_path, capsys, monkeypatch):
     assert error_path(doc) == "lattice"
 
 
+def with_search_steps(doc: dict, steps: int) -> dict:
+    """doc with h^{2,2} set so that isqrt(3 * target) == steps. The
+    target grows by 3 with h^{2,2}, and [steps^2, (steps + 1)^2) is wider
+    than 9, so such an h^{2,2} exists."""
+    from math import isqrt
+
+    from chern_gate.riemann_roch import (
+        HodgeDiamond,
+        invariants_from_diamond,
+        rr_target,
+    )
+
+    def target(h):
+        return rr_target(invariants_from_diamond(HodgeDiamond.from_rows(h)))[1]
+
+    base = target(doc["hodge"])
+    want = -(-steps * steps // 3)  # the least target with 3 * target >= steps^2
+    doc["hodge"][2][2] += -(-(want - base) // 3)
+    assert isqrt(3 * target(doc["hodge"])) == steps
+    return doc
+
+
+def test_target_budget_is_checked_at_the_hodge_diamond(tmp_path, capsys):
+    from chern_gate.scenario import GRID_BUDGET
+
+    assert parse_scenario(scenario_bytes("4.2")).lemma_id == "4.2"
+    doc = shipped("2.1")
+    del doc["baseline_id"]
+    src = tmp_path / "big-target.json"
+    src.write_text(json.dumps(with_search_steps(doc, GRID_BUDGET + 1)))
+    assert dispatch(["run", "--scenario", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("error: hodge: ")
+    src.write_text(json.dumps(with_search_steps(doc, GRID_BUDGET)))
+    assert dispatch(["run", "--scenario", str(src)]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["lemma"] == "2.1"
+
+
+def test_certificate_decoding_is_strict():
+    good = {
+        "type": "modular",
+        "content": "1",
+        "m_power": 0,
+        "modulus": 3,
+        "residues": [1, 1, 1],
+    }
+    assert certificate_from_json(good) == ModularObstruction(1, 0, 3, (1, 1, 1))
+    for field, bad in (
+        ("modulus", 2.5),
+        ("modulus", "3"),
+        ("m_power", False),
+        ("residues", [1.2, 1, 1]),
+        ("residues", [1, "1", 1]),
+        ("residues", [1, 1, True]),
+        ("residues", "111"),
+    ):
+        with pytest.raises(ValueError, match=f"modular certificate, {field}: "):
+            certificate_from_json({**good, field: bad})
+    for field in ("content", "m_power", "modulus", "residues"):
+        data = {k: v for k, v in good.items() if k != field}
+        missing = f"modular certificate has no field '{field}'"
+        with pytest.raises(ValueError, match=missing):
+            certificate_from_json(data)
+    with pytest.raises(ValueError, match="divisor certificate, divisors: "):
+        certificate_from_json(
+            {
+                "type": "divisor",
+                "content": "1",
+                "m_power": 0,
+                "divisors": "17",
+                "values": ["1", "2"],
+            }
+        )
+    fact = certificate_to_json(
+        ExternalFactCertificate(
+            index=1,
+            constraint="degree <= 5",
+            citation="X",
+            outcome="eliminated",
+            violated_by=9,
+        )
+    )
+    with pytest.raises(ValueError, match="external-fact certificate, citation: "):
+        certificate_from_json({**fact, "citation": 5})
+    del fact["violated_by"]  # has a default, so it may be left out
+    assert certificate_from_json(fact).violated_by is None
+    with pytest.raises(ValueError, match="unknown certificate type"):
+        certificate_from_json(["modular"])
+
+
 def test_decimal_strings_are_exact():
     for text in ("1_000", " 7", "7 ", "+5", "٣", "0x10", ""):
         with pytest.raises(ValueError):
