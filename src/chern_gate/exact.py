@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "integer_sqrt_exact",
@@ -132,7 +133,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
@@ -140,10 +141,21 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")
+
+
+@lru_cache(maxsize=1)
+def _trial_primes_product() -> int:
+    """The product of the primes in [43, 10_000), the trial divisors
+    past the Miller-Rabin witnesses."""
+    sieve = bytearray([1]) * 10_000
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, 10_000, p)))
+    return math.prod(p for p in range(43, 10_000) if sieve[p])
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -155,12 +167,17 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 43
-    while f * f <= n and f < 10_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
+    # n has no prime factor below 43 now, so an odd trial divisor
+    # f < 10_000 divides n only if some prime in [43, f] does. When n
+    # shares no factor with the product of those primes the loop divides
+    # nothing, and one gcd skips it.
+    if math.gcd(n, _trial_primes_product()) > 1:
+        f = 43
+        while f * f <= n and f < 10_000:
+            while n % f == 0:
+                out[f] = out.get(f, 0) + 1
+                n //= f
+            f += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

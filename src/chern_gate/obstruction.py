@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .exact import PSI_13, divisors, is_probable_prime, polynomial_content
 from .ring import ChernCase, normal_c4_polynomial
@@ -249,6 +249,14 @@ def _prime_powers(limit: int) -> tuple[int, ...]:
     return tuple(sorted(powers))
 
 
+@lru_cache(maxsize=8)
+def _primorial(limit: int) -> int:
+    """The product of the primes up to limit. It is squarefree, so of
+    the prime powers up to limit it is divisible by the primes only."""
+    powers = _prime_powers(limit)
+    return prod(q for q in powers if all(q % d for d in range(2, isqrt(q) + 1)))
+
+
 def eliminate(poly: IntPoly, max_modulus: int = 720):
     """Certify that poly has no positive integer root, or find one.
 
@@ -257,25 +265,41 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
     vanishes, then fall back to the divisor test on the constant term.
     A nonzero constant reduces to 1, which modulus 2 certifies.
 
-    Only prime-power moduli are scanned, in ascending order, and each
-    is dropped at its first vanishing residue. That finds the modulus
-    a scan of every modulus 2..max_modulus finds. Suppose no residue
-    vanishes mod M. If each prime power q exactly dividing M had a
-    residue t_q vanishing mod q, the Chinese remainder theorem would
+    Only prime-power moduli are scanned, in ascending order. That finds
+    the modulus a scan of every modulus 2..max_modulus finds. Suppose no
+    residue vanishes mod M. If each prime power q exactly dividing M had
+    a residue t_q vanishing mod q, the Chinese remainder theorem would
     give a t congruent to every t_q, and t would vanish mod M. So some
     prime power q <= M has no vanishing residue, and the smallest
     modulus that works is a prime power.
 
-    Each residue t is evaluated once, exactly, for all moduli: modulus
-    q reads p(t) mod q for t < q from that one value, and no value past
-    the current modulus is computed. verify_certificate shares none of
-    this; it recomputes every residue with Horner's rule mod M.
+    Each residue t is evaluated once, exactly, for all moduli, and no
+    value past the current modulus is computed. The values are also
+    multiplied into one running product, kept mod the product of the
+    primes up to max_modulus. A prime q divides a product exactly when
+    it divides one of its factors (Euclid's lemma), so q has a vanishing
+    residue exactly when it divides the product of p(0), ..., p(q - 1),
+    and one remainder of the running product decides it. A prime power
+    q = p^k with k >= 2 keeps the test of every residue: it can divide
+    a product of values none of which it divides (m^2 + 2 takes the
+    values 2, 3, 2, 3 mod 4, and 4 divides their product). The
+    certificate's residues are read from the values. verify_certificate
+    shares none of this; it recomputes every residue with Horner's rule
+    mod M.
     """
     content, m_power, reduced = _reduce(poly)
+    primorial = _primorial(max_modulus)
     exact: list[int] = []  # reduced(t) for t = 0, 1, ..., each computed once
+    product = 1  # the product of exact, mod primorial
     for modulus in _prime_powers(max_modulus):
-        exact.extend(map(reduced.evaluate, range(len(exact), modulus)))
-        if all(v % modulus for v in exact):
+        values = list(map(reduced.evaluate, range(len(exact), modulus)))
+        exact += values
+        product = product * prod(values) % primorial
+        if primorial % modulus == 0:  # a prime
+            rootless = product % modulus != 0
+        else:  # p^k with k >= 2
+            rootless = all(v % modulus for v in exact)
+        if rootless:
             return ModularObstruction(
                 content=content,
                 m_power=m_power,

@@ -252,7 +252,11 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
 
     diamond = _parse_hodge(_require(doc, "hodge", "hodge"), "hodge")
     _, target = rr_target(invariants_from_diamond(diamond))
-    if target > 0 and isqrt(3 * target) > GRID_BUDGET:
+    if target <= 0:
+        raise ScenarioError(
+            "hodge", f"the Riemann-Roch target {target} is not positive"
+        )
+    if isqrt(3 * target) > GRID_BUDGET:
         raise ScenarioError(
             "hodge",
             f"the Riemann-Roch target {target} needs isqrt(3 * target) = "

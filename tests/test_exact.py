@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chern_gate import exact
 from chern_gate.exact import (
     divisors,
     factorize,
@@ -88,6 +89,58 @@ def test_factorize_round_trip():
     assert factorize(1) == {}
     assert factorize(2**5 * 3 * 7**2) == {2: 5, 3: 1, 7: 2}
     assert factorize(2**61 - 1) == {2**61 - 1: 1}
+
+
+# Trial division runs over 43..9999, so factors are drawn from both
+# sides of 10_000. Rho takes about the square root of a composite's
+# least prime factor in steps, so the other primes above 10_000 stay
+# below 2^32 and 2^61 - 1 comes at most once: it is never the least.
+SMALL_PRIMES = tuple(p for p in range(2, 10_000) if is_probable_prime(p))
+MEDIUM_PRIMES = (10_007, 10_009, 65_537, 1_000_003, 2**31 - 1)
+M61 = 2**61 - 1
+
+
+def trial_division(n: int, candidates) -> tuple[dict[int, int], int]:
+    """n divided by each candidate in turn, as often as it goes: the
+    multiplicities found, and what is left of n."""
+    out: dict[int, int] = {}
+    for d in candidates:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    return out, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 3)), max_size=4),
+    st.lists(st.tuples(st.sampled_from(MEDIUM_PRIMES), st.integers(1, 2)), max_size=2),
+    st.booleans(),
+)
+@example(small=[(43, 3), (9973, 2)], medium=[], with_m61=True)
+def test_factorize_across_the_trial_bound(small, medium, with_m61):
+    n = M61 if with_m61 else 1
+    for p, mult in small + medium:
+        n *= p**mult
+    below, rest = trial_division(n, range(2, 10_000))
+    above, rest = trial_division(rest, (*MEDIUM_PRIMES, M61))
+    assert rest == 1
+    calls = []
+
+    def counting_rho(m, plain=exact._pollard_rho):
+        calls.append(m)
+        return plain(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_pollard_rho", counting_rho)
+        assert factorize(n) == {**below, **above}
+    # Trial division removes every prime below 10_000, so rho splits only
+    # what lies above it: one split fewer than it has prime factors.
+    assert len(calls) == max(sum(above.values()) - 1, 0)
+
+
+def test_factorize_splits_a_semiprime_of_32_bit_primes():
+    assert factorize(3137564039 * 3642977969) == {3137564039: 1, 3642977969: 1}
 
 
 def test_divisors_known_values():

@@ -1,15 +1,17 @@
 """Differential tests for the two hot paths against their plain forms.
 
-eliminate scans only prime-power moduli, evaluates each residue t once,
-exactly, for all of them, and drops each modulus at its first vanishing
-residue; the enumeration visits only the degrees that solutions of
-x^2 - 7 y^2 = 3 target / g allow, and solves the quadratic only where
-an integer square test says k is rational. The oracles below are the
-plain forms: every modulus 2..max_modulus with every residue, the
-prime-power scan with Horner's rule mod q run afresh for every modulus,
-the per-point scan of every grid point and r, one Fraction quadratic
-per grid point and r, and y tried one by one. Both hot paths must
-return exactly what the oracles return.
+eliminate scans only prime-power moduli and evaluates each residue t
+once, exactly, for all of them; it decides a prime q by whether q
+divides the running product of the first q values, and a higher prime
+power by its residues one by one. The enumeration visits only the
+degrees that solutions of x^2 - 7 y^2 = 3 target / g allow, and solves
+the quadratic only where an integer square test says k is rational.
+The oracles below are the plain forms: every modulus 2..max_modulus
+with every residue, the prime-power scan with Horner's rule mod q run
+afresh for every residue of every modulus, the per-point scan of every
+grid point and r, one Fraction quadratic per grid point and r, and y
+tried one by one. Both hot paths must return exactly what the oracles
+return.
 """
 
 from fractions import Fraction
@@ -198,6 +200,25 @@ def test_eliminate_matches_the_horner_prime_power_scan(poly, max_modulus):
     cert = eliminate(poly, max_modulus=max_modulus)
     assert cert == prime_power_horner_eliminate(poly, max_modulus=max_modulus)
     assert verify_certificate(poly, cert)
+
+
+def test_prime_powers_are_decided_residue_by_residue():
+    # m^2 + 2 takes the values 2, 3, 6, 11 at t = 0..3: 4 divides their
+    # product but none of them, so modulus 4 certifies. A scan that read
+    # every modulus from the running product would go on to modulus 5.
+    cert = eliminate(IntPoly.from_desc([1, 0, 2]))
+    assert cert == ModularObstruction(
+        content=1, m_power=0, modulus=4, residues=(2, 3, 2, 3)
+    )
+
+
+def test_an_integer_root_below_the_modulus_cap_is_found():
+    # Each root makes p(root) == 0, so the running product is zero from
+    # there on and every later modulus has a vanishing residue.
+    for root in (1, 2, 700, 719):
+        poly = IntPoly.from_desc([1, -root, 1, -root])  # (m - root)(m^2 + 1)
+        assert eliminate(poly) == RootFound(m=root)
+        assert full_scan_eliminate(poly) == RootFound(m=root)
 
 
 def test_each_residue_is_evaluated_once_for_every_modulus(

@@ -501,6 +501,20 @@ def test_target_budget_is_checked_at_the_hodge_diamond(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["lemma"] == "2.1"
 
 
+def test_non_positive_target_is_refused_at_the_hodge_diamond(tmp_path, capsys):
+    doc = shipped("2.1")
+    del doc["baseline_id"]
+    for p, q in ((0, 1), (1, 0), (3, 4), (4, 3)):
+        doc["hodge"][p][q] = 10  # the Riemann-Roch target becomes -6045
+    src = tmp_path / "negative-target.json"
+    src.write_text(json.dumps(doc))
+    for command in ("run", "enumerate"):
+        assert dispatch([command, "--scenario", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hodge: "), err
+        assert "-6045" in err
+
+
 def test_certificate_decoding_is_strict():
     good = {
         "type": "modular",
