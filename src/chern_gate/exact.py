@@ -14,7 +14,6 @@ from functools import lru_cache
 
 __all__ = [
     "integer_sqrt_exact",
-    "rational_sqrt",
     "solve_quadratic_rational",
     "polynomial_content",
     "is_probable_prime",
@@ -31,25 +30,6 @@ def integer_sqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def rational_sqrt(q: Fraction | int) -> Fraction | None:
-    """The non-negative rational r with r*r == q, when one exists.
-
-    Returns None for negative input and for non-square rationals; a
-    reduced fraction is a perfect square iff numerator and denominator
-    both are.
-    """
-    q = Fraction(q)
-    if q < 0:
-        return None
-    num = integer_sqrt_exact(q.numerator)
-    if num is None:
-        return None
-    den = integer_sqrt_exact(q.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
 def solve_quadratic_rational(
     a: Fraction | int, b: Fraction | int, c: Fraction | int
 ) -> tuple[Fraction, ...]:
@@ -57,19 +37,23 @@ def solve_quadratic_rational(
 
     Irrational roots are dropped entirely: a non-square discriminant
     yields (). A vanishing discriminant yields the double root once.
+    The denominators are cleared once, to A x^2 + B x + C with A > 0,
+    so the discriminant is an integer and each root one Fraction.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0:
         raise ValueError("leading coefficient must be nonzero")
-    disc = b * b - 4 * a * c
-    s = rational_sqrt(disc)
+    den = math.lcm(a.denominator, b.denominator, c.denominator)
+    if a.numerator < 0:
+        den = -den
+    A = a.numerator * (den // a.denominator)
+    B = b.numerator * (den // b.denominator)
+    C = c.numerator * (den // c.denominator)
+    s = integer_sqrt_exact(B * B - 4 * A * C)
     if s is None:
         return ()
     if s == 0:
-        return (-b / (2 * a),)
-    lo = (-b - s) / (2 * a)
-    hi = (-b + s) / (2 * a)
-    return (lo, hi) if lo < hi else (hi, lo)
+        return (Fraction(-B, 2 * A),)
+    return (Fraction(-B - s, 2 * A), Fraction(-B + s, 2 * A))
 
 
 def polynomial_content(coeffs) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .ring import ChernCase, Geometry, GradedClass
 
@@ -44,7 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HodgeDiamond:
-    """Hodge numbers h^{p,q} of a fourfold, as a symmetric 5x5 grid."""
+    """Hodge numbers h^{p,q} of a fourfold, as a 5x5 grid symmetric under
+    h^{p,q} = h^{q,p} and Serre duality h^{p,q} = h^{4-p,4-q}."""
 
     h: tuple[tuple[int, ...], ...]
 
@@ -57,6 +59,10 @@ class HodgeDiamond:
                     raise ValueError(f"h[{p}][{q}] is negative")
                 if self.h[p][q] != self.h[q][p]:
                     raise ValueError(f"h[{p}][{q}] != h[{q}][{p}]: not symmetric")
+                if self.h[p][q] != self.h[4 - p][4 - q]:
+                    raise ValueError(
+                        f"h[{p}][{q}] != h[{4 - p}][{4 - q}]: not Serre-dual"
+                    )
         if self.h[0][0] != 1 or self.h[4][4] != 1:
             raise ValueError("a connected fourfold needs h[0][0] == h[4][4] == 1")
 
@@ -100,12 +106,19 @@ def chi_O_from_class(c: GradedClass, geom: Geometry) -> Fraction:
 
     (-<c4> + <c3 c1> + 3<c2^2> + 4<c2 c1^2> - <c1^4>) / 720. Every class
     here is a power of the generator, so pairings are coefficient
-    products times the degree.
+    products times the degree. With L the lcm of the coefficients'
+    denominators, Qi = L qi are integers and the sum is one fraction
+    over 720 L^4.
     """
-    _, q1, q2, q3, q4 = c.coeffs
-    d = geom.degree
-    paired = (-q4 + q3 * q1 + 3 * q2 * q2 + 4 * q2 * q1 * q1 - q1**4) * d
-    return paired / 720
+    _, *coeffs = c.coeffs
+    den = lcm(*(x.denominator for x in coeffs))
+    q1, q2, q3, q4 = (x.numerator * (den // x.denominator) for x in coeffs)
+    paired = (
+        (-q4 * den + q3 * q1 + 3 * q2 * q2) * den * den
+        + 4 * q2 * q1 * q1 * den
+        - q1**4
+    )
+    return Fraction(paired * geom.degree, 720 * den**4)
 
 
 @dataclass(frozen=True)
@@ -120,20 +133,31 @@ def pontryagin_numbers(case: ChernCase) -> PontryaginData:
     """<p1^2> and <p2> of a case.
 
     p1 = c1^2 - 2c2 = (1 - 2k) r^2 g^2, so <p1^2> = (1-2k)^2 r^4 d; and
-    <p2> = <c2^2 - 2 c1c3 + 2 c4> = k^2 r^4 d - 2 c1c3 + 2 euler.
+    <p2> = <c2^2 - 2 c1c3 + 2 c4> = k^2 r^4 d - 2 c1c3 + 2 euler. With
+    k = p/q each is an integer over q^2, and A-hat = (7 p1^2 - 4 p2) / 5760
+    one over 5760 q^2.
     """
     r4d = case.r**4 * case.geometry.degree
-    k = case.k
-    p1_sq = (1 - 2 * k) ** 2 * r4d
-    p2 = k * k * r4d - 2 * case.c1c3 + 2 * case.euler
-    a_hat = (7 * p1_sq - 4 * p2) / 5760
+    p, q = case.k.numerator, case.k.denominator
+    q2 = q * q
+    p1_sq = (q - 2 * p) ** 2 * r4d
+    p2 = p * p * r4d + 2 * (case.euler - case.c1c3) * q2
     return PontryaginData(
-        p1_sq=p1_sq, p2=p2, a_hat=a_hat, spin_applicable=case.r % 2 == 0
+        p1_sq=Fraction(p1_sq, q2),
+        p2=Fraction(p2, q2),
+        a_hat=Fraction(7 * p1_sq - 4 * p2, 5760 * q2),
+        spin_applicable=case.r % 2 == 0,
     )
 
 
 def l_genus_signature(pd: PontryaginData) -> Fraction:
-    return (7 * pd.p2 - pd.p1_sq) / 45
+    """(7 <p2> - <p1^2>) / 45, as one fraction over 45 times the lcm of
+    the two denominators."""
+    p1_sq, p2 = pd.p1_sq, pd.p2
+    den = lcm(p1_sq.denominator, p2.denominator)
+    num = 7 * p2.numerator * (den // p2.denominator)
+    num -= p1_sq.numerator * (den // p1_sq.denominator)
+    return Fraction(num, 45 * den)
 
 
 # Anchor check for the signature convention: the formula above must give

@@ -116,6 +116,16 @@ def _parse_hodge(raw, path: str) -> HodgeDiamond:
                     f"h[{p}][{q}]={grid[p][q]} is not matched by "
                     f"h[{q}][{p}]={grid[q][p]}",
                 )
+    # Serre duality: h^{p,q} = h^{4-p,4-q}. The cells before the centre
+    # in row order meet every pair once.
+    for cell in range(12):
+        p, q = divmod(cell, 5)
+        if grid[p][q] != grid[4 - p][4 - q]:
+            raise ScenarioError(
+                f"{path}[{p}][{q}]",
+                f"h[{p}][{q}]={grid[p][q]} is not matched by "
+                f"h[{4 - p}][{4 - q}]={grid[4 - p][4 - q]} (Serre duality)",
+            )
     try:
         return HodgeDiamond.from_rows(grid)
     except ValueError as exc:

@@ -161,19 +161,20 @@ def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
         c14 = r**4 * geom.degree
         if system.c14_max is not None and c14 > system.c14_max:
             continue
-        # (3k^2 + 4k - 1) c14 = target  <=>  3k^2 + 4k - (1 + target/c14) = 0,
-        # whose discriminant 4 (7 c14 + 3 target) / c14 is a rational
-        # square exactly when c14 (7 c14 + 3 target) is an integer square.
-        # Most points fail that integer test and never build a Fraction.
+        # (3k^2 + 4k - 1) c14 = target  <=>  3 c14 k^2 + 4 c14 k - (c14 + target)
+        # = 0, whose discriminant 4 c14 (7 c14 + 3 target) is a square
+        # exactly when c14 (7 c14 + 3 target) is one. Most points fail that
+        # integer test and never reach the solver.
         if integer_sqrt_exact(c14 * (7 * c14 + 3 * system.target)) is None:
             continue
-        roots = solve_quadratic_rational(3, 4, -1 - Fraction(system.target, c14))
+        roots = solve_quadratic_rational(3 * c14, 4 * c14, -(c14 + system.target))
         for k in roots:
             if system.k_lower is not None and not k > system.k_lower:
                 continue
             if not _passes_divisibility(system.lattice.rule, geom, r, k):
                 continue
-            if (3 * k * k + 4 * k - 1) * c14 != system.target:
+            p, q = k.numerator, k.denominator
+            if (3 * p * p + 4 * p * q - q * q) * c14 != system.target * q * q:
                 raise ArithmeticError("solver produced a non-solution")
             found.append((geom, r, k))
     return found
@@ -270,13 +271,16 @@ class CharNumbers:
 
 def char_number_table(sol: CaseSolution, inv: DerivedInvariants) -> CharNumbers:
     """Chern numbers of a solution: <c1^4> = r^4 d, <c1^2 c2> = k r^4 d,
-    <c2^2> = k^2 r^4 d, with <c1 c3> and <c4> fixed by the invariants."""
+    <c2^2> = k^2 r^4 d, with <c1 c3> and <c4> fixed by the invariants.
+
+    With k = p/q in lowest terms both are integers exactly when q^2
+    divides r^4 d.
+    """
     if inv.c1c3 is None:
         raise ValueError("invariants are not completed (run rr_target first)")
     c14 = sol.c1_4
-    c12c2 = sol.k * c14
-    c2sq = sol.k * sol.k * c14
-    if c12c2.denominator != 1 or c2sq.denominator != 1:
+    p, q = sol.k.numerator, sol.k.denominator
+    if c14 % (q * q):
         raise ArithmeticError(
             f"non-integral Chern number for {sol.geometry.params}, r={sol.r}, "
             f"k={sol.k}: the divisibility rule should have excluded this"
@@ -284,8 +288,8 @@ def char_number_table(sol: CaseSolution, inv: DerivedInvariants) -> CharNumbers:
     return CharNumbers(
         c1_4=c14,
         c1c3=inv.c1c3,
-        c1_2c2=int(c12c2),
-        c2_2=int(c2sq),
+        c1_2c2=p * (c14 // q),
+        c2_2=p * p * (c14 // (q * q)),
         c4=inv.chi,
     )
 

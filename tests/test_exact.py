@@ -12,7 +12,6 @@ from chern_gate.exact import (
     integer_sqrt_exact,
     is_probable_prime,
     polynomial_content,
-    rational_sqrt,
     solve_quadratic_rational,
 )
 
@@ -25,15 +24,6 @@ def test_integer_sqrt_exact_squares_and_non_squares():
     big = 10**40 + 1
     assert integer_sqrt_exact(big * big) == big
     assert integer_sqrt_exact(big * big + 1) is None
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(49, 64)) == Fraction(7, 8)
-    assert rational_sqrt(0) == 0
-    assert rational_sqrt(Fraction(2, 3)) is None
-    assert rational_sqrt(Fraction(-1, 4)) is None
-    # square numerator over non-square denominator must not slip through
-    assert rational_sqrt(Fraction(4, 3)) is None
 
 
 def test_solve_quadratic_known_roots():

@@ -1,4 +1,4 @@
-"""Differential tests for the two hot paths against their plain forms.
+"""Differential tests for the hot paths against their plain forms.
 
 eliminate scans only prime-power moduli and evaluates each residue t
 once, exactly, for all of them; it decides a prime q by whether q
@@ -6,18 +6,23 @@ divides the running product of the first q values, and a higher prime
 power by its residues one by one. The enumeration visits only the
 degrees that solutions of x^2 - 7 y^2 = 3 target / g allow, and solves
 the quadratic only where an integer square test says k is rational.
+Each case's quadratic, characteristic numbers, Pontryagin numbers,
+signature and chi(O) check are integer numerators over a known
+denominator, with one Fraction per value returned.
 The oracles below are the plain forms: every modulus 2..max_modulus
 with every residue, the prime-power scan with Horner's rule mod q run
 afresh for every residue of every modulus, the per-point scan of every
-grid point and r, one Fraction quadratic per grid point and r, and y
-tried one by one. Both hot paths must return exactly what the oracles
-return.
+grid point and r, one Fraction quadratic per grid point and r, y
+tried one by one, and each per-case formula as a chain of Fraction
+operations. Every hot path must return exactly what its oracle
+returns.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chern_gate import constraint_system_for, enumerate_cases, search
@@ -33,13 +38,23 @@ from chern_gate.obstruction import (
     verify_certificate,
 )
 from chern_gate.report import parse_int_str
+from chern_gate.riemann_roch import (
+    DerivedInvariants,
+    PontryaginData,
+    chi_O_from_class,
+    l_genus_signature,
+    pontryagin_numbers,
+)
+from chern_gate.ring import ChernCase, Geometry, chern_from_case, graded
 from chern_gate.search import (
     LATTICE_MODELS,
     CaseSolution,
+    CharNumbers,
     ConstraintSystem,
     LatticeSpec,
     _passes_divisibility,
     _pell_ys,
+    char_number_table,
 )
 
 from conftest import PIPELINE_LEMMAS
@@ -97,6 +112,57 @@ def prime_power_horner_eliminate(poly: IntPoly, max_modulus: int = 720):
     )
 
 
+def fraction_solve_quadratic(a, b, c) -> tuple[Fraction, ...]:
+    """exact.solve_quadratic_rational in Fraction arithmetic: the rational
+    square root of the discriminant, then each root as a quotient."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if a == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return ()
+    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return ()
+    s = Fraction(num, den)
+    if s == 0:
+        return (-b / (2 * a),)
+    lo = (-b - s) / (2 * a)
+    hi = (-b + s) / (2 * a)
+    return (lo, hi) if lo < hi else (hi, lo)
+
+
+def fraction_char_number_table(sol: CaseSolution, inv) -> CharNumbers:
+    """search.char_number_table as products of Fractions."""
+    c14 = sol.c1_4
+    c12c2 = sol.k * c14
+    c2sq = sol.k * sol.k * c14
+    if c12c2.denominator != 1 or c2sq.denominator != 1:
+        raise ArithmeticError("non-integral Chern number")
+    return CharNumbers(c14, inv.c1c3, int(c12c2), int(c2sq), inv.chi)
+
+
+def fraction_pontryagin_numbers(case: ChernCase) -> PontryaginData:
+    """riemann_roch.pontryagin_numbers as a chain of Fractions."""
+    r4d = case.r**4 * case.geometry.degree
+    k = case.k
+    p1_sq = (1 - 2 * k) ** 2 * r4d
+    p2 = k * k * r4d - 2 * case.c1c3 + 2 * case.euler
+    a_hat = (7 * p1_sq - 4 * p2) / 5760
+    return PontryaginData(p1_sq, p2, a_hat, case.r % 2 == 0)
+
+
+def fraction_l_genus_signature(pd: PontryaginData) -> Fraction:
+    return (7 * pd.p2 - pd.p1_sq) / 45
+
+
+def fraction_chi_O_from_class(c, geom) -> Fraction:
+    """riemann_roch.chi_O_from_class in Fraction arithmetic."""
+    _, q1, q2, q3, q4 = c.coeffs
+    paired = -q4 + q3 * q1 + 3 * q2 * q2 + 4 * q2 * q1 * q1 - q1**4
+    return paired * geom.degree / 720
+
+
 def fraction_solve_point(system: ConstraintSystem, geom) -> list[tuple]:
     """search._solve_point with one Fraction quadratic per value of r."""
     found = []
@@ -104,7 +170,7 @@ def fraction_solve_point(system: ConstraintSystem, geom) -> list[tuple]:
         c14 = r**4 * geom.degree
         if system.c14_max is not None and c14 > system.c14_max:
             continue
-        roots = solve_quadratic_rational(3, 4, -1 - Fraction(system.target, c14))
+        roots = fraction_solve_quadratic(3, 4, -1 - Fraction(system.target, c14))
         for k in roots:
             if system.k_lower is not None and not k > system.k_lower:
                 continue
@@ -178,6 +244,33 @@ def constraint_systems(draw, top: int = 30) -> ConstraintSystem:
     )
     c14_max = draw(st.none() | st.integers(min_value=1, max_value=10**5))
     return ConstraintSystem(target, lattice, r_min, r_max, k_lower, c14_max)
+
+
+# Rationals with denominators up to 60, zero and negatives included.
+RATIONAL = st.builds(
+    Fraction,
+    st.integers(min_value=-400, max_value=400),
+    st.integers(min_value=1, max_value=60),
+)
+
+
+@st.composite
+def chern_cases(draw) -> ChernCase:
+    """A case with r of either sign and k = p/q of any sign, zero too.
+    The degree is random, a multiple of q or a multiple of q^2, so that
+    q^2 divides r^4 d in some cases and only q in others."""
+    r = draw(st.integers(min_value=-6, max_value=6).filter(bool))
+    k = draw(RATIONAL)
+    q = k.denominator
+    m = draw(st.integers(min_value=1, max_value=50))
+    degree = draw(st.sampled_from((m, q * m, q * q * m)))
+    return ChernCase(
+        r=r,
+        k=k,
+        c1c3=draw(COEFF),
+        euler=draw(COEFF),
+        geometry=Geometry.free(degree),
+    )
 
 
 def is_prime_power(q: int) -> bool:
@@ -286,3 +379,53 @@ def test_quadratic_is_solved_only_where_k_is_rational(pipeline_runs, monkeypatch
         assert enumerate_cases(system) == solutions, lid
     # Every call has a rational root: non-square points never reach it.
     assert results and all(results)
+
+
+@DIFFERENTIAL
+@given(RATIONAL.filter(bool), RATIONAL, RATIONAL)
+@example(Fraction(-3, 4), Fraction(0), Fraction(3, 1))  # roots -2 and 2
+@example(Fraction(1, 9), Fraction(-2, 3), Fraction(1))  # the double root 3
+def test_solver_matches_the_fraction_quadratic(a, b, c):
+    assert solve_quadratic_rational(a, b, c) == fraction_solve_quadratic(a, b, c)
+
+
+@DIFFERENTIAL
+@given(chern_cases())
+@example(ChernCase(1, Fraction(1, 2), 0, 0, Geometry.free(2)))  # q | c14 only
+@example(ChernCase(-2, Fraction(0), 48, 6, Geometry.free(3)))
+def test_char_number_table_matches_the_fraction_products(case):
+    sol = CaseSolution(ordinal=1, geometry=case.geometry, r=case.r, k=case.k)
+    inv = DerivedInvariants(
+        chi=case.euler, chi_O=1, chi1=0, signature=0, c1c3=case.c1c3, target=1
+    )
+    try:
+        expected = fraction_char_number_table(sol, inv)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            char_number_table(sol, inv)
+    else:
+        assert char_number_table(sol, inv) == expected
+
+
+@DIFFERENTIAL
+@given(chern_cases())
+def test_pontryagin_numbers_and_signature_match_the_fraction_chain(case):
+    pd = pontryagin_numbers(case)
+    assert pd == fraction_pontryagin_numbers(case)
+    assert l_genus_signature(pd) == fraction_l_genus_signature(pd)
+
+
+@DIFFERENTIAL
+@given(RATIONAL, RATIONAL)
+def test_signature_matches_the_fraction_formula_on_any_data(p1_sq, p2):
+    pd = PontryaginData(p1_sq=p1_sq, p2=p2, a_hat=Fraction(0), spin_applicable=False)
+    assert l_genus_signature(pd) == fraction_l_genus_signature(pd)
+
+
+@DIFFERENTIAL
+@given(chern_cases(), st.lists(RATIONAL, min_size=4, max_size=4))
+def test_chi_O_from_class_matches_the_fraction_sum(case, coeffs):
+    for c in (chern_from_case(case), graded(1, *coeffs)):
+        assert chi_O_from_class(c, case.geometry) == fraction_chi_O_from_class(
+            c, case.geometry
+        )

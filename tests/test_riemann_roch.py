@@ -49,6 +49,10 @@ def test_diamond_validation():
     asym[0][1] = 3
     with pytest.raises(ValueError):
         HodgeDiamond.from_rows(asym)
+    not_dual = [row[:] for row in IDENTITY_ROWS]
+    not_dual[1][1] = 2
+    with pytest.raises(ValueError, match=r"h\[1\]\[1\] != h\[3\]\[3\]"):
+        HodgeDiamond.from_rows(not_dual)
     negative = [row[:] for row in MIDDLE_TWO_ROWS]
     negative[2][2] = -2
     with pytest.raises(ValueError):

@@ -72,6 +72,23 @@ def test_asymmetric_diamond_names_the_cell():
     assert path == "hodge[1][2]"
 
 
+def test_serre_duality_is_checked_through_run(tmp_path, capsys):
+    # h^{1,1} = 2 with h^{3,3} = 1 breaks h^{p,q} = h^{4-p,4-q}; it must
+    # be refused as input, not run to a report.
+    doc = shipped("2.1")
+    doc["hodge"][1][1] = 2
+    src = tmp_path / "not-serre-dual.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["run", "--scenario", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: hodge[1][1]: h[1][1]=2 ")
+    assert "h[3][3]=1" in captured.err
+    doc["hodge"][3][3] = 2
+    src.write_text(json.dumps(doc))
+    assert dispatch(["run", "--scenario", str(src)]) in (0, 1)
+
+
 def test_lemma_and_mode_validation():
     doc = shipped("2.1")
     doc["lemma"] = "7.7"
