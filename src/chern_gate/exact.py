@@ -73,9 +73,25 @@ def polynomial_content(coeffs) -> int:
 # trial division, so the divisor list for a given integer never varies
 # between runs.
 
-# The first thirteen primes: Miller-Rabin witnesses and the first trial divisors.
+# The first thirteen primes: the Miller-Rabin witnesses.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
+
+
+@lru_cache(maxsize=8)
+def _primes_upto(limit: int) -> tuple[int, ...]:
+    """The primes up to limit, ascending, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for p in range(2, math.isqrt(max(limit, 0)) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+    return tuple(p for p in range(2, limit + 1) if sieve[p])
+
+
+@lru_cache(maxsize=8)
+def _primorial(limit: int) -> int:
+    """The product of the primes up to limit."""
+    return math.prod(_primes_upto(limit))
 
 
 def is_probable_prime(n: int) -> bool:
@@ -131,37 +147,21 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-@lru_cache(maxsize=1)
-def _trial_primes_product() -> int:
-    """The product of the primes in [43, 10_000), the trial divisors
-    past the Miller-Rabin witnesses."""
-    sieve = bytearray([1]) * 10_000
-    for p in range(2, 100):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, 10_000, p)))
-    return math.prod(p for p in range(43, 10_000) if sieve[p])
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: multiplicity}."""
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out: dict[int, int] = {}
-    for p in _MR_WITNESSES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # n has no prime factor below 43 now, so an odd trial divisor
-    # f < 10_000 divides n only if some prime in [43, f] does. When n
-    # shares no factor with the product of those primes the loop divides
-    # nothing, and one gcd skips it.
-    if math.gcd(n, _trial_primes_product()) > 1:
-        f = 43
-        while f * f <= n and f < 10_000:
-            while n % f == 0:
-                out[f] = out.get(f, 0) + 1
-                n //= f
-            f += 2
+    # Trial division by the primes below 10_000. One gcd tells whether any
+    # of them divides n; when none does, the loop would divide nothing.
+    # Past p^2 > n, what is left of n is 1 or a prime.
+    if math.gcd(n, _primorial(10_000)) > 1:
+        for p in _primes_upto(10_000):
+            if p * p > n:
+                break
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -26,9 +26,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
+from math import lcm, prod
 
 from .exact import PSI_13, divisors, is_probable_prime, polynomial_content
+from .exact import _primes_upto, _primorial
 from .ring import ChernCase, normal_c4_polynomial
 from .riemann_roch import pontryagin_numbers
 from .search import CaseSolution, CharNumbers
@@ -240,21 +241,12 @@ def _reduce(poly: IntPoly) -> tuple[int, int, IntPoly]:
 def _prime_powers(limit: int) -> tuple[int, ...]:
     """The prime powers 2, 3, 4, 5, 7, 8, 9, ... up to limit, ascending."""
     powers = []
-    for p in range(2, limit + 1):
-        if all(p % d for d in range(2, isqrt(p) + 1)):  # p is prime
-            q = p
-            while q <= limit:
-                powers.append(q)
-                q *= p
+    for p in _primes_upto(limit):
+        q = p
+        while q <= limit:
+            powers.append(q)
+            q *= p
     return tuple(sorted(powers))
-
-
-@lru_cache(maxsize=8)
-def _primorial(limit: int) -> int:
-    """The product of the primes up to limit. It is squarefree, so of
-    the prime powers up to limit it is divisible by the primes only."""
-    powers = _prime_powers(limit)
-    return prod(q for q in powers if all(q % d for d in range(2, isqrt(q) + 1)))
 
 
 def eliminate(poly: IntPoly, max_modulus: int = 720):
@@ -295,7 +287,7 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
         values = list(map(reduced.evaluate, range(len(exact), modulus)))
         exact += values
         product = product * prod(values) % primorial
-        if primorial % modulus == 0:  # a prime
+        if primorial % modulus == 0:  # a prime, as primorial is squarefree
             rootless = product % modulus != 0
         else:  # p^k with k >= 2
             rootless = all(v % modulus for v in exact)

@@ -35,7 +35,6 @@ __all__ = [
     "DerivedInvariants",
     "PontryaginData",
     "invariants_from_diamond",
-    "rr_target",
     "complete_invariants",
     "chi_O_from_class",
     "pontryagin_numbers",
@@ -89,15 +88,11 @@ def invariants_from_diamond(hd: HodgeDiamond) -> DerivedInvariants:
     return DerivedInvariants(chi=chi, chi_O=chi_o, chi1=chi1, signature=sigma)
 
 
-def rr_target(inv: DerivedInvariants) -> tuple[int, int]:
-    """The pair (<c1 c3>, target) pinned by the two Riemann-Roch identities."""
+def complete_invariants(inv: DerivedInvariants) -> DerivedInvariants:
+    """inv with <c1 c3> and target set, as the two Riemann-Roch identities
+    pin them."""
     c1c3 = 12 * (4 * inv.chi_O - inv.chi1) - 2 * inv.chi
     target = 720 * inv.chi_O + inv.chi - c1c3
-    return c1c3, target
-
-
-def complete_invariants(inv: DerivedInvariants) -> DerivedInvariants:
-    c1c3, target = rr_target(inv)
     return replace(inv, c1c3=c1c3, target=target)
 
 

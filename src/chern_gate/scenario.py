@@ -23,7 +23,7 @@ from math import isqrt
 
 from .obstruction import FACT_KINDS, ExternalFact, IntPoly
 from .report import parse_frac, parse_int_str
-from .riemann_roch import HodgeDiamond, invariants_from_diamond, rr_target
+from .riemann_roch import HodgeDiamond, complete_invariants, invariants_from_diamond
 from .search import LATTICE_MODELS, LatticeSpec
 
 __all__ = [
@@ -144,7 +144,11 @@ def _parse_lattice(raw, path: str) -> LatticeSpec:
         bounds[key] = _require(raw, key, f"{path}.{key}", int)
         if bounds[key] < 0:
             raise ScenarioError(f"{path}.{key}", "bound must be non-negative")
-    return LatticeSpec(model=model, **bounds)
+    lattice = LatticeSpec(model=model, **bounds)
+    # An empty grid would void the budget on grid points times values of r.
+    if lattice.points == 0:
+        raise ScenarioError(path, f"the {model!r} grid {bounds} has no points")
+    return lattice
 
 
 _FACT_KEYS = ("index", "r", "citation", "constraint")
@@ -261,7 +265,7 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         )
 
     diamond = _parse_hodge(_require(doc, "hodge", "hodge"), "hodge")
-    _, target = rr_target(invariants_from_diamond(diamond))
+    target = complete_invariants(invariants_from_diamond(diamond)).target
     if target <= 0:
         raise ScenarioError(
             "hodge", f"the Riemann-Roch target {target} is not positive"

@@ -277,7 +277,7 @@ def char_number_table(sol: CaseSolution, inv: DerivedInvariants) -> CharNumbers:
     divides r^4 d.
     """
     if inv.c1c3 is None:
-        raise ValueError("invariants are not completed (run rr_target first)")
+        raise ValueError("invariants are not completed (run complete_invariants first)")
     c14 = sol.c1_4
     p, q = sol.k.numerator, sol.k.denominator
     if c14 % (q * q):
@@ -296,7 +296,7 @@ def char_number_table(sol: CaseSolution, inv: DerivedInvariants) -> CharNumbers:
 
 def to_chern_case(sol: CaseSolution, inv: DerivedInvariants) -> ChernCase:
     if inv.c1c3 is None:
-        raise ValueError("invariants are not completed (run rr_target first)")
+        raise ValueError("invariants are not completed (run complete_invariants first)")
     return ChernCase(
         r=sol.r,
         k=sol.k,

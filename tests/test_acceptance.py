@@ -24,7 +24,6 @@ from chern_gate import (
     load_scenario,
     normal_c4_polynomial,
     pontryagin_numbers,
-    rr_target,
     to_chern_case,
     top_pairing,
     Geometry,
@@ -269,7 +268,8 @@ def test_criterion_7_riemann_roch_cross_checks(pipeline_runs):
         targets = {"2.1": (50, 675), "2.2": (50, 675), "3.1": (48, 678), "4.2": (112, 1344)}
         chi_O = {"2.1": 1, "2.2": 1, "3.1": 1, "4.2": 2}
         for lid, (spec, inv, solutions) in pipeline_runs.items():
-            assert rr_target(invariants_from_diamond(spec.diamond)) == targets[lid]
+            done = complete_invariants(invariants_from_diamond(spec.diamond))
+            assert (done.c1c3, done.target) == targets[lid]
             assert solutions
             for sol in solutions:
                 case = to_chern_case(sol, inv)

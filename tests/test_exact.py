@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,6 +73,30 @@ def test_is_probable_prime_small_and_large():
     assert is_probable_prime(561) is False  # Carmichael number
     assert is_probable_prime(2**61 - 1) is True
     assert is_probable_prime((2**61 - 1) * (2**31 - 1)) is False
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_primes_upto_is_the_trial_division_list():
+    primes = [n for n in range(2_001) if is_prime_by_trial_division(n)]
+    for n in range(2_001):
+        assert exact._primes_upto(n) == tuple(p for p in primes if p <= n)
+
+
+def test_prime_powers_and_primorial_up_to_the_default_modulus_cap():
+    from chern_gate.obstruction import _prime_powers
+
+    powers = _prime_powers(720)
+    assert len(powers) == 150
+    primes = [q for q in powers if is_prime_by_trial_division(q)]
+    assert powers == tuple(
+        q
+        for q in range(2, 721)
+        if any(q == p**e for p in primes for e in range(1, 10))
+    )
+    assert exact._primorial(720) == prod(primes)
 
 
 def test_factorize_round_trip():

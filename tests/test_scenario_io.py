@@ -481,6 +481,34 @@ def test_grid_budget_is_checked_from_the_bounds(tmp_path, capsys, monkeypatch):
     assert error_path(doc) == "lattice"
 
 
+def test_an_empty_grid_is_refused_whatever_the_r_range(tmp_path, capsys):
+    # Grid points times values of r is 0 on an empty grid, so the budget
+    # alone would let any r range through to the search.
+    from chern_gate.search import LATTICE_MODELS
+
+    empty = (
+        {"model": "rank1", "e_max": 0},
+        {"model": "rank2", "a_max": 0, "b_max": 3},
+        {"model": "free", "d_max": 0},
+    )
+    for lattice in empty:
+        doc = shipped("2.2")
+        doc["lattice"] = lattice
+        doc["divisibility"] = LATTICE_MODELS[lattice["model"]][1]
+        doc["r_bounds"] = [1, 10**9]
+        assert error_path(doc) == "lattice"
+    doc["r_bounds"] = [1, 5]
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["enumerate", "--scenario", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("error: lattice: ")
+    # rank2 scans b from 0, so b_max 0 still leaves a points
+    doc = shipped("2.2")
+    doc["lattice"] = {"model": "rank2", "a_max": 3, "b_max": 0}
+    doc["divisibility"] = LATTICE_MODELS["rank2"][1]
+    assert reparse(doc).lattice.points == 3
+
+
 def with_search_steps(doc: dict, steps: int) -> dict:
     """doc with h^{2,2} set so that isqrt(3 * target) == steps. The
     target grows by 3 with h^{2,2}, and [steps^2, (steps + 1)^2) is wider
@@ -489,12 +517,13 @@ def with_search_steps(doc: dict, steps: int) -> dict:
 
     from chern_gate.riemann_roch import (
         HodgeDiamond,
+        complete_invariants,
         invariants_from_diamond,
-        rr_target,
     )
 
     def target(h):
-        return rr_target(invariants_from_diamond(HodgeDiamond.from_rows(h)))[1]
+        inv = invariants_from_diamond(HodgeDiamond.from_rows(h))
+        return complete_invariants(inv).target
 
     base = target(doc["hodge"])
     want = -(-steps * steps // 3)  # the least target with 3 * target >= steps^2
