@@ -10,11 +10,11 @@ byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import json
 import operator
 import re
 from decimal import Context, Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .obstruction import (
     AhatNonIntegral,
@@ -54,7 +54,6 @@ def frac_str(q: Fraction) -> str:
     an int or a Fraction (a float, a Decimal) raises TypeError."""
     if not isinstance(q, (int, Fraction)):
         raise TypeError(f"not an exact rational: {q!r}")
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -224,8 +223,55 @@ def certificate_from_json(data: dict):
     return cls(**values)
 
 
+def _write(obj, pad: str, out: list) -> None:
+    """Append the JSON pieces of obj, indented from pad, to out."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"report key is not a str: {key!r}")
+            out += (sep, _quote(key), ": ")
+            _write(obj[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"not a report value: {obj!r}")
+
+
 def canonical_json(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
+    """JSON with sorted keys, an indent of two spaces, ASCII escapes and
+    a trailing newline: the bytes the standard library's encoder writes
+    with those settings, for the report's own shape only. Values are
+    dicts with str keys, lists, str, int, bool and None; anything else,
+    a float or an int key among them, raises TypeError."""
+    out: list[str] = []
+    _write(obj, "", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
 
 
 def _params_str(params: dict) -> str:

@@ -105,10 +105,11 @@ def test_factorize_round_trip():
     assert factorize(2**61 - 1) == {2**61 - 1: 1}
 
 
-# Trial division runs over 43..9999, so factors are drawn from both
-# sides of 10_000. Rho takes about the square root of a composite's
-# least prime factor in steps, so the other primes above 10_000 stay
-# below 2^32 and 2^61 - 1 comes at most once: it is never the least.
+# Trial division runs over every prime below 10,000, so factors are
+# drawn from both sides of 10_000. Rho takes about the square root of a
+# composite's least prime factor in steps, so the other primes above
+# 10_000 stay below 2^32 and 2^61 - 1 comes at most once: it is never
+# the least.
 SMALL_PRIMES = tuple(p for p in range(2, 10_000) if is_probable_prime(p))
 MEDIUM_PRIMES = (10_007, 10_009, 65_537, 1_000_003, 2**31 - 1)
 M61 = 2**61 - 1

@@ -1,5 +1,6 @@
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -214,8 +215,9 @@ def test_serializers_refuse_to_truncate_non_integers():
     for bad in (2.7, Fraction(5, 2)):
         with pytest.raises(TypeError):
             int_str(bad)
-    with pytest.raises(TypeError):
-        frac_str(0.1)
+    for bad in (0.1, Decimal("0.5")):
+        with pytest.raises(TypeError):
+            frac_str(bad)
 
 
 def test_certificate_json_round_trip_for_every_kind():
