@@ -15,8 +15,9 @@ Chern class is (1 + m*g)^9 truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "AMBIENT_BINOMIALS",
@@ -88,65 +89,56 @@ def graded(q0, q1, q2, q3, q4) -> GradedClass:
     return GradedClass((_frac(q0), _frac(q1), _frac(q2), _frac(q3), _frac(q4)))
 
 
+# Lattice model -> the names of its degree parameters, in order.
+# rank1: g^2 = e*x for a generator x, degree e^2.
+# rank2: g^2 = a*x + b*y, degree a^2 + b^2.
+# free:  the degree d itself is the parameter.
+LATTICE_PARAMS = {"rank1": ("e",), "rank2": ("a", "b"), "free": ("d",)}
+
+
+def lattice_degree(model: str, values) -> int:
+    """The degree at parameter values of a lattice model."""
+    return values[0] if model == "free" else sum(map(mul, values, values))
+
+
 @dataclass(frozen=True)
 class Geometry:
-    """Degree data for the pairing, with the shape of the degree lattice.
-
-    model "rank1": g^2 = e*x for a generator x, degree e^2.
-    model "rank2": g^2 = a*x + b*y, degree a^2 + b^2.
-    model "free":  the degree d itself is the parameter.
-    """
+    """A point of a degree lattice: its model and its parameter values,
+    in the order LATTICE_PARAMS names them, which is also its sort key."""
 
     model: str
-    degree: int
-    e: int | None = None
-    a: int | None = None
-    b: int | None = None
+    sort_params: tuple[int, ...]
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        if self.model == "rank1":
-            if self.e is None or self.e < 1 or self.e * self.e != self.degree:
-                raise ValueError("rank1 geometry needs degree == e^2, e >= 1")
-        elif self.model == "rank2":
-            if (
-                self.a is None
-                or self.b is None
-                or self.a < 0
-                or self.b < 0
-                or self.a * self.a + self.b * self.b != self.degree
-            ):
-                raise ValueError("rank2 geometry needs degree == a^2 + b^2")
-        elif self.model == "free":
-            if self.e is not None or self.a is not None or self.b is not None:
-                raise ValueError("free geometry carries only the degree")
-        else:
+        names = LATTICE_PARAMS.get(self.model)
+        if names is None:
             raise ValueError(f"unknown lattice model {self.model!r}")
+        values = self.sort_params
+        if len(values) != len(names) or min(values) < 0:
+            raise ValueError(
+                f"{self.model} geometry needs non-negative {', '.join(names)}"
+            )
+        degree = lattice_degree(self.model, values)
+        if degree < 1:
+            raise ValueError("degree must be positive")
+        object.__setattr__(self, "degree", degree)
 
     @staticmethod
     def rank1(e: int) -> "Geometry":
-        return Geometry(model="rank1", degree=e * e, e=e)
+        return Geometry("rank1", (e,))
 
     @staticmethod
     def rank2(a: int, b: int) -> "Geometry":
-        return Geometry(model="rank2", degree=a * a + b * b, a=a, b=b)
+        return Geometry("rank2", (a, b))
 
     @staticmethod
     def free(d: int) -> "Geometry":
-        return Geometry(model="free", degree=d)
+        return Geometry("free", (d,))
 
     @property
     def params(self) -> dict[str, int]:
-        if self.model == "rank1":
-            return {"e": self.e}
-        if self.model == "rank2":
-            return {"a": self.a, "b": self.b}
-        return {"d": self.degree}
-
-    @property
-    def sort_params(self) -> tuple[int, ...]:
-        return tuple(self.params.values())
+        return dict(zip(LATTICE_PARAMS[self.model], self.sort_params))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ and typed: every object rejects a key it does not define, every value
 is read by a check of its field's type, so a float fails at its own
 field (rationals travel as "p/q" strings, big integers as decimal
 strings), and every error names the JSON path it was found at. The
-vocabulary is declared where its types live: the lattice models, their
-bounds and rules in search.LATTICE_MODELS, the fact kinds and their
-data fields in obstruction.FACT_KINDS.
+vocabulary is declared where its types live: the lattice models'
+parameters in ring.LATTICE_PARAMS, their bounds and rules in
+search.LATTICE_BOUNDS and search.LATTICE_MODELS, the fact kinds and
+their data fields in obstruction.FACT_KINDS.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import isqrt
 from .obstruction import FACT_KINDS, ExternalFact, IntPoly
 from .report import parse_frac, parse_int_str
 from .riemann_roch import HodgeDiamond, complete_invariants, invariants_from_diamond
-from .search import LATTICE_MODELS, LatticeSpec
+from .search import LATTICE_BOUNDS, LATTICE_MODELS, LatticeSpec
 
 __all__ = [
     "LEMMA_IDS",
@@ -137,7 +138,7 @@ def _parse_lattice(raw, path: str) -> LatticeSpec:
     model = _require(raw, "model", f"{path}.model")
     if not isinstance(model, str) or model not in LATTICE_MODELS:
         raise ScenarioError(f"{path}.model", f"unknown lattice model {model!r}")
-    names, _ = LATTICE_MODELS[model]
+    names = LATTICE_BOUNDS[model]
     _known_keys(raw, ("model", *names), path, f"not a bound of model {model!r}")
     bounds = {}
     for key in names:

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from .exact import divisors, integer_sqrt_exact, solve_quadratic_rational
 from .riemann_roch import DerivedInvariants
-from .ring import ChernCase, Geometry
+from .ring import LATTICE_PARAMS, ChernCase, Geometry, lattice_degree
 
 __all__ = [
     "LatticeSpec",
@@ -44,11 +44,18 @@ __all__ = [
     "to_chern_case",
 ]
 
-# Lattice model -> (its grid bounds, the divisibility rule that fits it).
+# Lattice model -> (the least value on the grid of each parameter that
+# ring.LATTICE_PARAMS names, the divisibility rule that fits the model).
 LATTICE_MODELS = {
-    "rank1": (("e_max",), "l_div_er2"),
-    "rank2": (("a_max", "b_max"), "l_div_ar2_br2"),
-    "free": (("d_max",), "l2_div_dr4"),
+    "rank1": ((1,), "l_div_er2"),
+    "rank2": ((1, 0), "l_div_ar2_br2"),
+    "free": ((1,), "l2_div_dr4"),
+}
+# Lattice model -> its bounds: parameter p runs over the grid from its
+# least value to the bound p_max, inclusive.
+LATTICE_BOUNDS = {
+    model: tuple(f"{name}_max" for name in names)
+    for model, names in LATTICE_PARAMS.items()
 }
 
 
@@ -66,29 +73,29 @@ class LatticeSpec:
     a_max: int = 0
     b_max: int = 0
     d_max: int = 0
+    # From the bounds: len(self.grid()), and the largest degree of a grid
+    # point (0 when there is none).
+    points: int = field(init=False, repr=False, compare=False)
+    max_degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in LATTICE_MODELS:
             raise ValueError(f"unknown lattice model {self.model!r}")
+        ranges = self._ranges()
+        points = prod(map(len, ranges))
+        largest = lattice_degree(self.model, [r[-1] for r in ranges]) if points else 0
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "max_degree", largest)
+
+    def _ranges(self) -> list[range]:
+        least, _ = LATTICE_MODELS[self.model]
+        stops = [getattr(self, bound) + 1 for bound in LATTICE_BOUNDS[self.model]]
+        return list(map(range, least, stops))
 
     @property
     def rule(self) -> str:
         """The divisibility rule that fits the model."""
         return LATTICE_MODELS[self.model][1]
-
-    @property
-    def points(self) -> int:
-        """len(self.grid()), counted from the bounds."""
-        if self.model == "rank2":
-            return self.a_max * (self.b_max + 1)
-        return self.e_max if self.model == "rank1" else self.d_max
-
-    @property
-    def max_degree(self) -> int:
-        """The largest degree a grid point can have."""
-        if self.model == "rank2":
-            return self.a_max**2 + self.b_max**2
-        return self.e_max**2 if self.model == "rank1" else self.d_max
 
     def at_degree(self, d: int) -> list[Geometry]:
         """The grid points of degree d, in grid order."""
@@ -105,15 +112,7 @@ class LatticeSpec:
         return [Geometry.free(d)] if d <= self.d_max else []
 
     def grid(self) -> list[Geometry]:
-        if self.model == "rank1":
-            return [Geometry.rank1(e) for e in range(1, self.e_max + 1)]
-        if self.model == "rank2":
-            return [
-                Geometry.rank2(a, b)
-                for a in range(1, self.a_max + 1)
-                for b in range(0, self.b_max + 1)
-            ]
-        return [Geometry.free(d) for d in range(1, self.d_max + 1)]
+        return [Geometry(self.model, p) for p in itertools.product(*self._ranges())]
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,14 @@ class CaseSolution:
         return self.r**4 * self.geometry.degree
 
 
-def _passes_divisibility(rule: str, geom: Geometry, r: int, k: Fraction) -> bool:
+def _passes_divisibility(geom: Geometry, r: int, k: Fraction) -> bool:
+    """With k = p/l: l^2 divides r^4 d on the free model, and l divides
+    r^2 x for every lattice coordinate x, that is r^2 times their gcd, on
+    the others."""
     l = k.denominator
-    if rule == "l_div_er2":
-        return (geom.e * r * r) % l == 0
-    if rule == "l_div_ar2_br2":
-        return (geom.a * r * r) % l == 0 and (geom.b * r * r) % l == 0
-    return (geom.degree * r**4) % (l * l) == 0
+    if geom.model == "free":
+        return (geom.degree * r**4) % (l * l) == 0
+    return (gcd(*geom.sort_params) * r * r) % l == 0
 
 
 def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
@@ -171,7 +171,7 @@ def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
         for k in roots:
             if system.k_lower is not None and not k > system.k_lower:
                 continue
-            if not _passes_divisibility(system.lattice.rule, geom, r, k):
+            if not _passes_divisibility(geom, r, k):
                 continue
             p, q = k.numerator, k.denominator
             if (3 * p * p + 4 * p * q - q * q) * c14 != system.target * q * q:

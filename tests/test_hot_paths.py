@@ -47,12 +47,12 @@ from chern_gate.riemann_roch import (
 )
 from chern_gate.ring import ChernCase, Geometry, chern_from_case, graded
 from chern_gate.search import (
+    LATTICE_BOUNDS,
     LATTICE_MODELS,
     CaseSolution,
     CharNumbers,
     ConstraintSystem,
     LatticeSpec,
-    _passes_divisibility,
     _pell_ys,
     char_number_table,
 )
@@ -163,8 +163,19 @@ def fraction_chi_O_from_class(c, geom) -> Fraction:
     return paired * geom.degree / 720
 
 
+# The divisibility rules tying the denominator l of k to the lattice.
+FRACTION_RULES = {
+    "l_div_er2": lambda params, r, l: params["e"] * r * r % l == 0,
+    "l_div_ar2_br2": lambda params, r, l: (
+        params["a"] * r * r % l == 0 and params["b"] * r * r % l == 0
+    ),
+    "l2_div_dr4": lambda params, r, l: params["d"] * r**4 % (l * l) == 0,
+}
+
+
 def fraction_solve_point(system: ConstraintSystem, geom) -> list[tuple]:
     """search._solve_point with one Fraction quadratic per value of r."""
+    allowed = FRACTION_RULES[system.lattice.rule]
     found = []
     for r in range(system.r_min, system.r_max + 1):
         c14 = r**4 * geom.degree
@@ -174,7 +185,7 @@ def fraction_solve_point(system: ConstraintSystem, geom) -> list[tuple]:
         for k in roots:
             if system.k_lower is not None and not k > system.k_lower:
                 continue
-            if not _passes_divisibility(system.lattice.rule, geom, r, k):
+            if not allowed(geom.params, r, k.denominator):
                 continue
             if (3 * k * k + 4 * k - 1) * c14 != system.target:
                 raise ArithmeticError("solver produced a non-solution")
@@ -217,11 +228,11 @@ def constraint_systems(draw, top: int = 30) -> ConstraintSystem:
     has a solution k = p/l on the grid, or it is random, a multiple of 21
     or a perfect square."""
     model = draw(st.sampled_from(sorted(LATTICE_MODELS)))
-    names, _ = LATTICE_MODELS[model]
+    least, _ = LATTICE_MODELS[model]
     top = top // 5 if model == "rank2" else top
     bounds = {
-        name: draw(st.integers(min_value=int(name != "b_max"), max_value=top))
-        for name in names
+        bound: draw(st.integers(min_value=lo, max_value=top))
+        for bound, lo in zip(LATTICE_BOUNDS[model], least)
     }
     lattice = LatticeSpec(model, **bounds)
     lo = draw(st.integers(min_value=1, max_value=6))

@@ -142,6 +142,23 @@ def test_geometry_params():
     assert Geometry.free(224).params == {"d": 224}
     assert Geometry.rank2(3, 4).degree == 25
     assert Geometry.rank1(4).degree == 16
+    assert Geometry.free(224).degree == 224
+    assert Geometry.rank2(0, 3).sort_params == (0, 3)
+
+
+def test_geometry_refuses_what_has_no_degree():
+    bad = (
+        ("rank3", (1,)),  # unknown model
+        ("rank1", (1, 1)),  # too many parameters
+        ("rank2", (1,)),  # too few
+        ("rank2", (-1, 2)),  # a negative parameter
+        ("rank1", (0,)),  # degree 0
+        ("rank2", (0, 0)),
+        ("free", (0,)),
+    )
+    for model, values in bad:
+        with pytest.raises(ValueError):
+            Geometry(model, values)
 
 
 def test_inverse_requires_nonzero_constant_term():

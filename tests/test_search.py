@@ -10,9 +10,13 @@ from dataclasses import astuple, replace
 from fractions import Fraction
 from math import isqrt
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from chern_gate import (
     CharNumbers,
     ConstraintSystem,
+    LatticeSpec,
     char_number_table,
     chern_from_case,
     constraint_system_for,
@@ -59,19 +63,21 @@ def brute_force_cases(system: ConstraintSystem):
 
 
 def _max_denominator(system, geom, r) -> int:
+    params = geom.params
     if system.lattice.rule == "l_div_er2":
-        return geom.e * r * r
+        return params["e"] * r * r
     if system.lattice.rule == "l_div_ar2_br2":
-        return geom.a * r * r  # b*r^2 may be 0; a >= 1 always divides
+        return params["a"] * r * r  # b*r^2 may be 0; a >= 1 always divides
     return isqrt(geom.degree * r**4)
 
 
 def _denominator_allowed(system, geom, r, el) -> bool:
+    params = geom.params
     if system.lattice.rule == "l_div_er2":
-        return geom.e * r * r % el == 0
+        return params["e"] * r * r % el == 0
     if system.lattice.rule == "l_div_ar2_br2":
-        return geom.a * r * r % el == 0 and geom.b * r * r % el == 0
-    return geom.degree * r**4 % (el * el) == 0
+        return params["a"] * r * r % el == 0 and params["b"] * r * r % el == 0
+    return params["d"] * r**4 % (el * el) == 0
 
 
 def test_enumeration_matches_brute_force(pipeline_runs):
@@ -235,3 +241,33 @@ def test_scenario_grids_match_shipped_bounds():
     lattice = load_scenario("3.1").lattice
     assert (lattice.a_max, lattice.b_max) == (25, 25)
     assert load_scenario("4.2").lattice.d_max == 1244
+
+
+# Each model's bounds, each drawn from its least value that leaves a grid
+# point up to a small top: rank2 scans b from 0, the other bounds from 1.
+SMALL_LATTICES = st.one_of(
+    st.builds(LatticeSpec, st.just("rank1"), e_max=st.integers(1, 12)),
+    st.builds(
+        LatticeSpec,
+        st.just("rank2"),
+        a_max=st.integers(1, 5),
+        b_max=st.integers(0, 5),
+    ),
+    st.builds(LatticeSpec, st.just("free"), d_max=st.integers(1, 40)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(SMALL_LATTICES)
+@example(LatticeSpec("rank1", e_max=1))
+@example(LatticeSpec("rank2", a_max=1, b_max=0))
+@example(LatticeSpec("rank2", a_max=4, b_max=0))
+@example(LatticeSpec("rank2", a_max=1, b_max=1))
+@example(LatticeSpec("free", d_max=1))
+def test_grid_size_largest_degree_and_degree_shells_agree_with_the_grid(lattice):
+    grid = lattice.grid()
+    assert lattice.points == len(grid)
+    assert lattice.max_degree == max(geom.degree for geom in grid)
+    for d in range(1, lattice.max_degree + 1):
+        shell = [geom for geom in grid if geom.degree == d]
+        assert lattice.at_degree(d) == shell, d
