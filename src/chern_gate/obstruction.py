@@ -278,13 +278,25 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
     certificate's residues are read from the values. verify_certificate
     shares none of this; it recomputes every residue with Horner's rule
     mod M.
+
+    The scan stops at the first integer root it meets, since a root
+    vanishes mod every modulus and no later modulus can certify. After
+    a modulus fails, its new values are searched for a zero: the first
+    is the least positive root, as every smaller t was evaluated and
+    was nonzero, and that is the root the divisor test would return.
+    Each new t that divides the constant term is then tried as -t; a
+    negative root sends the scan straight to the divisor test. Neither
+    check runs before a modulus has failed, so a modular certificate
+    pays for them only on the moduli that failed before it.
     """
     content, m_power, reduced = _reduce(poly)
+    constant = abs(reduced.coeffs[0])
     primorial = _primorial(max_modulus)
     exact: list[int] = []  # reduced(t) for t = 0, 1, ..., each computed once
     product = 1  # the product of exact, mod primorial
     for modulus in _prime_powers(max_modulus):
-        values = list(map(reduced.evaluate, range(len(exact), modulus)))
+        start = len(exact)
+        values = list(map(reduced.evaluate, range(start, modulus)))
         exact += values
         product = product * prod(values) % primorial
         if primorial % modulus == 0:  # a prime, as primorial is squarefree
@@ -298,7 +310,12 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
                 modulus=modulus,
                 residues=tuple(v % modulus for v in exact),
             )
-    candidates = divisors(abs(reduced.coeffs[0]))
+        if 0 in values:
+            return RootFound(m=start + values.index(0))
+        negatives = range(max(start, 1), modulus)
+        if any(constant % t == 0 and reduced.evaluate(-t) == 0 for t in negatives):
+            break
+    candidates = divisors(constant)
     values = tuple(reduced.evaluate(m) for m in candidates)
     for m, value in zip(candidates, values):
         if value == 0:

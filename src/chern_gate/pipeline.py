@@ -243,15 +243,16 @@ def _case_rows(solutions, inv, baseline: dict | None):
                 f"the diamond says {inv.chi_O}"
             )
         pd = pontryagin_numbers(case)
-        bid = id_by_key.get(_case_key(sol.geometry.params, sol.r, frac_str(sol.k)))
+        params, k = sol.geometry.params, frac_str(sol.k)  # params is a fresh dict
+        bid = id_by_key.get(_case_key(params, sol.r, k))
         records[sol.ordinal] = {"solution": sol, "char_numbers": cn, "case": case}
         ids[sol.ordinal] = bid
         rows.append(
             {
                 "ordinal": sol.ordinal,
-                "params": dict(sol.geometry.params),
+                "params": params,
                 "r": sol.r,
-                "k": frac_str(sol.k),
+                "k": k,
                 "baseline_id": bid,
                 "char_numbers": {f: int_str(getattr(cn, f)) for f, _ in _COLUMNS},
                 "pontryagin": {

@@ -3,7 +3,10 @@
 eliminate scans only prime-power moduli and evaluates each residue t
 once, exactly, for all of them; it decides a prime q by whether q
 divides the running product of the first q values, and a higher prime
-power by its residues one by one. The enumeration visits only the
+power by its residues one by one. It stops at the first integer root it
+meets: a zero among the values is the least positive root, and a
+divisor t of the constant term with p(-t) == 0 sends it to the divisor
+test at once. The enumeration visits only the
 degrees that solutions of x^2 - 7 y^2 = 3 target / g allow, and solves
 the quadratic only where an integer square test says k is rational.
 Each case's quadratic, characteristic numbers, Pontryagin numbers,
@@ -11,7 +14,8 @@ signature and chi(O) check are integer numerators over a known
 denominator, with one Fraction per value returned.
 The oracles below are the plain forms: every modulus 2..max_modulus
 with every residue, the prime-power scan with Horner's rule mod q run
-afresh for every residue of every modulus, the per-point scan of every
+afresh for every residue of every modulus, both climbing to the cap
+whatever roots they pass, the per-point scan of every
 grid point and r, one Fraction quadratic per grid point and r, y
 tried one by one, and each per-case formula as a chain of Fraction
 operations. Every hot path must return exactly what its oracle
@@ -207,6 +211,11 @@ def scan_cases(system: ConstraintSystem) -> list[CaseSolution]:
 COEFF = st.integers(min_value=-(10**4), max_value=10**4)
 
 
+def times_root(desc: list[int], root: int) -> list[int]:
+    """desc times (m - root), coefficients descending."""
+    return [a - root * b for a, b in zip(desc + [0], [0] + desc)]
+
+
 @st.composite
 def polynomials(draw) -> IntPoly:
     """Degree 1 to 9, either random or with a planted integer root, so
@@ -215,9 +224,7 @@ def polynomials(draw) -> IntPoly:
     desc = [lead] + draw(st.lists(COEFF, min_size=1, max_size=8))
     root = draw(st.none() | st.integers(min_value=-50, max_value=50))
     if root is not None:
-        # Multiply by (m - root); this keeps the degree at most 9.
-        desc = desc[:8]
-        desc = [a - root * b for a, b in zip(desc + [0], [0] + desc)]
+        desc = times_root(desc[:8], root)  # degree at most 9
     return IntPoly.from_desc(desc)
 
 
@@ -325,6 +332,40 @@ def test_an_integer_root_below_the_modulus_cap_is_found():
         assert full_scan_eliminate(poly) == RootFound(m=root)
 
 
+M2_PLUS_1 = [1, 0, 1]  # m^2 + 1, which has no integer root
+
+
+# The largest prime power up to 720 is 719, so the scan evaluates t up
+# to 718 and never reaches 719 or 720. Roots there, and -t for them, are
+# left to the divisor test.
+@pytest.mark.parametrize(
+    "desc, max_modulus, expected",
+    [
+        (times_root(M2_PLUS_1, 718), 720, RootFound(718)),
+        (times_root(M2_PLUS_1, 719), 720, RootFound(719)),
+        (times_root(M2_PLUS_1, 720), 720, RootFound(720)),
+        (times_root(M2_PLUS_1, -718), 720, ConstantDivisorTest),
+        (times_root(M2_PLUS_1, -719), 720, ConstantDivisorTest),
+        (times_root(M2_PLUS_1, -720), 720, ConstantDivisorTest),
+        # -1 ends the scan at modulus 2; the divisor test finds 1009.
+        (times_root(times_root(M2_PLUS_1, -1), 1009), 720, RootFound(1009)),
+        (times_root(M2_PLUS_1, 1), 2, RootFound(1)),
+        (times_root(M2_PLUS_1, -1), 2, ConstantDivisorTest),
+    ],
+)
+def test_roots_at_the_edges_of_the_scan(desc, max_modulus, expected):
+    poly = IntPoly.from_desc(desc)
+    cert = eliminate(poly, max_modulus=max_modulus)
+    assert cert == prime_power_horner_eliminate(poly, max_modulus=max_modulus)
+    if max_modulus == 2:
+        assert cert == full_scan_eliminate(poly, max_modulus=max_modulus)
+    if expected is ConstantDivisorTest:
+        assert isinstance(cert, ConstantDivisorTest)
+    else:
+        assert cert == expected
+    assert verify_certificate(poly, cert)
+
+
 def test_each_residue_is_evaluated_once_for_every_modulus(
     shipped_reports, monkeypatch
 ):
@@ -335,6 +376,10 @@ def test_each_residue_is_evaluated_once_for_every_modulus(
         if row["certificate"]["type"] == "divisor"
     ]
     assert len(divisor_route) == 2
+    # (m^2 - 13)(m^2 - 17)(m^2 - 221) has no integer root, yet a root mod
+    # every modulus: 221 = 13 * 17, so one of 13, 17, 221 is a square mod
+    # each odd prime. Its constant 13^2 17^2 has nine divisors.
+    control = IntPoly.from_desc([1, 0, -251, 0, 6851, 0, -48841])
     calls = []
     for name in ("evaluate", "evaluate_mod"):
 
@@ -344,10 +389,22 @@ def test_each_residue_is_evaluated_once_for_every_modulus(
 
         monkeypatch.setattr(IntPoly, name, counting)
     for poly in divisor_route:
+        # Modulus 2 fails on t = 0, 1; -1 is a root, so the scan ends and
+        # the divisor test evaluates the divisors 1 and 7 of 28 / 4.
         calls.clear()
-        cert = eliminate(poly)  # scans every prime power up to 720
+        cert = eliminate(poly)
         assert isinstance(cert, ConstantDivisorTest)
-        assert len(calls) <= 720 + len(cert.divisors)
+        assert cert.divisors == (1, 7)
+        assert calls == [(0,), (1,), (-1,), (1,), (7,)]
+    # The control climbs all 150 prime powers: t = 0..718 once each, -t
+    # for the six divisors 1, 13, 17, 169, 221, 289 below 719, then the
+    # nine divisors.
+    calls.clear()
+    cert = eliminate(control)
+    assert isinstance(cert, ConstantDivisorTest)
+    assert len(cert.divisors) == 9
+    assert len(calls) == 719 + 6 + 9
+    assert len(calls) <= 720 + 2 * len(cert.divisors)
 
 
 @DIFFERENTIAL

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from chern_gate import obstruction
 from chern_gate.cli import dispatch
 from chern_gate.pipeline import load_baseline, scenario_bytes
 from chern_gate.obstruction import (
@@ -725,6 +726,25 @@ def test_psi_13_direct_row_is_a_survivor(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "SURVIVORS-REMAIN"
     assert payload["survivors"] == [{"baseline_id": "1", "ordinal": 1}]
+
+
+def test_a_root_is_found_without_factoring_the_constant(
+    tmp_path, capsys, monkeypatch
+):
+    # (m - 1)(m + N) with N the product of two 31-digit primes: factoring
+    # N takes rho far longer than any test may run, and the root m = 1
+    # ends the modulus scan before the divisor test is reached.
+    n = (10**30 + 57) * (10**30 + 91)
+    coeffs = ["1", str(n - 1), str(-n)]
+    monkeypatch.setattr(obstruction, "divisors", lambda c: pytest.fail(f"factored {c}"))
+    assert dispatch(["eliminate", "--coeffs=" + ",".join(coeffs)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"] == {"m": "1", "type": "root"}
+    assert payload["verified"] is True
+    assert dispatch(["run", "--scenario", _direct_scenario(tmp_path, coeffs)]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["polynomials"]
+    assert row["certificate"] == {"m": "1", "type": "root"}
+    assert row["verified"] is True
 
 
 @pytest.mark.parametrize("coeffs", ["1,,2", "1,2,", ""])
