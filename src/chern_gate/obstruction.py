@@ -214,12 +214,11 @@ def build_embedding_polynomial(case: ChernCase) -> IntPoly:
     integer) m of any actual embedding. scale is the least common
     denominator of the c4(N) coefficients (1 for every shipped case).
     """
-    p = normal_c4_polynomial(case)
+    c4 = normal_c4_polynomial(case)
     d = case.geometry.degree
-    rational = [-c for c in p] + [Fraction(0), Fraction(0), Fraction(0)]
-    rational.append(Fraction(d * d))
-    scale = lcm(*(c.denominator for c in rational))
-    return IntPoly(tuple(int(c * scale) for c in rational), scale)
+    scale = lcm(*(c.denominator for c in c4))
+    coeffs = [-c.numerator * (scale // c.denominator) for c in c4]
+    return IntPoly((*coeffs, 0, 0, 0, d * d * scale), scale)
 
 
 def _reduce(poly: IntPoly) -> tuple[int, int, IntPoly]:
@@ -287,7 +286,8 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
     Each new t that divides the constant term is then tried as -t; a
     negative root sends the scan straight to the divisor test. Neither
     check runs before a modulus has failed, so a modular certificate
-    pays for them only on the moduli that failed before it.
+    pays for them only on the moduli that failed before it. The divisor
+    test takes p(t) from the scan for every divisor t the scan reached.
     """
     content, m_power, reduced = _reduce(poly)
     constant = abs(reduced.coeffs[0])
@@ -316,7 +316,10 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
         if any(constant % t == 0 and reduced.evaluate(-t) == 0 for t in negatives):
             break
     candidates = divisors(constant)
-    values = tuple(reduced.evaluate(m) for m in candidates)
+    scanned = len(exact)
+    values = tuple(
+        exact[m] if m < scanned else reduced.evaluate(m) for m in candidates
+    )
     for m, value in zip(candidates, values):
         if value == 0:
             return RootFound(m=m)

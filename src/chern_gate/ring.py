@@ -10,13 +10,16 @@ A case in the elimination argument is the tuple (r, k, c1c3, euler,
 geometry): total Chern class 1 + r*g + k*r^2*g^2 + (c1c3/(r*d))*g^3 +
 (euler/d)*g^4. The ambient space is always P^8, restricted along an
 embedding with g = m * (hyperplane class), so the pulled-back total
-Chern class is (1 + m*g)^9 truncated.
+Chern class is (1 + m*g)^9 truncated. normal_c4_polynomial computes
+c4 of the normal bundle on integer numerators over one common
+denominator; GradedClass and its inverse are the plain Fraction form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 __all__ = [
@@ -195,9 +198,27 @@ def normal_c4_polynomial(case: ChernCase) -> tuple[Fraction, ...]:
     up C(9, j) * m^j from the ambient factor against the degree-(4-j)
     inverse coefficient. Returned ascending: index = power of m. The
     degree-4 leading coefficient is always 126*d.
+
+    The inverse is computed on integer numerators. With k = p/q and
+    L = lcm(q, |r| d), c(X) = sum (U_i / L) g^i for the integers
+    U = (L, r L, p r^2 L/q, c1c3 L/(r d), euler L/d), and then
+    c(X)^-1 = sum (V_n / L^n) g^n with V_0 = 1 and
+    V_n = -sum_{i=1..n} U_i V_{n-i} L^(i-1). The coefficient of m^j is
+    C(9, j) d V_(4-j) / L^(4-j), one Fraction each.
     """
-    inv = chern_from_case(case).inverse().coeffs
-    d = case.geometry.degree
+    r, k, d = case.r, case.k, case.geometry.degree
+    den = lcm(k.denominator, r * d)  # L
+    u = (  # U_1..U_4; U_0 = L
+        r * den,
+        k.numerator * r * r * (den // k.denominator),
+        case.c1c3 * (den // (r * d)),
+        case.euler * (den // d),
+    )
+    powers = [den**n for n in range(_TRUNC)]
+    v = [1]
+    for n in range(1, _TRUNC):
+        v.append(-sum(u[i - 1] * v[n - i] * powers[i - 1] for i in range(1, n + 1)))
     return tuple(
-        Fraction(AMBIENT_BINOMIALS[j]) * inv[4 - j] * d for j in range(_TRUNC)
+        Fraction(AMBIENT_BINOMIALS[j] * d * v[4 - j], powers[4 - j])
+        for j in range(_TRUNC)
     )

@@ -6,24 +6,29 @@ divides the running product of the first q values, and a higher prime
 power by its residues one by one. It stops at the first integer root it
 meets: a zero among the values is the least positive root, and a
 divisor t of the constant term with p(-t) == 0 sends it to the divisor
-test at once. The enumeration visits only the
+test at once, which reads p(t) from the scan for every divisor t the
+scan reached. The enumeration visits only the
 degrees that solutions of x^2 - 7 y^2 = 3 target / g allow, and solves
 the quadratic only where an integer square test says k is rational.
 Each case's quadratic, characteristic numbers, Pontryagin numbers,
 signature and chi(O) check are integer numerators over a known
-denominator, with one Fraction per value returned.
+denominator, with one Fraction per value returned, and so is c4 of the
+normal bundle, whose inverse of c(X) runs on integers over powers of
+one common denominator L, and the embedding polynomial clears the
+denominators of those Fractions without Fraction arithmetic.
 The oracles below are the plain forms: every modulus 2..max_modulus
 with every residue, the prime-power scan with Horner's rule mod q run
 afresh for every residue of every modulus, both climbing to the cap
 whatever roots they pass, the per-point scan of every
 grid point and r, one Fraction quadratic per grid point and r, y
 tried one by one, and each per-case formula as a chain of Fraction
-operations. Every hot path must return exactly what its oracle
+operations, c4(N) and the embedding polynomial among them through
+GradedClass.inverse. Every hot path must return exactly what its oracle
 returns.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +43,7 @@ from chern_gate.obstruction import (
     RootFound,
     _prime_powers,
     _reduce,
+    build_embedding_polynomial,
     eliminate,
     verify_certificate,
 )
@@ -49,7 +55,16 @@ from chern_gate.riemann_roch import (
     l_genus_signature,
     pontryagin_numbers,
 )
-from chern_gate.ring import ChernCase, Geometry, chern_from_case, graded
+from chern_gate.ring import (
+    AMBIENT_BINOMIALS,
+    ChernCase,
+    Geometry,
+    ambient_pullback,
+    chern_from_case,
+    graded,
+    normal_c4_polynomial,
+    top_pairing,
+)
 from chern_gate.search import (
     LATTICE_BOUNDS,
     LATTICE_MODELS,
@@ -165,6 +180,18 @@ def fraction_chi_O_from_class(c, geom) -> Fraction:
     _, q1, q2, q3, q4 = c.coeffs
     paired = -q4 + q3 * q1 + 3 * q2 * q2 + 4 * q2 * q1 * q1 - q1**4
     return paired * geom.degree / 720
+
+
+def fraction_embedding_polynomial(case: ChernCase) -> IntPoly:
+    """obstruction.build_embedding_polynomial as a list of Fractions: c4(N)
+    from the inverse of c(X) in Q[g]/(g^5), negated, d^2 at m^8, and every
+    denominator cleared with one lcm."""
+    inv = chern_from_case(case).inverse().coeffs
+    d = case.geometry.degree
+    c4 = [AMBIENT_BINOMIALS[j] * inv[4 - j] * d for j in range(5)]
+    rational = [-c for c in c4] + [Fraction(0)] * 3 + [Fraction(d * d)]
+    scale = lcm(*(c.denominator for c in rational))
+    return IntPoly(tuple(int(c * scale) for c in rational), scale)
 
 
 # The divisibility rules tying the denominator l of k to the lattice.
@@ -390,21 +417,22 @@ def test_each_residue_is_evaluated_once_for_every_modulus(
         monkeypatch.setattr(IntPoly, name, counting)
     for poly in divisor_route:
         # Modulus 2 fails on t = 0, 1; -1 is a root, so the scan ends and
-        # the divisor test evaluates the divisors 1 and 7 of 28 / 4.
+        # the divisor test reads p(1) from the scan and evaluates p(7), 7
+        # being the other divisor of 28 / 4.
         calls.clear()
         cert = eliminate(poly)
         assert isinstance(cert, ConstantDivisorTest)
         assert cert.divisors == (1, 7)
-        assert calls == [(0,), (1,), (-1,), (1,), (7,)]
+        assert calls == [(0,), (1,), (-1,), (7,)]
     # The control climbs all 150 prime powers: t = 0..718 once each, -t
     # for the six divisors 1, 13, 17, 169, 221, 289 below 719, then the
-    # nine divisors.
+    # three divisors 2873, 3757 and 48841 the scan never reached.
     calls.clear()
     cert = eliminate(control)
     assert isinstance(cert, ConstantDivisorTest)
     assert len(cert.divisors) == 9
-    assert len(calls) == 719 + 6 + 9
-    assert len(calls) <= 720 + 2 * len(cert.divisors)
+    assert len(calls) == 719 + 6 + 3
+    assert len(calls) <= 720 + len(cert.divisors)
 
 
 @DIFFERENTIAL
@@ -497,3 +525,18 @@ def test_chi_O_from_class_matches_the_fraction_sum(case, coeffs):
         assert chi_O_from_class(c, case.geometry) == fraction_chi_O_from_class(
             c, case.geometry
         )
+
+
+@DIFFERENTIAL
+@given(chern_cases())
+@example(ChernCase(1, Fraction(1, 2), 0, 0, Geometry.free(2)))  # scale 2
+@example(ChernCase(-5, Fraction(-7, 60), 13, -11, Geometry.free(7)))  # scale 720
+def test_embedding_polynomial_matches_the_fraction_inverse(case):
+    c4 = normal_c4_polynomial(case)
+    inverse = chern_from_case(case).inverse()
+    for m in range(1, 4):
+        paired = top_pairing(ambient_pullback(m) * inverse, case.geometry)
+        assert sum(c * m**j for j, c in enumerate(c4)) == paired
+    # IntPoly equality compares the coefficients and the scale.
+    assert build_embedding_polynomial(case) == fraction_embedding_polynomial(case)
+
