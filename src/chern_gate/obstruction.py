@@ -30,9 +30,8 @@ from math import lcm, prod
 
 from .exact import PSI_13, divisors, is_probable_prime, polynomial_content
 from .exact import _primes_upto, _primorial
-from .ring import ChernCase, normal_c4_polynomial
+from .ring import CharNumbers, ChernCase, normal_c4_polynomial
 from .riemann_roch import pontryagin_numbers
-from .search import CaseSolution, CharNumbers
 
 __all__ = [
     "IntPoly",
@@ -442,21 +441,21 @@ def _ahat_flaw(case: ChernCase, cert: AhatNonIntegral) -> str:
 
 
 def _fact_flaw(subject, cert: ExternalFactCertificate) -> str:
-    sol, facts = subject
-    fact = next((f for f in facts if f.r == sol.r), None)
+    case, facts = subject
+    fact = next((f for f in facts if f.r == case.r), None)
     if fact is None:
-        return f"no fact applies to r = {sol.r}"
+        return f"no fact applies to r = {case.r}"
     quoted = (cert.index, cert.constraint, cert.citation)
     if quoted != (fact.index, fact.constraint, fact.citation):
         return (
-            f"certificate quotes fact {cert.index}, the fact for r = {sol.r} "
+            f"certificate quotes fact {cert.index}, the fact for r = {case.r} "
             f"is {fact.index}: {fact.constraint} ({fact.citation})"
         )
     if fact.kind == "concludes":
         if (cert.outcome, cert.conclusion) != ("concluded", fact.conclusion):
             return f"fact {fact.index} concludes {fact.conclusion}"
         return ""
-    degree = sol.geometry.degree
+    degree = case.geometry.degree
     if (cert.outcome, cert.violated_by) != ("eliminated", degree):
         return f"the case has degree {degree}, certificate says {cert.violated_by}"
     if fact.admits(degree):
@@ -484,7 +483,7 @@ def verify_certificate_detailed(subject, cert) -> tuple[bool, str]:
     The subject is the data the filter consumed: the IntPoly for
     modular, divisor and root certificates, the CharNumbers row for
     CongruenceMod12, the ChernCase for AhatNonIntegral, and the pair
-    (CaseSolution, facts) for ExternalFactCertificate. Returns
+    (ChernCase, facts) for ExternalFactCertificate. Returns
     (True, "") when the certificate is sound, otherwise (False, reason).
     RootFound verifies as a valid witness that a root exists, i.e. that
     elimination legitimately failed.
@@ -530,12 +529,10 @@ def ahat_filter(case: ChernCase) -> AhatNonIntegral | None:
     return AhatNonIntegral(value=data.a_hat)
 
 
-def external_fact_filter(
-    sol: CaseSolution, facts
-) -> ExternalFactCertificate | None:
-    """Apply the first literature fact whose r matches the solution."""
-    fact = next((f for f in facts if f.r == sol.r), None)
-    if fact is None or fact.admits(sol.geometry.degree):
+def external_fact_filter(case: ChernCase, facts) -> ExternalFactCertificate | None:
+    """Apply the first literature fact whose r matches the case."""
+    fact = next((f for f in facts if f.r == case.r), None)
+    if fact is None or fact.admits(case.geometry.degree):
         return None
     cited = dict(index=fact.index, constraint=fact.constraint, citation=fact.citation)
     if fact.kind == "concludes":
@@ -543,5 +540,5 @@ def external_fact_filter(
             **cited, outcome="concluded", conclusion=fact.conclusion
         )
     return ExternalFactCertificate(
-        **cited, outcome="eliminated", violated_by=sol.geometry.degree
+        **cited, outcome="eliminated", violated_by=case.geometry.degree
     )

@@ -42,7 +42,7 @@ from .report import (
     parse_int_str,
     sci_5,
 )
-from .ring import chern_from_case
+from .ring import char_number_table, chern_from_case
 from .riemann_roch import (
     chi_O_from_class,
     complete_invariants,
@@ -51,12 +51,7 @@ from .riemann_roch import (
     pontryagin_numbers,
 )
 from .scenario import LEMMA_IDS, LemmaSpec, parse_scenario
-from .search import (
-    ConstraintSystem,
-    char_number_table,
-    enumerate_cases,
-    to_chern_case,
-)
+from .search import ConstraintSystem, enumerate_cases, to_chern_case
 from .version import __version__
 
 __all__ = [
@@ -108,8 +103,7 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
             f"scenario replays {spec.lemma_id!r}"
         )
     # records: ordinal -> the case's data, keyed by what a filter or a
-    # printed obstruction is about ("solution", "char_numbers", "case",
-    # "poly").
+    # printed obstruction is about ("char_numbers", "case", "poly").
     if spec.mode == "direct":
         invariants, case_rows, filters = None, [], ("embedding-poly",)
         records = {i: {"poly": p} for i, (_, p) in enumerate(spec.polynomials, 1)}
@@ -140,21 +134,24 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
             elif name == "ahat":
                 subject, cert = rec["case"], ahat_filter(rec["case"])
             else:  # external-facts
-                subject = (rec["solution"], spec.facts)
+                subject = (rec["case"], spec.facts)
                 cert = external_fact_filter(*subject)
             if cert is None:
                 continue
             ok = verify_certificate(subject, cert)
+            row = {
+                "ordinal": o,
+                "baseline_id": ids[o],
+                "certificate": certificate_to_json(cert),
+                "verified": ok,
+            }
             if name == "embedding-poly":
                 poly_rows.append(
                     {
-                        "ordinal": o,
-                        "baseline_id": ids[o],
+                        **row,
                         "label": labels[o],
                         "coefficients": [int_str(c) for c in subject.desc_coeffs],
                         "scale": int_str(subject.scale),
-                        "certificate": certificate_to_json(cert),
-                        "verified": ok,
                     }
                 )
             if isinstance(cert, RootFound):
@@ -170,15 +167,7 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
                 if getattr(cert, "outcome", None) == "concluded":
                     continue
             if spec.mode == "pipeline":  # direct rows are all polynomial rows
-                eliminations.append(
-                    {
-                        "ordinal": o,
-                        "baseline_id": ids[o],
-                        "filter": name,
-                        "certificate": certificate_to_json(cert),
-                        "verified": ok,
-                    }
-                )
+                eliminations.append({**row, "filter": name})
     # Every case is eliminated, concluded or alive; a live one says its
     # root when a verified one was found.
     for o, bid in ids.items():
@@ -224,7 +213,7 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
 
 
 def _case_rows(solutions, inv, baseline: dict | None):
-    """The report's case table, plus each case's record (its solution,
+    """The report's case table, plus each case's record (its
     characteristic numbers and Chern data) and baseline id, keyed by
     ordinal."""
     id_by_key = {}
@@ -234,9 +223,9 @@ def _case_rows(solutions, inv, baseline: dict | None):
             id_by_key[key] = entry["id"]
     rows, records, ids = [], {}, {}
     for sol in solutions:
-        cn = char_number_table(sol, inv)
         case = to_chern_case(sol, inv)
-        chio = chi_O_from_class(chern_from_case(case), sol.geometry)
+        cn = char_number_table(case)
+        chio = chi_O_from_class(chern_from_case(case), case.geometry)
         if chio != inv.chi_O:
             raise ArithmeticError(
                 f"chi_O recomputed from the Chern class is {chio}, "
@@ -245,7 +234,7 @@ def _case_rows(solutions, inv, baseline: dict | None):
         pd = pontryagin_numbers(case)
         params, k = sol.geometry.params, frac_str(sol.k)  # params is a fresh dict
         bid = id_by_key.get(_case_key(params, sol.r, k))
-        records[sol.ordinal] = {"solution": sol, "char_numbers": cn, "case": case}
+        records[sol.ordinal] = {"char_numbers": cn, "case": case}
         ids[sol.ordinal] = bid
         rows.append(
             {

@@ -27,8 +27,10 @@ __all__ = [
     "GradedClass",
     "Geometry",
     "ChernCase",
+    "CharNumbers",
     "graded",
     "top_pairing",
+    "char_number_table",
     "chern_from_case",
     "ambient_pullback",
     "normal_c4_polynomial",
@@ -159,6 +161,40 @@ class ChernCase:
     def __post_init__(self):
         if self.r == 0:
             raise ValueError("r must be nonzero")
+
+
+@dataclass(frozen=True)
+class CharNumbers:
+    """The five Chern numbers of a case, all exact integers."""
+
+    c1_4: int
+    c1c3: int
+    c1_2c2: int
+    c2_2: int
+    c4: int
+
+
+def char_number_table(case: ChernCase) -> CharNumbers:
+    """Chern numbers of a case: <c1^4> = r^4 d, <c1^2 c2> = k r^4 d,
+    <c2^2> = k^2 r^4 d, and <c1 c3> and <c4> = euler as the case gives them.
+
+    With k = p/q in lowest terms both are integers exactly when q^2
+    divides r^4 d.
+    """
+    c14 = case.r**4 * case.geometry.degree
+    p, q = case.k.numerator, case.k.denominator
+    if c14 % (q * q):
+        raise ArithmeticError(
+            f"non-integral Chern number for {case.geometry.params}, r={case.r}, "
+            f"k={case.k}: the divisibility rule should have excluded this"
+        )
+    return CharNumbers(
+        c1_4=c14,
+        c1c3=case.c1c3,
+        c1_2c2=p * (c14 // q),
+        c2_2=p * p * (c14 // (q * q)),
+        c4=case.euler,
+    )
 
 
 def top_pairing(u: GradedClass, geom: Geometry) -> Fraction:

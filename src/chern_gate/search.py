@@ -38,9 +38,7 @@ __all__ = [
     "LatticeSpec",
     "ConstraintSystem",
     "CaseSolution",
-    "CharNumbers",
     "enumerate_cases",
-    "char_number_table",
     "to_chern_case",
 ]
 
@@ -139,10 +137,6 @@ class CaseSolution:
     geometry: Geometry
     r: int
     k: Fraction
-
-    @property
-    def c1_4(self) -> int:
-        return self.r**4 * self.geometry.degree
 
 
 def _passes_divisibility(geom: Geometry, r: int, k: Fraction) -> bool:
@@ -256,42 +250,6 @@ def enumerate_cases(
         CaseSolution(ordinal=i, geometry=g, r=r, k=k)
         for i, (g, r, k) in enumerate(raw, start=1)
     ]
-
-
-@dataclass(frozen=True)
-class CharNumbers:
-    """The five Chern numbers of a case, all exact integers."""
-
-    c1_4: int
-    c1c3: int
-    c1_2c2: int
-    c2_2: int
-    c4: int
-
-
-def char_number_table(sol: CaseSolution, inv: DerivedInvariants) -> CharNumbers:
-    """Chern numbers of a solution: <c1^4> = r^4 d, <c1^2 c2> = k r^4 d,
-    <c2^2> = k^2 r^4 d, with <c1 c3> and <c4> fixed by the invariants.
-
-    With k = p/q in lowest terms both are integers exactly when q^2
-    divides r^4 d.
-    """
-    if inv.c1c3 is None:
-        raise ValueError("invariants are not completed (run complete_invariants first)")
-    c14 = sol.c1_4
-    p, q = sol.k.numerator, sol.k.denominator
-    if c14 % (q * q):
-        raise ArithmeticError(
-            f"non-integral Chern number for {sol.geometry.params}, r={sol.r}, "
-            f"k={sol.k}: the divisibility rule should have excluded this"
-        )
-    return CharNumbers(
-        c1_4=c14,
-        c1c3=inv.c1c3,
-        c1_2c2=p * (c14 // q),
-        c2_2=p * p * (c14 // (q * q)),
-        c4=inv.chi,
-    )
 
 
 def to_chern_case(sol: CaseSolution, inv: DerivedInvariants) -> ChernCase:

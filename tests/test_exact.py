@@ -103,6 +103,8 @@ def test_factorize_round_trip():
     assert factorize(1) == {}
     assert factorize(2**5 * 3 * 7**2) == {2: 5, 3: 1, 7: 2}
     assert factorize(2**61 - 1) == {2**61 - 1: 1}
+    with pytest.raises(ValueError, match="factorize needs a positive integer"):
+        factorize(0)
 
 
 # Trial division runs over every prime below 10,000, so factors are

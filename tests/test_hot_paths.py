@@ -49,7 +49,6 @@ from chern_gate.obstruction import (
 )
 from chern_gate.report import parse_int_str
 from chern_gate.riemann_roch import (
-    DerivedInvariants,
     PontryaginData,
     chi_O_from_class,
     l_genus_signature,
@@ -57,9 +56,11 @@ from chern_gate.riemann_roch import (
 )
 from chern_gate.ring import (
     AMBIENT_BINOMIALS,
+    CharNumbers,
     ChernCase,
     Geometry,
     ambient_pullback,
+    char_number_table,
     chern_from_case,
     graded,
     normal_c4_polynomial,
@@ -69,11 +70,9 @@ from chern_gate.search import (
     LATTICE_BOUNDS,
     LATTICE_MODELS,
     CaseSolution,
-    CharNumbers,
     ConstraintSystem,
     LatticeSpec,
     _pell_ys,
-    char_number_table,
 )
 
 from conftest import PIPELINE_LEMMAS
@@ -151,14 +150,14 @@ def fraction_solve_quadratic(a, b, c) -> tuple[Fraction, ...]:
     return (lo, hi) if lo < hi else (hi, lo)
 
 
-def fraction_char_number_table(sol: CaseSolution, inv) -> CharNumbers:
-    """search.char_number_table as products of Fractions."""
-    c14 = sol.c1_4
-    c12c2 = sol.k * c14
-    c2sq = sol.k * sol.k * c14
+def fraction_char_number_table(case: ChernCase) -> CharNumbers:
+    """ring.char_number_table as products of Fractions."""
+    c14 = case.r**4 * case.geometry.degree
+    c12c2 = case.k * c14
+    c2sq = case.k * case.k * c14
     if c12c2.denominator != 1 or c2sq.denominator != 1:
         raise ArithmeticError("non-integral Chern number")
-    return CharNumbers(c14, inv.c1c3, int(c12c2), int(c2sq), inv.chi)
+    return CharNumbers(c14, case.c1c3, int(c12c2), int(c2sq), case.euler)
 
 
 def fraction_pontryagin_numbers(case: ChernCase) -> PontryaginData:
@@ -490,17 +489,13 @@ def test_solver_matches_the_fraction_quadratic(a, b, c):
 @example(ChernCase(1, Fraction(1, 2), 0, 0, Geometry.free(2)))  # q | c14 only
 @example(ChernCase(-2, Fraction(0), 48, 6, Geometry.free(3)))
 def test_char_number_table_matches_the_fraction_products(case):
-    sol = CaseSolution(ordinal=1, geometry=case.geometry, r=case.r, k=case.k)
-    inv = DerivedInvariants(
-        chi=case.euler, chi_O=1, chi1=0, signature=0, c1c3=case.c1c3, target=1
-    )
     try:
-        expected = fraction_char_number_table(sol, inv)
+        expected = fraction_char_number_table(case)
     except ArithmeticError:
         with pytest.raises(ArithmeticError):
-            char_number_table(sol, inv)
+            char_number_table(case)
     else:
-        assert char_number_table(sol, inv) == expected
+        assert char_number_table(case) == expected
 
 
 @DIFFERENTIAL

@@ -26,8 +26,7 @@ from chern_gate.obstruction import (
     verify_certificate_detailed,
 )
 from chern_gate.riemann_roch import pontryagin_numbers
-from chern_gate.ring import ChernCase, Geometry
-from chern_gate.search import CaseSolution, CharNumbers
+from chern_gate.ring import CharNumbers, ChernCase, Geometry
 
 DEGREE_225_DESC = [50625, 0, 0, 0, -28350, -18900, -2700, 225, 30]
 RANK2_CASE_2_DESC = [4, 0, 0, 0, -252, -168, 648, -90, -232]
@@ -57,6 +56,8 @@ def test_intpoly_rejects_an_inexact_scale():
         IntPoly((1, 2), scale=1.5)
     with pytest.raises(TypeError):
         IntPoly((1, 2), scale=Fraction(3, 2))
+    with pytest.raises(ValueError, match="scale must be a positive integer"):
+        IntPoly((1, 2), scale=0)
     assert IntPoly((1, 2), scale=3).scale == 3
 
 
@@ -285,6 +286,8 @@ def test_constants_are_certified_at_modulus_2():
         poly = IntPoly.from_desc(desc)
         assert eliminate(poly) == expected
         assert verify_certificate(poly, expected)
+    with pytest.raises(ValueError, match="zero polynomial: every m is a root"):
+        eliminate(IntPoly((0, 0)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,11 +358,24 @@ FACTS = (
 )
 
 
+def fact_case(geometry: Geometry, r: int, k: Fraction) -> ChernCase:
+    """A case for the fact filter, which reads only r and the degree; its
+    <c1 c3> and <c4> are those of P4."""
+    return ChernCase(r=r, k=k, c1c3=50, euler=5, geometry=geometry)
+
+
+def test_external_fact_needs_a_known_kind_and_its_data():
+    with pytest.raises(ValueError, match="unknown fact kind 'sorcery'"):
+        ExternalFact(index=1, r=1, kind="sorcery", citation="c")
+    with pytest.raises(ValueError, match="degree-in fact needs a nonempty degrees"):
+        ExternalFact(index=1, r=1, kind="degree-in", citation="c")
+    with pytest.raises(ValueError, match="degree-max fact needs a nonempty max_degree"):
+        ExternalFact(index=1, r=1, kind="degree-max", citation="c", degrees=(2,))
+
+
 def test_external_fact_filter_eliminates():
-    sol = CaseSolution(
-        ordinal=1, geometry=Geometry.rank1(15), r=1, k=Fraction(2, 3)
-    )
-    cert = external_fact_filter(sol, FACTS)
+    case = fact_case(Geometry.rank1(15), 1, Fraction(2, 3))
+    cert = external_fact_filter(case, FACTS)
     assert cert.outcome == "eliminated"
     assert cert.index == 1
     assert cert.violated_by == 225
@@ -367,21 +383,21 @@ def test_external_fact_filter_eliminates():
 
 
 def test_external_fact_filter_concludes():
-    sol = CaseSolution(ordinal=1, geometry=Geometry.rank1(1), r=5, k=Fraction(2, 5))
-    cert = external_fact_filter(sol, FACTS)
+    case = fact_case(Geometry.rank1(1), 5, Fraction(2, 5))
+    cert = external_fact_filter(case, FACTS)
     assert cert.outcome == "concluded"
     assert cert.conclusion == "P4"
 
 
 def test_external_fact_filter_silent_without_matching_index():
-    sol = CaseSolution(ordinal=1, geometry=Geometry.rank1(15), r=3, k=Fraction(2, 9))
-    assert external_fact_filter(sol, FACTS) is None
+    case = fact_case(Geometry.rank1(15), 3, Fraction(2, 9))
+    assert external_fact_filter(case, FACTS) is None
 
 
 def test_external_fact_filter_respects_satisfied_constraint():
     # degree 4 is inside the allowed list, so the fact stays quiet
-    sol = CaseSolution(ordinal=1, geometry=Geometry.rank1(2), r=1, k=Fraction(1))
-    assert external_fact_filter(sol, FACTS) is None
+    case = fact_case(Geometry.rank1(2), 1, Fraction(1))
+    assert external_fact_filter(case, FACTS) is None
 
 
 def test_embedding_polynomial_pinned_cases():
@@ -434,16 +450,14 @@ def test_verifier_rejects_tampered_filter_certificates():
     integral = AhatNonIntegral(value=pontryagin_numbers(spin_fine).a_hat)
     assert not verify_certificate(spin_fine, integral)
 
-    sol = CaseSolution(
-        ordinal=1, geometry=Geometry.rank1(15), r=1, k=Fraction(2, 3)
-    )
-    cert = external_fact_filter(sol, FACTS)
-    assert verify_certificate((sol, FACTS), cert)
-    assert not verify_certificate((sol, FACTS), replace(cert, index=2))
-    assert not verify_certificate((sol, FACTS), replace(cert, violated_by=224))
-    inside = CaseSolution(ordinal=1, geometry=Geometry.rank1(2), r=1, k=Fraction(1))
+    case = fact_case(Geometry.rank1(15), 1, Fraction(2, 3))
+    cert = external_fact_filter(case, FACTS)
+    assert verify_certificate((case, FACTS), cert)
+    assert not verify_certificate((case, FACTS), replace(cert, index=2))
+    assert not verify_certificate((case, FACTS), replace(cert, violated_by=224))
+    inside = fact_case(Geometry.rank1(2), 1, Fraction(1))
     assert not verify_certificate((inside, FACTS), replace(cert, violated_by=4))
-    p4 = CaseSolution(ordinal=1, geometry=Geometry.rank1(1), r=5, k=Fraction(2, 5))
+    p4 = fact_case(Geometry.rank1(1), 5, Fraction(2, 5))
     concluded = external_fact_filter(p4, FACTS)
     assert verify_certificate((p4, FACTS), concluded)
     assert not verify_certificate((p4, FACTS), replace(concluded, conclusion="Q4"))
@@ -466,8 +480,8 @@ def _poly(*desc):
     return IntPoly.from_desc(list(desc))
 
 
-_R1 = CaseSolution(ordinal=1, geometry=Geometry.rank1(15), r=1, k=Fraction(2, 3))
-_R3 = CaseSolution(ordinal=1, geometry=Geometry.rank1(15), r=3, k=Fraction(2, 3))
+_R1 = fact_case(Geometry.rank1(15), 1, Fraction(2, 3))
+_R3 = fact_case(Geometry.rank1(15), 3, Fraction(2, 3))
 
 # Each certificate is sound but for one flaw, which only the reason's
 # check catches. With that check taken out, nine of them verify; the

@@ -60,3 +60,36 @@ def test_package_source_has_no_floats_and_no_asserts():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}: {what}" for line, what in _float_uses(tree)]
     assert found == []
+
+
+# The certificate checks in obstruction.py read only exact arithmetic, the
+# Chern ring and the Pontryagin numbers. The enumeration in search and the
+# pipeline must stay out of reach, so that a check cannot trust the code
+# whose output it checks.
+_TRUSTED_IMPORTS = {"exact", "ring", "riemann_roch"}
+
+
+def _package_imports(tree: ast.AST):
+    """Each package module (or package-level name) a module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "chern_gate":
+                    yield parts[1] if len(parts) > 1 else "chern_gate"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "chern_gate":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                yield module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_obstruction_imports_only_the_trusted_modules():
+    path = Path(chern_gate.__file__).parent / "obstruction.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert set(_package_imports(tree)) - _TRUSTED_IMPORTS == set()

@@ -7,6 +7,7 @@ from chern_gate import pipeline
 from chern_gate.cli import dispatch
 from chern_gate.pipeline import (
     SHIPPED_LEMMAS,
+    constraint_system_for,
     diff_baseline,
     load_baseline,
     load_scenario,
@@ -64,6 +65,8 @@ def test_direct_reports_have_no_enumeration(shipped_reports):
         assert report["eliminations"] == []
         assert report["survivors"] == []
         assert report["polynomials"], lid
+    with pytest.raises(ValueError, match="direct scenarios do not define a search"):
+        constraint_system_for(load_scenario("A.1"), target=1)
 
 
 def test_concluded_survivor_carries_its_certificate(shipped_reports):
@@ -187,6 +190,12 @@ def test_fault_injection_obstruction_value():
     baseline["obstructions"]["2"]["values"][3] = "1000401930904"
     diff = run_31_against(baseline)
     assert any("divisor obstruction 2" in d and "failed" in d for d in diff)
+    baseline["obstructions"]["2"]["kind"] = "sorcery"
+    report = run_lemma(load_scenario("3.1"), baseline=baseline)
+    rows = report["baseline_validation"]
+    (row,) = [r for r in rows if (r["id"], r["kind"]) == ("2", "obstruction")]
+    assert row["note"] == "unknown obstruction kind 'sorcery'"
+    assert "sorcery obstruction 2: failed re-verification" in report["baseline_diff"]
 
 
 def test_flipped_filters_keep_printed_obstructions_verified():
@@ -315,6 +324,15 @@ def test_markdown_has_the_table_and_trailer(shipped_reports):
     assert "baseline: exact match" in md
     unchecked = emit_report(run_lemma(load_scenario("3.1")), "md").decode()
     assert "baseline: not checked" in unchecked
+    # Ids that are not all digits sort as text: "x10" before "x2".
+    report = {**shipped_reports["3.1"], "cases": []}
+    for case in shipped_reports["3.1"]["cases"]:
+        report["cases"].append({**case, "baseline_id": f"x{case['baseline_id']}"})
+    lines = emit_report(report, "md").decode().splitlines()
+    ids = [line.split(" | ")[0][2:] for line in lines if line.startswith("| x")]
+    assert ids == sorted(f"x{n}" for n in range(1, 11))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_report(report, "xml")
 
 
 def _forge_concluded_citation(monkeypatch):

@@ -30,8 +30,7 @@ from chern_gate.obstruction import (
     verify_certificate,
 )
 from chern_gate.riemann_roch import chi_O_from_class, pontryagin_numbers
-from chern_gate.ring import ChernCase, Geometry, chern_from_case
-from chern_gate.search import CharNumbers
+from chern_gate.ring import CharNumbers, ChernCase, Geometry, chern_from_case
 
 MULTIDEGREES = tuple(combinations_with_replacement(range(1, 8), 4))
 

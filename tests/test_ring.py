@@ -29,6 +29,8 @@ def test_ambient_pullback_binomials():
         Fraction(b) for b in AMBIENT_BINOMIALS
     )
     assert ambient_pullback(2).coeffs == (1, 18, 144, 672, 2016)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        ambient_pullback(0)
 
 
 def test_unit_and_multiplication():
@@ -159,6 +161,15 @@ def test_geometry_refuses_what_has_no_degree():
     for model, values in bad:
         with pytest.raises(ValueError):
             Geometry(model, values)
+
+
+def test_classes_and_cases_refuse_malformed_data():
+    with pytest.raises(TypeError, match="float coefficients are not exact"):
+        graded(0.5, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="exactly five coefficients"):
+        GradedClass((Fraction(1),) * 4)
+    with pytest.raises(ValueError, match="r must be nonzero"):
+        ChernCase(r=0, k=Fraction(1), c1c3=0, euler=0, geometry=Geometry.free(1))
 
 
 def test_inverse_requires_nonzero_constant_term():

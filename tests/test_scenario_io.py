@@ -116,6 +116,12 @@ def test_r_bounds_must_match_the_sign():
     doc = shipped("2.1")
     doc["r_bounds"] = [-5, 1]
     assert error_path(doc) == "r_bounds"
+    doc = shipped("2.1")
+    doc["r_bounds"] = [-5, -3, -1]
+    assert error_path(doc) == "r_bounds"
+    doc = shipped("2.1")
+    doc["c1_sign"] = 0
+    assert error_path(doc) == "c1_sign"
     doc = shipped("2.2")
     doc["r_bounds"] = [0, 5]
     assert error_path(doc) == "r_bounds"
@@ -331,6 +337,9 @@ def test_cli_reproduce_all(capsys):
     for lid in ALL_LEMMAS:
         assert f"{lid}:" in out.err
         assert "baseline exact match" in out.err
+    assert dispatch(["reproduce", "--lemma", "all", "--format", "md"]) == 0
+    titles = [t for t in capsys.readouterr().out.splitlines() if t.startswith("# ")]
+    assert titles == [f"# Replay of {lid}" for lid in ALL_LEMMAS]
 
 
 def test_cli_reproduce_single_markdown(capsys, tmp_path):
@@ -397,6 +406,8 @@ def test_cli_eliminate_takes_a_negative_leading_coefficient_after_equals(capsys)
 
 
 def test_cli_error_exits(capsys):
+    assert dispatch(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
     assert dispatch(["run", "--scenario", "/no/such/file.json"]) == 2
     assert "error:" in capsys.readouterr().err
     assert dispatch(["reproduce", "--lemma", "5.5"]) == 2
@@ -421,14 +432,14 @@ def test_baselines_are_loadable_and_consistent():
 
 
 def test_cli_internal_error_exits_3_with_one_line(capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise ArithmeticError("chi_O recomputed from the Chern class is 2")
-
-    monkeypatch.setattr("chern_gate.cli.reproduce_lemma", broken)
+    # A chi(O) that disagrees with the diamond's is the pipeline's own
+    # cross-check failing, not bad input.
+    monkeypatch.setattr("chern_gate.pipeline.chi_O_from_class", lambda c, g: 2)
     assert dispatch(["reproduce", "--lemma", "2.1"]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [
-        "internal error: chi_O recomputed from the Chern class is 2"
+        "internal error: chi_O recomputed from the Chern class is 2, "
+        "the diamond says 1"
     ]
     assert "Traceback" not in err
 
@@ -455,6 +466,12 @@ def test_malformed_json_shapes_are_scenario_errors():
     doc = shipped("2.1")
     doc["lattice"]["model"] = ["rank1"]
     assert error_path(doc) == "lattice.model"
+    doc = shipped("2.1")
+    del doc["hodge"][4]
+    assert error_path(doc) == "hodge"
+    doc = shipped("2.1")
+    del doc["hodge"][1][4]
+    assert error_path(doc) == "hodge[1]"
     doc = shipped("2.2")
     doc["facts"][0]["constraint"]["kind"] = {"degree-in": True}
     assert error_path(doc) == "facts[0].constraint.kind"

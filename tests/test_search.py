@@ -10,6 +10,7 @@ from dataclasses import astuple, replace
 from fractions import Fraction
 from math import isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from chern_gate import (
     constraint_system_for,
     enumerate_cases,
     graded,
+    invariants_from_diamond,
     load_scenario,
     to_chern_case,
     top_pairing,
@@ -202,8 +204,8 @@ def test_free_model_case_set(pipeline_runs):
 def test_char_number_table_against_ring_pairing(pipeline_runs):
     for spec, inv, solutions in pipeline_runs.values():
         for sol in solutions:
-            cn = char_number_table(sol, inv)
             case = to_chern_case(sol, inv)
+            cn = char_number_table(case)
             c = chern_from_case(case)
             geom = sol.geometry
             c1, c2, c3, c4 = c.coeffs[1:]
@@ -232,7 +234,7 @@ def test_rank2_characteristic_table_rows(pipeline_runs):
     }
     for sol in solutions:
         key = (sol.geometry.sort_params, sol.r, sol.k)
-        assert astuple(char_number_table(sol, inv)) == expected[key]
+        assert astuple(char_number_table(to_chern_case(sol, inv))) == expected[key]
 
 
 def test_scenario_grids_match_shipped_bounds():
@@ -241,6 +243,23 @@ def test_scenario_grids_match_shipped_bounds():
     lattice = load_scenario("3.1").lattice
     assert (lattice.a_max, lattice.b_max) == (25, 25)
     assert load_scenario("4.2").lattice.d_max == 1244
+
+
+def test_lattice_system_and_case_refuse_what_they_cannot_search(pipeline_runs):
+    with pytest.raises(ValueError, match="unknown lattice model 'rank3'"):
+        LatticeSpec("rank3", e_max=5)
+    lattice = LatticeSpec("rank1", e_max=5)
+    for target, r_min, r_max, reason in (
+        (0, 1, 5, "target must be positive"),
+        (678, 3, 2, "empty r range"),
+        (678, -1, 1, "r range must not contain zero"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            ConstraintSystem(target, lattice, r_min, r_max)
+    spec, _, solutions = pipeline_runs["2.1"]
+    raw = invariants_from_diamond(spec.diamond)  # <c1 c3> not yet derived
+    with pytest.raises(ValueError, match="invariants are not completed"):
+        to_chern_case(solutions[0], raw)
 
 
 # Each model's bounds, each drawn from its least value that leaves a grid
