@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .obstruction import IntPoly, RootFound, eliminate, verify_certificate
 from .pipeline import (
@@ -33,6 +32,7 @@ from .report import (
     int_str,
     parse_int_str,
 )
+from .ring import replace
 from .scenario import MAX_DEGREE, parse_scenario
 
 __all__ = ["dispatch", "main"]
@@ -168,8 +168,6 @@ def dispatch(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if exc.code is None:
-            return 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)

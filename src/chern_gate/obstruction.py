@@ -23,14 +23,13 @@ from the data the filter consumed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 
 from .exact import PSI_13, divisors, is_probable_prime, polynomial_content
 from .exact import _primes_upto, _primorial
-from .ring import CharNumbers, ChernCase, normal_c4_polynomial
+from .ring import CharNumbers, ChernCase, normal_c4_polynomial, record
 from .riemann_roch import pontryagin_numbers
 
 __all__ = [
@@ -52,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class IntPoly:
     """Integer polynomial, coefficients ascending by degree.
 
@@ -104,7 +103,7 @@ class IntPoly:
         return acc
 
 
-@dataclass(frozen=True)
+@record
 class ModularObstruction:
     content: int
     m_power: int
@@ -112,7 +111,7 @@ class ModularObstruction:
     residues: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ConstantDivisorTest:
     content: int
     m_power: int
@@ -120,14 +119,14 @@ class ConstantDivisorTest:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class RootFound:
     """Witness that elimination fails: m is a positive integer root."""
 
     m: int
 
 
-@dataclass(frozen=True)
+@record
 class CongruenceMod12:
     """<c1^2 c2> + 2 <c1^4> is not divisible by 12."""
 
@@ -135,7 +134,7 @@ class CongruenceMod12:
     residue: int
 
 
-@dataclass(frozen=True)
+@record
 class AhatNonIntegral:
     """A spin case whose A-hat genus is not an integer."""
 
@@ -150,7 +149,7 @@ FACT_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ExternalFact:
     """A classification fact imported from the literature, keyed by r.
 
@@ -193,7 +192,7 @@ class ExternalFact:
         return self.kind == "degree-max" and degree <= self.max_degree
 
 
-@dataclass(frozen=True)
+@record
 class ExternalFactCertificate:
     index: int
     constraint: str

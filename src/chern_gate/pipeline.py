@@ -20,7 +20,6 @@ independently of whatever certificate the engine chose for itself.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from importlib import resources
 
 from .obstruction import (
@@ -110,7 +109,8 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
         ids = {i: label for i, (label, _) in enumerate(spec.polynomials, 1)}
     else:
         inv = complete_invariants(invariants_from_diamond(spec.diamond))
-        invariants = asdict(inv)  # chi, chi_O, chi1, signature, c1c3, target
+        # chi, chi_O, chi1, signature, c1c3, target, in that order
+        invariants = {name: getattr(inv, name) for name in inv._fields}
         system = constraint_system_for(spec, target=inv.target)
         solutions = enumerate_cases(system, workers=workers)
         case_rows, records, ids = _case_rows(solutions, inv, baseline)

@@ -9,7 +9,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import re
 from decimal import Context, Decimal
@@ -217,9 +216,9 @@ def certificate_from_json(data: dict):
                 values[name] = decode(data[name])
             except ValueError as exc:
                 raise ValueError(f"{data['type']} certificate, {name}: {exc}") from exc
-    for f in dataclasses.fields(cls):
-        if f.name not in values and f.default is dataclasses.MISSING:
-            raise ValueError(f"{data['type']} certificate has no field {f.name!r}")
+    for name in cls._fields:
+        if name not in values and not hasattr(cls, name):  # no default
+            raise ValueError(f"{data['type']} certificate has no field {name!r}")
     return cls(**values)
 
 

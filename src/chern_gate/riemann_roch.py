@@ -24,11 +24,10 @@ so that every admissible case satisfies (3k^2 + 4k - 1) <c1^4> = target.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from .ring import ChernCase, Geometry, GradedClass
+from .ring import ChernCase, Geometry, GradedClass, record, replace
 
 __all__ = [
     "HodgeDiamond",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class HodgeDiamond:
     """Hodge numbers h^{p,q} of a fourfold, as a 5x5 grid symmetric under
     h^{p,q} = h^{q,p} and Serre duality h^{p,q} = h^{4-p,4-q}."""
@@ -70,7 +69,7 @@ class HodgeDiamond:
         return HodgeDiamond(tuple(tuple(map(operator.index, row)) for row in rows))
 
 
-@dataclass(frozen=True)
+@record
 class DerivedInvariants:
     chi: int
     chi_O: int
@@ -116,7 +115,7 @@ def chi_O_from_class(c: GradedClass, geom: Geometry) -> Fraction:
     return Fraction(paired * geom.degree, 720 * den**4)
 
 
-@dataclass(frozen=True)
+@record
 class PontryaginData:
     p1_sq: Fraction  # <p1^2>
     p2: Fraction  # <p2>

@@ -13,11 +13,13 @@ embedding with g = m * (hyperplane class), so the pulled-back total
 Chern class is (1 + m*g)^9 truncated. normal_c4_polynomial computes
 c4 of the normal bundle on integer numerators over one common
 denominator; GradedClass and its inverse are the plain Fraction form.
+
+Every value type of the package is a frozen record made by record below,
+which stands in for a frozen dataclass without importing dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -42,13 +44,68 @@ AMBIENT_BINOMIALS = (1, 9, 36, 84, 126)
 _TRUNC = 5
 
 
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+
+def record(cls=None, *, uncompared=()):
+    """Make cls a frozen record, as @dataclass(frozen=True) would.
+
+    Its annotated names are its fields, in order, and a field's class
+    attribute, where it has one, is its default. The generated __init__
+    takes them positionally or by keyword and then runs the class's
+    __post_init__, if any, which sets an attribute with
+    object.__setattr__. == holds between records of one class whose
+    fields are equal, and the hash agrees with it; fields named in
+    uncompared are left out of both. Assigning or deleting an attribute
+    raises AttributeError. The methods are compiled once per class, as
+    dataclasses and namedtuple do, so construction costs no loop.
+    """
+    if cls is None:
+        return lambda cls: record(cls, uncompared=uncompared)
+    names = tuple(cls.__annotations__)
+    defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    if not all(n in cls.__dict__ for n in names[len(names) - len(defaults) :]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one")
+    sets = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    mine = "".join(f"self.{n}, " for n in names if n not in uncompared)
+    theirs = mine.replace("self.", "other.")
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = (
+        f"def __init__(self, {', '.join(names)}):{sets}{post}\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n"
+        f'def __repr__(self):\n    return f"{cls.__qualname__}({shown})"\n'
+    )
+    methods = {}
+    exec(source, {"_set": object.__setattr__}, methods)
+    methods["__init__"].__defaults__ = defaults
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls._fields = names
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record obj with the named fields changed. The copy
+    is built by __init__, so its checks run again, and a name that is
+    not a field raises TypeError."""
+    return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("float coefficients are not exact; pass int/Fraction/str")
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+@record
 class GradedClass:
     """An element of Q[g]/(g^5), coefficients indexed by power of g."""
 
@@ -106,14 +163,14 @@ def lattice_degree(model: str, values) -> int:
     return values[0] if model == "free" else sum(map(mul, values, values))
 
 
-@dataclass(frozen=True)
+@record
 class Geometry:
     """A point of a degree lattice: its model and its parameter values,
-    in the order LATTICE_PARAMS names them, which is also its sort key."""
+    in the order LATTICE_PARAMS names them, which is also its sort key.
+    Its degree is computed from them and is not a field."""
 
     model: str
     sort_params: tuple[int, ...]
-    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = LATTICE_PARAMS.get(self.model)
@@ -146,7 +203,7 @@ class Geometry:
         return dict(zip(LATTICE_PARAMS[self.model], self.sort_params))
 
 
-@dataclass(frozen=True)
+@record
 class ChernCase:
     """One candidate fourfold: first Chern coefficient r, second-Chern
     ratio k = c2/c1^2, the pairings <c1 c3> and <c4> = euler, and the
@@ -163,7 +220,7 @@ class ChernCase:
             raise ValueError("r must be nonzero")
 
 
-@dataclass(frozen=True)
+@record
 class CharNumbers:
     """The five Chern numbers of a case, all exact integers."""
 

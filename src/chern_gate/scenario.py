@@ -18,13 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import reprlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
 from .obstruction import FACT_KINDS, ExternalFact, IntPoly
 from .report import parse_frac, parse_int_str
 from .riemann_roch import HodgeDiamond, complete_invariants, invariants_from_diamond
+from .ring import record
 from .search import LATTICE_BOUNDS, LATTICE_MODELS, LatticeSpec
 
 __all__ = [
@@ -55,7 +55,7 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
-@dataclass(frozen=True)
+@record(uncompared=("input_sha256",))
 class LemmaSpec:
     lemma_id: str
     mode: str
@@ -68,7 +68,7 @@ class LemmaSpec:
     facts: tuple[ExternalFact, ...] = ()
     polynomials: tuple[tuple[str, IntPoly], ...] = ()
     baseline_id: str | None = None
-    input_sha256: str = field(compare=False, default="")
+    input_sha256: str = ""
 
 
 # JSON type -> its name in "expected ..." messages.

@@ -25,14 +25,12 @@ independent of how the candidates are partitioned across workers.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from .exact import divisors, integer_sqrt_exact, solve_quadratic_rational
 from .riemann_roch import DerivedInvariants
-from .ring import LATTICE_PARAMS, ChernCase, Geometry, lattice_degree
+from .ring import LATTICE_PARAMS, ChernCase, Geometry, lattice_degree, record
 
 __all__ = [
     "LatticeSpec",
@@ -57,7 +55,7 @@ LATTICE_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class LatticeSpec:
     """Grid bounds for one lattice model (bounds inclusive).
 
@@ -71,10 +69,9 @@ class LatticeSpec:
     a_max: int = 0
     b_max: int = 0
     d_max: int = 0
-    # From the bounds: len(self.grid()), and the largest degree of a grid
-    # point (0 when there is none).
-    points: int = field(init=False, repr=False, compare=False)
-    max_degree: int = field(init=False, repr=False, compare=False)
+    # __post_init__ sets from the bounds points, len(self.grid()), and
+    # max_degree, the largest degree of a grid point (0 when there is
+    # none); neither is a field.
 
     def __post_init__(self):
         if self.model not in LATTICE_MODELS:
@@ -113,7 +110,7 @@ class LatticeSpec:
         return [Geometry(self.model, p) for p in itertools.product(*self._ranges())]
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintSystem:
     target: int
     lattice: LatticeSpec
@@ -131,7 +128,7 @@ class ConstraintSystem:
             raise ValueError("r range must not contain zero")
 
 
-@dataclass(frozen=True)
+@record
 class CaseSolution:
     ordinal: int
     geometry: Geometry
@@ -232,6 +229,8 @@ def enumerate_cases(
     if workers <= 1:
         raw = [hit for g in geoms for hit in _solve_point(system, g)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         chunks = [geoms[i::workers] for i in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(

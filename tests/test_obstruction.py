@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 
@@ -26,7 +25,7 @@ from chern_gate.obstruction import (
     verify_certificate_detailed,
 )
 from chern_gate.riemann_roch import pontryagin_numbers
-from chern_gate.ring import CharNumbers, ChernCase, Geometry
+from chern_gate.ring import CharNumbers, ChernCase, Geometry, replace
 
 DEGREE_225_DESC = [50625, 0, 0, 0, -28350, -18900, -2700, 225, 30]
 RANK2_CASE_2_DESC = [4, 0, 0, 0, -252, -168, 648, -90, -232]

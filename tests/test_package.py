@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chern_gate
@@ -93,3 +96,53 @@ def test_obstruction_imports_only_the_trusted_modules():
     path = Path(chern_gate.__file__).parent / "obstruction.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert set(_package_imports(tree)) - _TRUSTED_IMPORTS == set()
+
+
+# Start-up is the largest cost of a command that replays the lemmas, so
+# the import of the package and its CLI leaves out the dataclasses
+# machinery (records come from ring.record) and the thread pool, which
+# enumerate_cases imports only when it is asked for more than one worker.
+_NOT_AT_IMPORT = ("dataclasses", "concurrent.futures")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_the_thread_pool():
+    script = (
+        "import sys, chern_gate.cli\n"
+        f"print(sorted(set({_NOT_AT_IMPORT!r}) & set(sys.modules)))\n"
+    )
+    src = str(Path(chern_gate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
+def _imports(node: ast.AST, at_import: bool = True):
+    """(module, whether it runs at import) for each absolute import
+    statement under node; a statement inside a function does not."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((alias.name, at_import) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module, at_import
+        inside = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _imports(child, at_import and not inside)
+
+
+def test_no_module_imports_dataclasses_or_the_pool_at_import():
+    found = []
+    for path in sorted(Path(chern_gate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, at_import in _imports(tree):
+            if name.split(".")[0] == "dataclasses" or (
+                at_import and name.startswith("concurrent")
+            ):
+                found.append(f"{path.name}: {name}")
+    assert found == []

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -14,6 +13,7 @@ from chern_gate.pipeline import (
     run_lemma,
 )
 from chern_gate.report import canonical_json, emit_report
+from chern_gate.ring import replace
 
 from conftest import ALL_LEMMAS, DIRECT_LEMMAS, PIPELINE_LEMMAS
 

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from chern_gate.riemann_roch import (
     l_genus_signature,
     pontryagin_numbers,
 )
-from chern_gate.ring import ChernCase, Geometry, chern_from_case, graded
+from chern_gate.ring import ChernCase, Geometry, chern_from_case, graded, replace
 
 IDENTITY_ROWS = [
     [1, 0, 0, 0, 0],
@@ -175,7 +174,7 @@ def test_l_genus_matches_signature_on_rank1_and_rank2_cases(pipeline_runs):
 def test_signature_anchor_check_survives_python_O():
     # Under -O every assert is stripped, so the check must raise by hand.
     script = (
-        "from dataclasses import replace\n"
+        "from chern_gate.ring import replace\n"
         "import chern_gate.riemann_roch as rr\n"
         "assert False, 'asserts are live: not running under -O'\n"
         "real = rr.invariants_from_diamond\n"

@@ -3,7 +3,8 @@
 A linear 4-space (degree 1) and the smooth quadric fourfold (degree 2)
 both genuinely sit inside the ambient 8-space with hyperplane multiplier
 1, so for them the normal-bundle Euler number must equal d^2 exactly.
-They anchor every identity the enumeration relies on.
+They anchor every identity the enumeration relies on. The last tests
+hold ring.record's frozen records to what frozen dataclasses gave.
 """
 
 import random
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from chern_gate.obstruction import IntPoly, RootFound
+from chern_gate.pipeline import load_scenario
 from chern_gate.ring import (
     AMBIENT_BINOMIALS,
     ChernCase,
@@ -20,8 +23,10 @@ from chern_gate.ring import (
     chern_from_case,
     graded,
     normal_c4_polynomial,
+    replace,
     top_pairing,
 )
+from chern_gate.search import ConstraintSystem, LatticeSpec
 
 
 def test_ambient_pullback_binomials():
@@ -175,3 +180,52 @@ def test_classes_and_cases_refuse_malformed_data():
 def test_inverse_requires_nonzero_constant_term():
     with pytest.raises(ValueError):
         graded(0, 1, 0, 0, 0).inverse()
+
+
+def test_records_are_frozen():
+    geom = Geometry.rank2(3, 4)
+    for name in ("model", "degree", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(geom, name, 1)
+    with pytest.raises(AttributeError):
+        del geom.sort_params
+    assert (geom.model, geom.sort_params, geom.degree) == ("rank2", (3, 4), 25)
+
+
+def test_computed_and_uncompared_attributes_stay_out_of_equality():
+    geom = Geometry.rank2(3, 4)
+    twin = Geometry("rank2", (3, 4))
+    object.__setattr__(twin, "degree", 0)
+    assert twin == geom and hash(twin) == hash(geom)
+    assert repr(twin) == "Geometry(model='rank2', sort_params=(3, 4))"
+    assert Geometry.rank2(4, 3) != geom
+    spec = load_scenario("2.1")
+    other = replace(spec, input_sha256="0" * 64)
+    assert other.input_sha256 != spec.input_sha256
+    assert other == spec and hash(other) == hash(spec)
+    assert replace(spec, k_lower=Fraction(1, 3)) != spec
+
+
+def test_records_compare_only_with_their_own_class():
+    assert RootFound(5) == RootFound(m=5)
+    assert RootFound(5) != (5,) and (5,) != RootFound(5)
+    assert RootFound(5) != RootFound(6)
+    assert repr(RootFound(5)) == "RootFound(m=5)"
+    case = ChernCase(-1, Fraction(7, 16), 48, 6, Geometry.rank2(3, 4))
+    assert case == ChernCase(-1, Fraction(7, 16), 48, 6, Geometry("rank2", (3, 4)))
+    assert len({case, replace(case, c1c3=48)}) == 1
+
+
+def test_replace_runs_the_checks_again():
+    poly = IntPoly((1, 2), scale=3)
+    assert replace(poly, coeffs=(4, 5, 0, 0)) == IntPoly((4, 5), 3)
+    system = ConstraintSystem(
+        target=10, lattice=LatticeSpec("free", d_max=5), r_min=1, r_max=2
+    )
+    assert replace(system, r_max=1).r_max == 1
+    with pytest.raises(ValueError, match="empty r range"):
+        replace(system, r_min=3)
+    for name in ("degree", "nonsense"):
+        with pytest.raises(TypeError):
+            replace(Geometry.free(3), **{name: 3})
+

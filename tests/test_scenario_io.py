@@ -91,6 +91,33 @@ def test_serre_duality_is_checked_through_run(tmp_path, capsys):
     assert dispatch(["run", "--scenario", str(src)]) in (0, 1)
 
 
+def test_a_diamond_that_passes_the_symmetry_checks_is_refused_at_hodge(
+    tmp_path, capsys
+):
+    # A negative corner and a disconnected fourfold are both symmetric
+    # and Serre-dual, so HodgeDiamond itself refuses them, and its reason
+    # is reported at the diamond's path.
+    for cells, reason in (
+        ({(0, 4): -1, (4, 0): -1}, "h[0][4] is negative"),
+        (
+            {(0, 0): 2, (4, 4): 2},
+            "a connected fourfold needs h[0][0] == h[4][4] == 1",
+        ),
+    ):
+        doc = shipped("2.1")
+        for (p, q), value in cells.items():
+            doc["hodge"][p][q] = value
+        with pytest.raises(ScenarioError) as err:
+            reparse(doc)
+        assert (err.value.path, err.value.reason) == ("hodge", reason)
+        src = tmp_path / "diamond.json"
+        src.write_text(json.dumps(doc))
+        assert dispatch(["run", "--scenario", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: hodge: {reason}\n"
+
+
 def test_lemma_and_mode_validation():
     doc = shipped("2.1")
     doc["lemma"] = "7.7"
