@@ -1,21 +1,17 @@
-"""Exact integer and rational arithmetic helpers.
+"""Exact integer arithmetic helpers.
 
-Python integers are arbitrary precision already, and fractions.Fraction
-gives canonical reduced rationals, so this module is a thin layer: the
-few operations the rest of the package needs, stated once, with exact
-semantics and no floats anywhere.
+Python integers are arbitrary precision already, so this module is a
+thin layer: the few operations the rest of the package needs, stated
+once, with exact semantics and no floats anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
     "integer_sqrt_exact",
-    "solve_quadratic_rational",
-    "polynomial_content",
     "is_probable_prime",
     "factorize",
     "divisors",
@@ -28,42 +24,6 @@ def integer_sqrt_exact(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def solve_quadratic_rational(
-    a: Fraction | int, b: Fraction | int, c: Fraction | int
-) -> tuple[Fraction, ...]:
-    """All rational roots of a*x^2 + b*x + c = 0, ascending.
-
-    Irrational roots are dropped entirely: a non-square discriminant
-    yields (). A vanishing discriminant yields the double root once.
-    The denominators are cleared once, to A x^2 + B x + C with A > 0,
-    so the discriminant is an integer and each root one Fraction.
-    """
-    if a == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    den = math.lcm(a.denominator, b.denominator, c.denominator)
-    if a.numerator < 0:
-        den = -den
-    A = a.numerator * (den // a.denominator)
-    B = b.numerator * (den // b.denominator)
-    C = c.numerator * (den // c.denominator)
-    s = integer_sqrt_exact(B * B - 4 * A * C)
-    if s is None:
-        return ()
-    if s == 0:
-        return (Fraction(-B, 2 * A),)
-    return (Fraction(-B - s, 2 * A), Fraction(-B + s, 2 * A))
-
-
-def polynomial_content(coeffs) -> int:
-    """Positive gcd of a nonzero integer coefficient list."""
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    if g == 0:
-        raise ValueError("zero polynomial has no content")
-    return g
 
 
 # Factoring support for the constant-divisor root test. Miller-Rabin to
@@ -165,8 +125,6 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

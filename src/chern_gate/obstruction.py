@@ -25,9 +25,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
-from .exact import PSI_13, divisors, is_probable_prime, polynomial_content
+from .exact import PSI_13, divisors, is_probable_prime
 from .exact import _primes_upto, _primorial
 from .ring import CharNumbers, ChernCase, normal_c4_polynomial, record
 from .riemann_roch import pontryagin_numbers
@@ -75,8 +75,8 @@ class IntPoly:
             raise ValueError("scale must be a positive integer")
 
     @classmethod
-    def from_desc(cls, desc, scale: int = 1) -> "IntPoly":
-        return cls(tuple(reversed(tuple(desc))), scale)
+    def from_desc(cls, desc) -> "IntPoly":
+        return cls(tuple(reversed(tuple(desc))))
 
     @property
     def desc_coeffs(self) -> tuple[int, ...]:
@@ -228,7 +228,7 @@ def _reduce(poly: IntPoly) -> tuple[int, int, IntPoly]:
     """
     if poly.is_zero:
         raise ValueError("zero polynomial: every m is a root")
-    content = polynomial_content(poly.coeffs)
+    content = gcd(*poly.coeffs)
     m_power = next(i for i, c in enumerate(poly.coeffs) if c)
     reduced, _ = _check_reduction(poly, content, m_power)
     return content, m_power, reduced

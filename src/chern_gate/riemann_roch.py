@@ -152,29 +152,3 @@ def l_genus_signature(pd: PontryaginData) -> Fraction:
     num = 7 * p2.numerator * (den // p2.denominator)
     num -= p1_sq.numerator * (den // p1_sq.denominator)
     return Fraction(num, 45 * den)
-
-
-# Anchor check for the signature convention: the formula above must give
-# 1 on the diagonal diamond of P^4 and 2 on the diamond with middle row
-# 0 0 2 0 0. Evaluated at import so a convention slip cannot go quiet;
-# it raises rather than asserts so that python -O keeps it.
-
-def _signature_anchor_check() -> None:
-    p4 = HodgeDiamond.from_rows(
-        [[1 if p == q else 0 for q in range(5)] for p in range(5)]
-    )
-    mid2 = HodgeDiamond.from_rows(
-        [
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 0, 2, 0, 0],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-        ]
-    )
-    for diamond, expected in ((p4, 1), (mid2, 2)):
-        if invariants_from_diamond(diamond).signature != expected:
-            raise ArithmeticError(f"signature anchor: expected {expected}")
-
-
-_signature_anchor_check()

@@ -250,8 +250,10 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
     _known_keys(doc, allowed, "", f"unknown key for mode {mode!r}")
 
     baseline_id = doc.get("baseline_id")
-    if baseline_id is not None and baseline_id not in LEMMA_IDS:
-        raise ScenarioError("baseline_id", f"unknown baseline id {baseline_id!r}")
+    if baseline_id is not None and baseline_id != lemma:
+        raise ScenarioError(
+            "baseline_id", f"{baseline_id!r} is not the scenario's lemma {lemma!r}"
+        )
     sha = hashlib.sha256(raw).hexdigest()
 
     if mode == "direct":

@@ -15,8 +15,9 @@ degree. With g = gcd(D, 3 target) that forces D = g a^2 and
 b^2 - 7 (r^2 a)^2 = 3 target / g, so the degrees come from the
 solutions of one Pell-type equation per divisor g of 3 target, not from
 a scan of the grid. The grid points of those degrees then go through
-the per-point solver, which repeats the square test for each r, solves
-the exact quadratic, and applies the bounds and the rule. The cost
+the per-point solver, which for each r repeats the square test with
+s its root, takes k = (-2 c14 +- s) / (3 c14) with c14 = r^4 D, and
+applies the bounds and the rule. The cost
 grows with the target rather than with the grid. Output order is
 deterministic (lattice parameters, then r, then k, ascending) and
 independent of how the candidates are partitioned across workers.
@@ -28,7 +29,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
-from .exact import divisors, integer_sqrt_exact, solve_quadratic_rational
+from .exact import divisors, integer_sqrt_exact
 from .riemann_roch import DerivedInvariants
 from .ring import LATTICE_PARAMS, ChernCase, Geometry, lattice_degree, record
 
@@ -146,20 +147,26 @@ def _passes_divisibility(geom: Geometry, r: int, k: Fraction) -> bool:
     return (gcd(*geom.sort_params) * r * r) % l == 0
 
 
+def solve_quadratic_rational(c14: int, target: int) -> tuple[Fraction, ...]:
+    """The rational roots k of (3k^2 + 4k - 1) c14 == target, ascending.
+
+    They are (-2 c14 -+ s) / (3 c14) with s^2 = c14 (7 c14 + 3 target),
+    and () when that is not a square. With c14 > 0 and target > 0, s > 0,
+    so a rational pair is always two distinct roots.
+    """
+    s = integer_sqrt_exact(c14 * (7 * c14 + 3 * target))
+    if s is None:
+        return ()
+    return (Fraction(-2 * c14 - s, 3 * c14), Fraction(-2 * c14 + s, 3 * c14))
+
+
 def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
     found = []
     for r in range(system.r_min, system.r_max + 1):
         c14 = r**4 * geom.degree
         if system.c14_max is not None and c14 > system.c14_max:
             continue
-        # (3k^2 + 4k - 1) c14 = target  <=>  3 c14 k^2 + 4 c14 k - (c14 + target)
-        # = 0, whose discriminant 4 c14 (7 c14 + 3 target) is a square
-        # exactly when c14 (7 c14 + 3 target) is one. Most points fail that
-        # integer test and never reach the solver.
-        if integer_sqrt_exact(c14 * (7 * c14 + 3 * system.target)) is None:
-            continue
-        roots = solve_quadratic_rational(3 * c14, 4 * c14, -(c14 + system.target))
-        for k in roots:
+        for k in solve_quadratic_rational(c14, system.target):
             if system.k_lower is not None and not k > system.k_lower:
                 continue
             if not _passes_divisibility(geom, r, k):

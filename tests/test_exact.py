@@ -2,18 +2,13 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chern_gate import exact
-from chern_gate.exact import (
-    divisors,
-    factorize,
-    integer_sqrt_exact,
-    is_probable_prime,
-    polynomial_content,
-    solve_quadratic_rational,
-)
+from chern_gate.exact import divisors, factorize, integer_sqrt_exact, is_probable_prime
+from chern_gate.obstruction import IntPoly, _reduce
+from chern_gate.search import solve_quadratic_rational
 
 
 def test_integer_sqrt_exact_squares_and_non_squares():
@@ -27,43 +22,48 @@ def test_integer_sqrt_exact_squares_and_non_squares():
 
 
 def test_solve_quadratic_known_roots():
-    # 3k^2 + 4k - 4 = 0 is the index equation of the degree-225 case
-    assert solve_quadratic_rational(3, 4, -4) == (Fraction(-2), Fraction(2, 3))
-    # 75k^2 + 100k - 52 = 0 comes from the degree-625 positive-index case
-    assert solve_quadratic_rational(75, 100, -52) == (
-        Fraction(-26, 15),
-        Fraction(2, 5),
-    )
+    # (3k^2 + 4k - 1) c14 == target. c14 = 1, target = 3 is 3k^2 + 4k - 4 = 0,
+    # the index equation of the degree-225 case
+    assert solve_quadratic_rational(1, 3) == (Fraction(-2), Fraction(2, 3))
+    # c14 = 25, target = 27 is 75k^2 + 100k - 52 = 0, from the degree-625
+    # positive-index case
+    assert solve_quadratic_rational(25, 27) == (Fraction(-26, 15), Fraction(2, 5))
 
 
 def test_solve_quadratic_degenerate_cases():
-    assert solve_quadratic_rational(1, -4, 4) == (Fraction(2),)
-    assert solve_quadratic_rational(1, 0, -2) == ()  # irrational pair
-    assert solve_quadratic_rational(1, 0, 1) == ()  # complex pair
-    with pytest.raises(ValueError):
-        solve_quadratic_rational(0, 1, 1)
+    # c14 (7 c14 + 3 target) is 10 and 58, not squares: irrational pairs
+    assert solve_quadratic_rational(1, 1) == ()
+    assert solve_quadratic_rational(2, 5) == ()
+    # 1 * (7 - 9) < 0: a complex pair
+    assert solve_quadratic_rational(1, -3) == ()
 
 
 @given(
     st.fractions(max_denominator=50),
-    st.fractions(max_denominator=50),
-    st.fractions(max_denominator=50).filter(lambda a: a != 0),
+    st.integers(min_value=1, max_value=1_000),
 )
-def test_solve_quadratic_roots_actually_solve(r1, r2, a):
-    b = -a * (r1 + r2)
-    c = a * r1 * r2
-    roots = solve_quadratic_rational(a, b, c)
-    assert set(roots) == {r1, r2}
+def test_solve_quadratic_roots_actually_solve(k, m):
+    # c14 = q^2 m makes target = (3k^2 + 4k - 1) c14 an integer.
+    c14 = k.denominator**2 * m
+    target = (3 * k * k + 4 * k - 1) * c14
+    assume(target >= 1)
+    roots = solve_quadratic_rational(c14, int(target))
+    assert k in roots
+    assert len(roots) == 2 and roots[0] < roots[1]
     for x in roots:
-        assert a * x * x + b * x + c == 0
+        assert (3 * x * x + 4 * x - 1) * c14 == target
 
 
 def test_polynomial_content():
-    assert polynomial_content([50625, -28350, -18900, -2700, 225, 30]) == 15
-    assert polynomial_content([-4, 8]) == 4
-    assert polynomial_content([7]) == 7
-    with pytest.raises(ValueError):
-        polynomial_content([0, 0])
+    # _reduce takes the gcd of the coefficients as the content
+    for coeffs, content in (
+        ((50625, -28350, -18900, -2700, 225, 30), 15),
+        ((-4, 8), 4),
+        ((7,), 7),
+    ):
+        assert _reduce(IntPoly(coeffs))[0] == content
+    with pytest.raises(ValueError, match="zero polynomial"):
+        _reduce(IntPoly((0, 0)))
 
 
 def test_is_probable_prime_small_and_large():
@@ -199,9 +199,15 @@ def test_integer_sqrt_matches_isqrt(n):
 
 @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1))
 def test_content_divides_everything(coeffs):
+    # _reduce splits off the gcd of the coefficients as the content and a
+    # power of m, and leaves a primitive polynomial with a positive lead
+    # and a nonzero constant term.
     if all(c == 0 for c in coeffs):
         return
-    g = polynomial_content(coeffs)
-    assert g > 0
-    assert all(c % g == 0 for c in coeffs)
-    assert gcd(*(c // g for c in coeffs)) == 1
+    poly = IntPoly(tuple(coeffs))
+    content, m_power, reduced = _reduce(poly)
+    assert content == gcd(*coeffs) > 0
+    assert gcd(*reduced.coeffs) == 1
+    assert reduced.coeffs[-1] > 0 and reduced.coeffs[0] != 0
+    back = (0,) * m_power + tuple(content * c for c in reduced.coeffs)
+    assert poly.coeffs in (back, tuple(-c for c in back))

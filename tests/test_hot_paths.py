@@ -8,9 +8,9 @@ meets: a zero among the values is the least positive root, and a
 divisor t of the constant term with p(-t) == 0 sends it to the divisor
 test at once, which reads p(t) from the scan for every divisor t the
 scan reached. The enumeration visits only the
-degrees that solutions of x^2 - 7 y^2 = 3 target / g allow, and solves
-the quadratic only where an integer square test says k is rational.
-Each case's quadratic, characteristic numbers, Pontryagin numbers,
+degrees that solutions of x^2 - 7 y^2 = 3 target / g allow, and takes
+k in closed form from the integer square root of c14 (7 c14 + 3 target).
+Each case's characteristic numbers, Pontryagin numbers,
 signature and chi(O) check are integer numerators over a known
 denominator, with one Fraction per value returned, and so is c4 of the
 normal bundle, whose inverse of c(X) runs on integers over powers of
@@ -31,11 +31,11 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chern_gate import constraint_system_for, enumerate_cases, search
-from chern_gate.exact import divisors, factorize, solve_quadratic_rational
+from chern_gate.exact import divisors, factorize
 from chern_gate.obstruction import (
     ConstantDivisorTest,
     IntPoly,
@@ -73,6 +73,7 @@ from chern_gate.search import (
     ConstraintSystem,
     LatticeSpec,
     _pell_ys,
+    solve_quadratic_rational,
 )
 
 from conftest import PIPELINE_LEMMAS
@@ -131,7 +132,7 @@ def prime_power_horner_eliminate(poly: IntPoly, max_modulus: int = 720):
 
 
 def fraction_solve_quadratic(a, b, c) -> tuple[Fraction, ...]:
-    """exact.solve_quadratic_rational in Fraction arithmetic: the rational
+    """The roots of a x^2 + b x + c = 0 in Fraction arithmetic: the rational
     square root of the discriminant, then each root as a quotient."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0:
@@ -460,11 +461,11 @@ def test_pell_solutions_match_trying_every_y():
 
 
 def test_quadratic_is_solved_only_where_k_is_rational(pipeline_runs, monkeypatch):
-    results = []
+    calls = []
 
-    def recording(a, b, c):
-        results.append(solve_quadratic_rational(a, b, c))
-        return results[-1]
+    def recording(c14, target):
+        calls.append((c14, target, solve_quadratic_rational(c14, target)))
+        return calls[-1][-1]
 
     # The search module looks the solver up by name at each call.
     monkeypatch.setattr(search, "solve_quadratic_rational", recording)
@@ -472,16 +473,38 @@ def test_quadratic_is_solved_only_where_k_is_rational(pipeline_runs, monkeypatch
         spec, inv, solutions = pipeline_runs[lid]
         system = constraint_system_for(spec, target=inv.target)
         assert enumerate_cases(system) == solutions, lid
-    # Every call has a rational root: non-square points never reach it.
-    assert results and all(results)
+    # A call returns () exactly when c14 (7 c14 + 3 target) is not a square.
+    assert calls
+    for c14, target, roots in calls:
+        n = c14 * (7 * c14 + 3 * target)
+        assert (roots == ()) == (isqrt(n) ** 2 != n), (c14, target)
+
+
+@st.composite
+def index_equations(draw):
+    """(c14, target), both positive: half drawn freely, so that
+    c14 (7 c14 + 3 target) is rarely a square, and half built from a
+    rational root k = p/q, with q^2 dividing c14."""
+    c14 = draw(st.integers(min_value=1, max_value=10**4))
+    if draw(st.booleans()):
+        return c14, draw(st.integers(min_value=1, max_value=10**6))
+    p = draw(st.integers(min_value=-400, max_value=400))
+    q = draw(st.integers(min_value=1, max_value=60))
+    c14 *= q * q
+    target = (3 * p * p + 4 * p * q - q * q) * (c14 // (q * q))
+    assume(target >= 1)
+    return c14, target
 
 
 @DIFFERENTIAL
-@given(RATIONAL.filter(bool), RATIONAL, RATIONAL)
-@example(Fraction(-3, 4), Fraction(0), Fraction(3, 1))  # roots -2 and 2
-@example(Fraction(1, 9), Fraction(-2, 3), Fraction(1))  # the double root 3
-def test_solver_matches_the_fraction_quadratic(a, b, c):
-    assert solve_quadratic_rational(a, b, c) == fraction_solve_quadratic(a, b, c)
+@given(index_equations())
+@example((1, 3))  # roots -2 and 2/3
+@example((25, 27))  # roots -26/15 and 2/5
+@example((1, 1))  # 1 * (7 + 3) is not a square: no rational root
+def test_solver_matches_the_fraction_quadratic(equation):
+    c14, target = equation
+    expected = fraction_solve_quadratic(3 * c14, 4 * c14, -(c14 + target))
+    assert solve_quadratic_rational(c14, target) == expected
 
 
 @DIFFERENTIAL

@@ -23,6 +23,7 @@ from chern_gate.ring import (
     chern_from_case,
     graded,
     normal_c4_polynomial,
+    record,
     replace,
     top_pairing,
 )
@@ -229,3 +230,13 @@ def test_replace_runs_the_checks_again():
         with pytest.raises(TypeError):
             replace(Geometry.free(3), **{name: 3})
 
+
+def test_a_field_without_a_default_may_not_follow_one():
+    # As with dataclasses, the generated __init__ could not take it
+    # positionally.
+    class Bad:
+        label: str = ""
+        value: int
+
+    with pytest.raises(TypeError, match="Bad: a field without a default follows one"):
+        record(Bad)

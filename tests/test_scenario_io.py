@@ -130,6 +130,21 @@ def test_lemma_and_mode_validation():
     assert error_path(doc) == "lemma"
 
 
+def test_a_baseline_for_another_lemma_is_refused_at_baseline_id(tmp_path, capsys):
+    for lid, other in (("2.1", "3.1"), ("A.1", "A.2"), ("2.2", "9.9")):
+        doc = shipped(lid)
+        doc["baseline_id"] = other
+        assert error_path(doc) == "baseline_id"
+    doc = shipped("2.1")
+    doc["baseline_id"] = "3.1"
+    src = tmp_path / "lemma-2.1.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["run", "--scenario", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: baseline_id: ")
+
+
 def test_unknown_keys_are_rejected_per_mode():
     doc = shipped("2.1")
     doc["polynomials"] = []
