@@ -23,6 +23,7 @@ from .obstruction import (
     ModularObstruction,
     RootFound,
 )
+from .riemann_roch import DerivedInvariants
 
 __all__ = [
     "frac_str",
@@ -318,11 +319,8 @@ def _emit_markdown(report: dict) -> bytes:
     lines.append("")
     if report.get("invariants"):
         inv = report["invariants"]
-        lines.append(
-            f"invariants: chi={inv['chi']}, chi_O={inv['chi_O']}, "
-            f"chi1={inv['chi1']}, signature={inv['signature']}, "
-            f"c1c3={inv['c1c3']}, target={inv['target']}"
-        )
+        pairs = (f"{name}={inv[name]}" for name in DerivedInvariants._fields)
+        lines.append(f"invariants: {', '.join(pairs)}")
         lines.append("")
     if report.get("cases"):
         lines.append("## Cases")

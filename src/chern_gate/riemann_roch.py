@@ -27,7 +27,7 @@ import operator
 from fractions import Fraction
 from math import lcm
 
-from .ring import ChernCase, Geometry, GradedClass, record, replace
+from .ring import CharNumbers, ChernCase, record, replace
 
 __all__ = [
     "HodgeDiamond",
@@ -95,24 +95,10 @@ def complete_invariants(inv: DerivedInvariants) -> DerivedInvariants:
     return replace(inv, c1c3=c1c3, target=target)
 
 
-def chi_O_from_class(c: GradedClass, geom: Geometry) -> Fraction:
-    """chi of the structure sheaf from a total Chern class, exactly.
-
-    (-<c4> + <c3 c1> + 3<c2^2> + 4<c2 c1^2> - <c1^4>) / 720. Every class
-    here is a power of the generator, so pairings are coefficient
-    products times the degree. With L the lcm of the coefficients'
-    denominators, Qi = L qi are integers and the sum is one fraction
-    over 720 L^4.
-    """
-    _, *coeffs = c.coeffs
-    den = lcm(*(x.denominator for x in coeffs))
-    q1, q2, q3, q4 = (x.numerator * (den // x.denominator) for x in coeffs)
-    paired = (
-        (-q4 * den + q3 * q1 + 3 * q2 * q2) * den * den
-        + 4 * q2 * q1 * q1 * den
-        - q1**4
-    )
-    return Fraction(paired * geom.degree, 720 * den**4)
+def chi_O_from_class(cn: CharNumbers) -> Fraction:
+    """chi of the structure sheaf from a case's Chern numbers, by
+    Riemann-Roch: (-<c4> + <c1 c3> + 3<c2^2> + 4<c1^2 c2> - <c1^4>) / 720."""
+    return Fraction(-cn.c4 + cn.c1c3 + 3 * cn.c2_2 + 4 * cn.c1_2c2 - cn.c1_4, 720)
 
 
 @record

@@ -12,7 +12,8 @@ geometry): total Chern class 1 + r*g + k*r^2*g^2 + (c1c3/(r*d))*g^3 +
 embedding with g = m * (hyperplane class), so the pulled-back total
 Chern class is (1 + m*g)^9 truncated. normal_c4_polynomial computes
 c4 of the normal bundle on integer numerators over one common
-denominator; GradedClass and its inverse are the plain Fraction form.
+denominator. No command builds a GradedClass: it and its inverse are
+the plain Fraction form that the tests hold the integer paths to.
 
 Every value type of the package is a frozen record made by record below,
 which stands in for a frozen dataclass without importing dataclasses.
@@ -114,10 +115,6 @@ class GradedClass:
     def __post_init__(self):
         if len(self.coeffs) != _TRUNC:
             raise ValueError("a graded class has exactly five coefficients")
-
-    @staticmethod
-    def unit() -> "GradedClass":
-        return graded(1, 0, 0, 0, 0)
 
     def __mul__(self, other: "GradedClass") -> "GradedClass":
         a, b = self.coeffs, other.coeffs

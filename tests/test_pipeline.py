@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from chern_gate.pipeline import (
     run_lemma,
 )
 from chern_gate.report import canonical_json, emit_report
-from chern_gate.ring import replace
+from chern_gate.ring import GradedClass, replace
 
 from conftest import ALL_LEMMAS, DIRECT_LEMMAS, PIPELINE_LEMMAS
 
@@ -84,6 +85,23 @@ def test_reports_are_byte_identical_across_runs():
     second = run_lemma(load_scenario("3.1"), baseline=load_baseline("3.1"))
     assert emit_report(first, "json") == emit_report(second, "json")
     assert emit_report(first, "md") == emit_report(second, "md")
+
+
+# sha256 of `reproduce --lemma all --format json`, as CI pins it.
+ALL_JSON_SHA256 = "a64836c3a8991030db9a2b8c826f9669111610c10071af0cf5c1b6313eb2c1f7"
+
+
+def test_reproduce_all_builds_no_graded_class(monkeypatch, tmp_path, capsys):
+    # GradedClass is the Fraction form the tests hold the integer paths
+    # to; a command reads each case's row of integers and builds none.
+    def refuse(self):
+        raise AssertionError("a command built a GradedClass")
+
+    monkeypatch.setattr(GradedClass, "__post_init__", refuse)
+    out = tmp_path / "all.json"
+    assert dispatch(["reproduce", "--lemma", "all", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_JSON_SHA256
+    assert capsys.readouterr().err.count("(baseline exact match)") == 7
 
 
 def test_workers_do_not_change_the_report(shipped_reports):

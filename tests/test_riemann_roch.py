@@ -10,7 +10,7 @@ from chern_gate.riemann_roch import (
     l_genus_signature,
     pontryagin_numbers,
 )
-from chern_gate.ring import ChernCase, Geometry, chern_from_case, graded, replace
+from chern_gate.ring import ChernCase, Geometry, char_number_table, replace
 
 IDENTITY_ROWS = [
     [1, 0, 0, 0, 0],
@@ -101,14 +101,14 @@ def test_rr_target_for_the_three_diamonds(rows, c1c3, target):
 
 def test_chi_O_from_class_on_reference_manifolds(quadric_case, p4_case):
     for case in (quadric_case, p4_case):
-        c = chern_from_case(case)
-        assert chi_O_from_class(c, case.geometry) == 1
+        assert chi_O_from_class(char_number_table(case)) == 1
 
 
-def test_chi_O_from_class_detects_wrong_class():
-    # same shape, broken c2: the Todd pairing must move off 1
-    c = graded(1, 4, 8, 6, 3)
-    assert chi_O_from_class(c, Geometry.free(2)) != 1
+def test_chi_O_from_class_detects_wrong_class(quadric_case):
+    # the quadric's row with c2 = 8 g^2 instead of 7 g^2: the Todd
+    # pairing must move off 1
+    cn = replace(char_number_table(quadric_case), c1_2c2=4 * 4 * 8 * 2, c2_2=8 * 8 * 2)
+    assert chi_O_from_class(cn) != 1
 
 
 def test_chi_O_matches_diamond_for_every_enumerated_case(pipeline_runs):
@@ -116,9 +116,8 @@ def test_chi_O_matches_diamond_for_every_enumerated_case(pipeline_runs):
 
     for spec, inv, solutions in pipeline_runs.values():
         for sol in solutions:
-            case = to_chern_case(sol, inv)
-            c = chern_from_case(case)
-            assert chi_O_from_class(c, sol.geometry) == inv.chi_O
+            cn = char_number_table(to_chern_case(sol, inv))
+            assert chi_O_from_class(cn) == inv.chi_O
 
 
 def test_pontryagin_numbers_spin_cases():

@@ -476,7 +476,7 @@ def test_baselines_are_loadable_and_consistent():
 def test_cli_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     # A chi(O) that disagrees with the diamond's is the pipeline's own
     # cross-check failing, not bad input.
-    monkeypatch.setattr("chern_gate.pipeline.chi_O_from_class", lambda c, g: 2)
+    monkeypatch.setattr("chern_gate.pipeline.chi_O_from_class", lambda cn: 2)
     assert dispatch(["reproduce", "--lemma", "2.1"]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [
