@@ -98,6 +98,8 @@ def _key_str(key) -> str:
 
 
 def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -> dict:
+    """The report of spec, diffed against baseline when one is given.
+    workers is accepted and ignored: the benchmark harness still passes it."""
     if baseline is not None and baseline.get("lemma") != spec.lemma_id:
         raise ValueError(
             f"baseline is for lemma {baseline.get('lemma')!r}, "
@@ -113,7 +115,7 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
         inv = complete_invariants(invariants_from_diamond(spec.diamond))
         invariants = {name: getattr(inv, name) for name in inv._fields}
         system = constraint_system_for(spec, target=inv.target)
-        solutions = enumerate_cases(system, workers=workers)
+        solutions = enumerate_cases(system)
         case_rows, records, ids = _case_rows(solutions, inv, baseline)
         filters = spec.filters
     labels = {o: f"case-{o}" if bid is None else bid for o, bid in ids.items()}

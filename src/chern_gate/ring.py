@@ -49,7 +49,7 @@ def _frozen(self, name, value=None):
     raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
 
 
-def record(cls=None, *, uncompared=()):
+def record(cls):
     """Make cls a frozen record, as @dataclass(frozen=True) would.
 
     Its annotated names are its fields, in order, and a field's class
@@ -57,20 +57,18 @@ def record(cls=None, *, uncompared=()):
     takes them positionally or by keyword and then runs the class's
     __post_init__, if any, which sets an attribute with
     object.__setattr__. == holds between records of one class whose
-    fields are equal, and the hash agrees with it; fields named in
-    uncompared are left out of both. Assigning or deleting an attribute
-    raises AttributeError. The methods are compiled once per class, as
-    dataclasses and namedtuple do, so construction costs no loop.
+    fields are equal, and the hash agrees with it. Assigning or deleting
+    an attribute raises AttributeError. The methods are compiled once per
+    class, as dataclasses and namedtuple do, so construction costs no
+    loop.
     """
-    if cls is None:
-        return lambda cls: record(cls, uncompared=uncompared)
     names = tuple(cls.__annotations__)
     defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
     if not all(n in cls.__dict__ for n in names[len(names) - len(defaults) :]):
         raise TypeError(f"{cls.__name__}: a field without a default follows one")
     sets = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
     post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    mine = "".join(f"self.{n}, " for n in names if n not in uncompared)
+    mine = "".join(f"self.{n}, " for n in names)
     theirs = mine.replace("self.", "other.")
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
     source = (

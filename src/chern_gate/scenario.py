@@ -1,8 +1,10 @@
 """Scenario files: the JSON inputs that drive a lemma replay.
 
 A scenario either describes a full pipeline run (Hodge diamond, sign
-of c1, lattice grid, divisibility rule, filters, literature facts) or
-a direct run over explicit obstruction polynomials. Parsing is strict
+of c1, lattice grid, filters, literature facts) or a direct run over
+explicit obstruction polynomials. The divisibility rule follows from
+the lattice model, so a pipeline scenario may leave it out; one that
+names a rule the model does not have is refused. Parsing is strict
 and typed: every object rejects a key it does not define, every value
 is read by a check of its field's type, so a float fails at its own
 field (rationals travel as "p/q" strings, big integers as decimal
@@ -55,7 +57,7 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
-@record(uncompared=("input_sha256",))
+@record
 class LemmaSpec:
     lemma_id: str
     mode: str
@@ -301,7 +303,7 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
             f"{lattice.points} grid points times {r_values} values of r "
             f"exceed the budget of {GRID_BUDGET}",
         )
-    divisibility = _require(doc, "divisibility", "divisibility")
+    divisibility = doc.get("divisibility", lattice.rule)
     if divisibility != lattice.rule:
         raise ScenarioError(
             "divisibility",

@@ -19,8 +19,7 @@ the per-point solver, which for each r repeats the square test with
 s its root, takes k = (-2 c14 +- s) / (3 c14) with c14 = r^4 D, and
 applies the bounds and the rule. The cost
 grows with the target rather than with the grid. Output order is
-deterministic (lattice parameters, then r, then k, ascending) and
-independent of how the candidates are partitioned across workers.
+deterministic: lattice parameters, then r, then k, ascending.
 """
 
 from __future__ import annotations
@@ -219,32 +218,18 @@ def _candidate_degrees(system: ConstraintSystem) -> set[int]:
     return found
 
 
-def enumerate_cases(
-    system: ConstraintSystem, workers: int = 1
-) -> list[CaseSolution]:
+def enumerate_cases(system: ConstraintSystem, workers: int = 1) -> list[CaseSolution]:
     """All solutions over the grid, sorted and numbered from 1.
 
-    Only the grid points at a candidate degree are solved. workers > 1
-    partitions those points by stride; results are merged and sorted, so
-    the output is identical for any worker count.
+    Only the grid points at a candidate degree are solved. workers is
+    accepted and ignored: the benchmark harness still passes it.
     """
-    geoms = [
-        geom
+    raw = [
+        hit
         for d in sorted(_candidate_degrees(system))
         for geom in system.lattice.at_degree(d)
+        for hit in _solve_point(system, geom)
     ]
-    if workers <= 1:
-        raw = [hit for g in geoms for hit in _solve_point(system, g)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [geoms[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda chunk: [hit for g in chunk for hit in _solve_point(system, g)],
-                chunks,
-            )
-            raw = list(itertools.chain.from_iterable(parts))
     raw.sort(key=lambda hit: (hit[0].sort_params, hit[1], hit[2]))
     seen = set()
     for hit in raw:

@@ -1,8 +1,10 @@
 """The benchmark harness in chernbench/ patches the program's functions by
 module and name (tracing.LAYERS), reads the lattice bounds of every
 enumeration it traces, and serves requests through the package's public
-names. A change that drops or renames one of them fails here, in the
-tier-1 run, and not only in the benchmark's own traced run.
+names. Its traced runs also time enumerate_cases with workers=2, a
+keyword the package accepts and ignores. A change that drops or renames
+one of them fails here, in the tier-1 run, and not only in the
+benchmark's own traced run.
 
 The harness is imported as it ships; nothing under chernbench/ is
 written, bytecode included.
@@ -10,6 +12,7 @@ written, bytecode included.
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import chern_gate as cg
 
@@ -30,3 +33,8 @@ def test_the_benchmark_finds_every_name_it_patches_and_calls(monkeypatch):
         restore()
     assert traced == expected
     assert run.serve(cg, cg.scenario_bytes("3.1")) == expected
+    requests = [
+        SimpleNamespace(scenario=cg.scenario_bytes(lid))
+        for lid in ("2.1", "2.2", "3.1", "4.2")
+    ]
+    assert all(ms > 0 for ms in run.enumerate_ms(cg, requests))

@@ -189,7 +189,9 @@ def test_divisor_certificate_over_psi_13_is_unproven():
     assert cert.divisors == (1, PSI_13)
     ok, reason = verify_certificate_detailed(poly, cert)
     assert not ok
-    assert reason == f"divisor {PSI_13} is at least psi_13, so its primality is unproven"
+    assert reason == (
+        f"divisor {PSI_13} is at least psi_13, so its primality is unproven"
+    )
 
 
 def test_composite_divisors_above_psi_13_still_verify():

@@ -100,8 +100,7 @@ def test_obstruction_imports_only_the_trusted_modules():
 
 # Start-up is the largest cost of a command that replays the lemmas, so
 # the import of the package and its CLI leaves out the dataclasses
-# machinery (records come from ring.record) and the thread pool, which
-# enumerate_cases imports only when it is asked for more than one worker.
+# machinery (records come from ring.record) and the thread pool.
 _NOT_AT_IMPORT = ("dataclasses", "concurrent.futures")
 
 
@@ -124,25 +123,24 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_the_thread_pool():
     assert proc.stdout == "[]\n"
 
 
-def _imports(node: ast.AST, at_import: bool = True):
-    """(module, whether it runs at import) for each absolute import
-    statement under node; a statement inside a function does not."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            yield from ((alias.name, at_import) for alias in child.names)
-        elif isinstance(child, ast.ImportFrom) and child.level == 0:
-            yield child.module, at_import
-        inside = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _imports(child, at_import and not inside)
+# Records come from ring.record, and the search runs in one thread.
+_NEVER_IMPORTED = {"dataclasses", "concurrent", "threading"}
 
 
-def test_no_module_imports_dataclasses_or_the_pool_at_import():
+def _imported_modules(tree: ast.AST):
+    """Each absolute import under tree, inside functions too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_dataclasses_or_the_pool():
     found = []
     for path in sorted(Path(chern_gate.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for name, at_import in _imports(tree):
-            if name.split(".")[0] == "dataclasses" or (
-                at_import and name.startswith("concurrent")
-            ):
+        for name in _imported_modules(tree):
+            if name.split(".")[0] in _NEVER_IMPORTED:
                 found.append(f"{path.name}: {name}")
     assert found == []

@@ -105,10 +105,10 @@ def test_reproduce_all_builds_no_graded_class(monkeypatch, tmp_path, capsys):
 
 
 def test_workers_do_not_change_the_report(shipped_reports):
-    threaded = run_lemma(
+    report = run_lemma(
         load_scenario("4.2"), baseline=load_baseline("4.2"), workers=4
     )
-    assert canonical_json(threaded) == canonical_json(shipped_reports["4.2"])
+    assert canonical_json(report) == canonical_json(shipped_reports["4.2"])
 
 
 def test_report_json_is_float_free(shipped_reports):

@@ -7,7 +7,7 @@ import pytest
 
 from chern_gate import obstruction
 from chern_gate.cli import dispatch
-from chern_gate.pipeline import load_baseline, scenario_bytes
+from chern_gate.pipeline import load_baseline, run_lemma, scenario_bytes
 from chern_gate.obstruction import (
     AhatNonIntegral,
     CongruenceMod12,
@@ -33,7 +33,7 @@ from chern_gate.scenario import (
     parse_scenario,
 )
 
-from conftest import ALL_LEMMAS
+from conftest import ALL_LEMMAS, PIPELINE_LEMMAS
 
 
 def shipped(lemma_id: str) -> dict:
@@ -490,6 +490,16 @@ def test_rule_that_does_not_fit_the_model_errors_at_divisibility():
     doc = shipped("2.1")
     doc["divisibility"] = "l2_div_dr4"
     assert error_path(doc) == "divisibility"
+
+
+def test_a_scenario_without_divisibility_gets_the_models_rule(shipped_reports):
+    for lid in PIPELINE_LEMMAS:
+        doc = shipped(lid)
+        del doc["divisibility"]
+        report = run_lemma(reparse(doc), baseline=load_baseline(lid))
+        expected = shipped_reports[lid]
+        report["input_sha256"] = expected["input_sha256"]
+        assert emit_report(report) == emit_report(expected)
 
 
 def test_empty_fact_data_errors_at_its_field():

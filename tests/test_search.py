@@ -103,13 +103,6 @@ def test_ordinals_are_sorted_and_dense(pipeline_runs):
         assert keys == sorted(keys)
 
 
-def test_worker_partition_independence(pipeline_runs):
-    spec, inv, reference = pipeline_runs["3.1"]
-    system = constraint_system_for(spec, target=inv.target)
-    for workers in (2, 3, 7, 16):
-        assert enumerate_cases(system, workers=workers) == reference
-
-
 def test_rank1_negative_unique_case(pipeline_runs):
     spec, inv, solutions = pipeline_runs["2.1"]
     assert case_keys(solutions) == {((15,), -1, Fraction(2, 3))}
