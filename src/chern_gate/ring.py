@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul
 
 __all__ = [
     "AMBIENT_BINOMIALS",
@@ -49,6 +49,27 @@ def _frozen(self, name, value=None):
     raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
 
 
+def _values(rec):
+    """rec's fields in order, as a tuple even when it has one field."""
+    values = rec._getter(rec)
+    return values if len(rec._fields) > 1 else (values,)
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+def _repr(self):
+    shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, _values(self)))
+    return f"{type(self).__qualname__}({shown})"
+
+
 def record(cls):
     """Make cls a frozen record, as @dataclass(frozen=True) would.
 
@@ -57,10 +78,12 @@ def record(cls):
     takes them positionally or by keyword and then runs the class's
     __post_init__, if any, which sets an attribute with
     object.__setattr__. == holds between records of one class whose
-    fields are equal, and the hash agrees with it. Assigning or deleting
-    an attribute raises AttributeError. The methods are compiled once per
-    class, as dataclasses and namedtuple do, so construction costs no
-    loop.
+    fields are equal, and the hash is the hash of the tuple of fields.
+    Assigning or deleting an attribute raises AttributeError. Only
+    __init__ is compiled, once per class, as dataclasses and namedtuple
+    do, so construction costs no loop. ==, hash and repr are functions
+    shared by every record; they read the fields through the class's
+    attrgetter, which, unlike a function, does not bind to the instance.
     """
     names = tuple(cls.__annotations__)
     defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
@@ -68,26 +91,20 @@ def record(cls):
         raise TypeError(f"{cls.__name__}: a field without a default follows one")
     sets = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
     post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    mine = "".join(f"self.{n}, " for n in names)
-    theirs = mine.replace("self.", "other.")
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    source = (
-        f"def __init__(self, {', '.join(names)}):{sets}{post}\n"
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine}) == ({theirs})\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({mine}))\n"
-        f'def __repr__(self):\n    return f"{cls.__qualname__}({shown})"\n'
+    namespace = {}
+    exec(
+        f"def __init__(self, {', '.join(names)}):{sets}{post}",
+        {"_set": object.__setattr__},
+        namespace,
     )
-    methods = {}
-    exec(source, {"_set": object.__setattr__}, methods)
-    methods["__init__"].__defaults__ = defaults
-    for name, method in methods.items():
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
+    init = namespace["__init__"]
+    init.__defaults__ = defaults
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
     cls.__setattr__ = cls.__delattr__ = _frozen
     cls._fields = names
+    cls._getter = attrgetter(*names)
     return cls
 
 

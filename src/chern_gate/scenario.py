@@ -17,11 +17,20 @@ their data fields in obstruction.FACT_KINDS.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import reprlib
+import sys
 from fractions import Fraction
+from importlib import import_module
 from math import isqrt
+
+# CPython's builtin SHA-256 module imports without OpenSSL, which hashlib
+# loads for the same digest. It is _sha2 from 3.12 on; naming it by version
+# spares a failed import, which would search every entry of sys.path.
+try:
+    sha256 = import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:  # an interpreter built without the builtin modules
+    from hashlib import sha256
 
 from .obstruction import FACT_KINDS, ExternalFact, IntPoly
 from .report import parse_frac, parse_int_str
@@ -256,7 +265,7 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         raise ScenarioError(
             "baseline_id", f"{baseline_id!r} is not the scenario's lemma {lemma!r}"
         )
-    sha = hashlib.sha256(raw).hexdigest()
+    sha = sha256(raw).hexdigest()
 
     if mode == "direct":
         return LemmaSpec(

@@ -19,7 +19,6 @@ from chern_gate import (
     graded,
     invariants_from_diamond,
     l_genus_signature,
-    load_scenario,
     normal_c4_polynomial,
     pontryagin_numbers,
     to_chern_case,

@@ -1,11 +1,17 @@
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import chern_gate
+from chern_gate.pipeline import SHIPPED_LEMMAS, scenario_bytes
+from chern_gate.scenario import parse_scenario
 
 MODULES = (
     "exact",
@@ -100,11 +106,13 @@ def test_obstruction_imports_only_the_trusted_modules():
 
 # Start-up is the largest cost of a command that replays the lemmas, so
 # the import of the package and its CLI leaves out the dataclasses
-# machinery (records come from ring.record) and the thread pool.
-_NOT_AT_IMPORT = ("dataclasses", "concurrent.futures")
+# machinery (records come from ring.record), the thread pool, and
+# OpenSSL, which hashlib loads (scenario digests come from CPython's
+# builtin SHA-256 module).
+_NOT_AT_IMPORT = ("dataclasses", "concurrent.futures", "hashlib", "_hashlib")
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_the_thread_pool():
+def test_importing_the_cli_loads_neither_dataclasses_the_pool_nor_openssl():
     script = (
         "import sys, chern_gate.cli\n"
         f"print(sorted(set({_NOT_AT_IMPORT!r}) & set(sys.modules)))\n"
@@ -121,6 +129,18 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_the_thread_pool():
         check=True,
     )
     assert proc.stdout == "[]\n"
+
+
+# Trailing JSON whitespace keeps a scenario valid and moves its length
+# across SHA-256's 64-byte blocks and their 56-byte padding limit.
+@settings(max_examples=20, deadline=None)
+@given(st.text(" \t\r\n", max_size=130))
+@example("")
+@example(" " * 64)
+def test_scenario_digests_are_hashlibs_sha256(pad):
+    for lemma in SHIPPED_LEMMAS:
+        raw = scenario_bytes(lemma) + pad.encode()
+        assert parse_scenario(raw).input_sha256 == hashlib.sha256(raw).hexdigest()
 
 
 # Records come from ring.record, and the search runs in one thread.

@@ -7,14 +7,32 @@ They anchor every identity the enumeration relies on. The last tests
 hold ring.record's frozen records to what frozen dataclasses gave.
 """
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
-from chern_gate.obstruction import IntPoly, RootFound
+import chern_gate
+from chern_gate.obstruction import (
+    AhatNonIntegral,
+    CongruenceMod12,
+    ConstantDivisorTest,
+    ExternalFactCertificate,
+    IntPoly,
+    ModularObstruction,
+    RootFound,
+)
+from chern_gate.pipeline import load_scenario
+from chern_gate.riemann_roch import (
+    complete_invariants,
+    invariants_from_diamond,
+    pontryagin_numbers,
+)
 from chern_gate.ring import (
     AMBIENT_BINOMIALS,
+    CharNumbers,
     ChernCase,
     Geometry,
     GradedClass,
@@ -26,7 +44,7 @@ from chern_gate.ring import (
     replace,
     top_pairing,
 )
-from chern_gate.search import ConstraintSystem, LatticeSpec
+from chern_gate.search import CaseSolution, ConstraintSystem, LatticeSpec
 
 
 def test_ambient_pullback_binomials():
@@ -234,3 +252,57 @@ def test_a_field_without_a_default_may_not_follow_one():
 
     with pytest.raises(TypeError, match="Bad: a field without a default follows one"):
         record(Bad)
+
+
+def _record_classes():
+    """Every class of the package that record made."""
+    for info in pkgutil.iter_modules(chern_gate.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"chern_gate.{info.name}")
+            for value in vars(module).values():
+                if isinstance(value, type) and value.__module__ == module.__name__:
+                    if "_fields" in vars(value):
+                        yield value
+
+
+def _one_of_each_record():
+    spec = load_scenario("2.2")
+    geom = Geometry.rank2(3, 4)
+    case = ChernCase(-1, Fraction(7, 16), 48, 6, geom)
+    return [
+        spec,
+        spec.diamond,
+        spec.lattice,
+        spec.facts[0],
+        complete_invariants(invariants_from_diamond(spec.diamond)),
+        ConstraintSystem(10, spec.lattice, 1, 2, Fraction(1, 5), 700),
+        CaseSolution(ordinal=0, geometry=geom, r=-1, k=Fraction(7, 16)),
+        geom,
+        case,
+        pontryagin_numbers(case),
+        CharNumbers(c1_4=81, c1c3=48, c1_2c2=99, c2_2=121, c4=6),
+        graded(1, 3, Fraction(1, 2), -7, 0),
+        IntPoly((1, 2), scale=3),
+        ModularObstruction(content=2, m_power=1, modulus=3, residues=(1, 2)),
+        ConstantDivisorTest(content=1, m_power=0, divisors=(1, 3), values=(4, 8)),
+        RootFound(5),
+        CongruenceMod12(value=261, residue=9),
+        AhatNonIntegral(value=Fraction(1, 4)),
+        ExternalFactCertificate(1, "degree <= 4", "a source", "eliminated", 9),
+    ]
+
+
+def test_every_record_compares_hashes_and_shows_its_field_tuple():
+    records = _one_of_each_record()
+    assert sorted(type(x).__name__ for x in records) == sorted(
+        cls.__name__ for cls in _record_classes()
+    )
+    for x, other in zip(records, records[1:] + records[:1]):
+        values = tuple(getattr(x, f) for f in x._fields)
+        assert hash(x) == hash(values)
+        twin = type(x)(*values)
+        assert twin is not x and twin == x and not twin != x
+        assert x.__eq__(other) is NotImplemented and x != other
+        assert x.__eq__(values) is NotImplemented and x != values
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(x._fields, values))
+        assert repr(x) == f"{type(x).__qualname__}({shown})"

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chern_gate import (
-    CharNumbers,
     ConstraintSystem,
     LatticeSpec,
     char_number_table,
