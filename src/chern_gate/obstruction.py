@@ -141,7 +141,7 @@ class AhatNonIntegral:
     value: Fraction
 
 
-# Fact kind -> the field that carries its data, and that data's type.
+# Fact kind -> the scenario key that carries its data, and that data's type.
 FACT_KINDS = {
     "degree-in": ("degrees", tuple),
     "degree-max": ("max_degree", int),
@@ -156,40 +156,36 @@ class ExternalFact:
     kind is one of degree-in (admissible degrees form a finite set),
     degree-max (degrees are bounded), concludes (the case is a known
     variety and the run may close it out instead of eliminating it).
-    The field FACT_KINDS names for the kind must be set and nonempty.
+    value holds the data, nonempty and of the type FACT_KINDS gives the kind.
     """
 
     index: int
     r: int
     kind: str
     citation: str
-    degrees: tuple[int, ...] = ()
-    max_degree: int | None = None
-    conclusion: str | None = None
+    value: tuple[int, ...] | int | str | None = None
 
     def __post_init__(self):
         if self.kind not in FACT_KINDS:
             raise ValueError(f"unknown fact kind {self.kind!r}")
         name, kind_type = FACT_KINDS[self.kind]
-        value = getattr(self, name)
-        if not isinstance(value, kind_type) or value in ((), ""):
+        if not isinstance(self.value, kind_type) or self.value in ((), ""):
             raise ValueError(f"{self.kind} fact needs a nonempty {name}")
 
     @property
     def constraint(self) -> str:
         if self.kind == "degree-in":
-            inside = ", ".join(str(d) for d in self.degrees)
-            return f"degree in {{{inside}}}"
+            return f"degree in {{{', '.join(map(str, self.value))}}}"
         if self.kind == "degree-max":
-            return f"degree <= {self.max_degree}"
-        return f"classified as {self.conclusion}"
+            return f"degree <= {self.value}"
+        return f"classified as {self.value}"
 
     def admits(self, degree: int) -> bool:
         """Whether a case of this degree passes the fact untouched; a
         concludes fact never does, it closes the case out."""
         if self.kind == "degree-in":
-            return degree in self.degrees
-        return self.kind == "degree-max" and degree <= self.max_degree
+            return degree in self.value
+        return self.kind == "degree-max" and degree <= self.value
 
 
 @record
@@ -451,8 +447,8 @@ def _fact_flaw(subject, cert: ExternalFactCertificate) -> str:
             f"is {fact.index}: {fact.constraint} ({fact.citation})"
         )
     if fact.kind == "concludes":
-        if (cert.outcome, cert.conclusion) != ("concluded", fact.conclusion):
-            return f"fact {fact.index} concludes {fact.conclusion}"
+        if (cert.outcome, cert.conclusion) != ("concluded", fact.value):
+            return f"fact {fact.index} concludes {fact.value}"
         return ""
     degree = case.geometry.degree
     if (cert.outcome, cert.violated_by) != ("eliminated", degree):
@@ -536,7 +532,7 @@ def external_fact_filter(case: ChernCase, facts) -> ExternalFactCertificate | No
     cited = dict(index=fact.index, constraint=fact.constraint, citation=fact.citation)
     if fact.kind == "concludes":
         return ExternalFactCertificate(
-            **cited, outcome="concluded", conclusion=fact.conclusion
+            **cited, outcome="concluded", conclusion=fact.value
         )
     return ExternalFactCertificate(
         **cited, outcome="eliminated", violated_by=case.geometry.degree

@@ -20,7 +20,7 @@ independently of whatever certificate the engine chose for itself.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .obstruction import (
     RootFound,
@@ -461,11 +461,16 @@ def diff_baseline(report: dict, baseline: dict) -> list[str]:
     return diffs
 
 
+def _data_bytes(*parts: str) -> bytes:
+    # data/ beside this module: the package ships as files, never zipped.
+    with open(os.path.join(os.path.dirname(__file__), "data", *parts), "rb") as fh:
+        return fh.read()
+
+
 def scenario_bytes(lemma_id: str) -> bytes:
     if lemma_id not in SHIPPED_LEMMAS:
         raise ValueError(f"no shipped scenario for lemma {lemma_id!r}")
-    node = resources.files("chern_gate").joinpath("data")
-    return node.joinpath("scenarios").joinpath(f"lemma-{lemma_id}.json").read_bytes()
+    return _data_bytes("scenarios", f"lemma-{lemma_id}.json")
 
 
 def load_scenario(lemma_id: str) -> LemmaSpec:
@@ -475,8 +480,7 @@ def load_scenario(lemma_id: str) -> LemmaSpec:
 def load_baseline(lemma_id: str) -> dict:
     if lemma_id not in SHIPPED_LEMMAS:
         raise ValueError(f"no shipped baseline for lemma {lemma_id!r}")
-    node = resources.files("chern_gate").joinpath("data")
-    raw = node.joinpath("baselines").joinpath(f"baseline-{lemma_id}.json").read_bytes()
+    raw = _data_bytes("baselines", f"baseline-{lemma_id}.json")
     return json.loads(raw.decode("utf-8"))
 
 

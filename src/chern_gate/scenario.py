@@ -12,7 +12,7 @@ strings), and every error names the JSON path it was found at. The
 vocabulary is declared where its types live: the lattice models'
 parameters in ring.LATTICE_PARAMS, their bounds and rules in
 search.LATTICE_BOUNDS and search.LATTICE_MODELS, the fact kinds and
-their data fields in obstruction.FACT_KINDS.
+their data keys in obstruction.FACT_KINDS.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _parse_fact(raw, path: str) -> ExternalFact:
         value = tuple(_expect(x, int, f"{here}[{i}]") for i, x in enumerate(value))
     else:
         value = _require(constraint, name, here, kind_type, nonempty=True)
-    return ExternalFact(index=index, r=r, kind=kind, citation=citation, **{name: value})
+    return ExternalFact(index=index, r=r, kind=kind, citation=citation, value=value)
 
 
 def _parse_polynomials(raw, path: str) -> tuple[tuple[str, IntPoly], ...]:

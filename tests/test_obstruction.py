@@ -348,13 +348,13 @@ def test_ahat_filter():
 
 FACTS = (
     ExternalFact(
-        index=1, r=1, kind="degree-in", citation="classification", degrees=(2, 4, 5)
+        index=1, r=1, kind="degree-in", citation="classification", value=(2, 4, 5)
     ),
     ExternalFact(
-        index=2, r=2, kind="degree-max", citation="degree bound", max_degree=22
+        index=2, r=2, kind="degree-max", citation="degree bound", value=22
     ),
     ExternalFact(
-        index=5, r=5, kind="concludes", citation="index n+1", conclusion="P4"
+        index=5, r=5, kind="concludes", citation="index n+1", value="P4"
     ),
 )
 
@@ -371,7 +371,7 @@ def test_external_fact_needs_a_known_kind_and_its_data():
     with pytest.raises(ValueError, match="degree-in fact needs a nonempty degrees"):
         ExternalFact(index=1, r=1, kind="degree-in", citation="c")
     with pytest.raises(ValueError, match="degree-max fact needs a nonempty max_degree"):
-        ExternalFact(index=1, r=1, kind="degree-max", citation="c", degrees=(2,))
+        ExternalFact(index=1, r=1, kind="degree-max", citation="c", value=(2,))
 
 
 def test_external_fact_filter_eliminates():

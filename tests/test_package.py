@@ -112,23 +112,39 @@ def test_obstruction_imports_only_the_trusted_modules():
 _NOT_AT_IMPORT = ("dataclasses", "concurrent.futures", "hashlib", "_hashlib")
 
 
-def test_importing_the_cli_loads_neither_dataclasses_the_pool_nor_openssl():
+def _loaded_by_the_cli_import(names, *options: str) -> str:
+    """Which of names a fresh interpreter, started with options and the
+    package source on PYTHONPATH, holds after `import chern_gate.cli`."""
     script = (
         "import sys, chern_gate.cli\n"
-        f"print(sorted(set({_NOT_AT_IMPORT!r}) & set(sys.modules)))\n"
+        f"print(sorted(set({names!r}) & set(sys.modules)))\n"
     )
     src = str(Path(chern_gate.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *options, "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
         check=True,
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_the_pool_nor_openssl():
+    assert _loaded_by_the_cli_import(_NOT_AT_IMPORT) == "[]\n"
+
+
+# The shipped data is read with open, so a clean import loads neither
+# importlib.resources nor the modules it pulls in. Only under -S does
+# this show: a site hook may load them before the package is imported.
+_NOT_AT_CLEAN_IMPORT = ("importlib.resources", "pathlib", "tempfile", "shutil")
+
+
+def test_a_clean_interpreter_imports_the_cli_without_importlib_resources():
+    assert _loaded_by_the_cli_import(_NOT_AT_CLEAN_IMPORT, "-S") == "[]\n"
 
 
 # Trailing JSON whitespace keeps a scenario valid and moves its length

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 
@@ -140,6 +141,19 @@ def test_unknown_lemma_ids_are_rejected():
         load_scenario("9.9")
     with pytest.raises(ValueError):
         load_baseline("9.9")
+
+
+@pytest.mark.parametrize("lemma_id", ["../baselines/baseline-2.1", "2.1.json", "", 2.1])
+@pytest.mark.parametrize("loader", [pipeline.scenario_bytes, load_baseline])
+def test_loaders_refuse_an_unshipped_id_before_opening_a_file(
+    monkeypatch, loader, lemma_id
+):
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"open{args!r} before the id was checked")
+
+    monkeypatch.setattr(builtins, "open", no_open)
+    with pytest.raises(ValueError, match="^no shipped (scenario|baseline) for lemma"):
+        loader(lemma_id)
 
 
 def run_31_against(baseline):
