@@ -19,6 +19,7 @@ from .riemann_roch import *
 from .ring import *
 from .scenario import *
 from .search import *
+from .verify import *
 from .version import __version__
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     *ring.__all__,
     *riemann_roch.__all__,
     *search.__all__,
+    *verify.__all__,
     *obstruction.__all__,
     *report.__all__,
     *scenario.__all__,

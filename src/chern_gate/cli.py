@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .obstruction import IntPoly, RootFound, eliminate, verify_certificate
+from .obstruction import eliminate
 from .pipeline import (
     SHIPPED_LEMMAS,
     load_baseline,
@@ -34,6 +34,7 @@ from .report import (
 )
 from .ring import replace
 from .scenario import MAX_DEGREE, parse_scenario
+from .verify import IntPoly, RootFound, verify_certificate
 
 __all__ = ["dispatch", "main"]
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .verify import is_probable_prime
+
 __all__ = [
     "integer_sqrt_exact",
-    "is_probable_prime",
     "factorize",
     "divisors",
 ]
@@ -26,16 +27,10 @@ def integer_sqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-# Factoring support for the constant-divisor root test. Miller-Rabin to
-# the first thirteen prime bases is deterministic below PSI_13, the least
-# strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86,
-# 2017); Brent-Pollard rho with a fixed parameter schedule runs above
-# trial division, so the divisor list for a given integer never varies
-# between runs.
-
-# The first thirteen primes: the Miller-Rabin witnesses.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
+# Factoring support for the constant-divisor root test. Primality is
+# decided by verify.is_probable_prime; Brent-Pollard rho with a fixed
+# parameter schedule runs above trial division, so the divisor list for
+# a given integer never varies between runs.
 
 
 @lru_cache(maxsize=8)
@@ -52,30 +47,6 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
 def _primorial(limit: int) -> int:
     """The product of the primes up to limit."""
     return math.prod(_primes_upto(limit))
-
-
-def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _pollard_rho(n: int) -> int:

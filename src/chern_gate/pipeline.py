@@ -6,7 +6,7 @@ configured elimination filters. A direct scenario is the single filter
 embedding-poly over the polynomials it lists, so both modes decide
 their cases in one filter loop, from one record per case. Every
 certificate, whichever filter produced it, is re-checked by
-obstruction.verify_certificate against the data the filter consumed,
+verify.verify_certificate against the data the filter consumed,
 and only a verified one decides a case: a certificate that fails is
 listed with verified false and the case stays alive. The verdict is
 read from the survivors, so it says what the rows say.
@@ -23,14 +23,11 @@ import json
 import os
 
 from .obstruction import (
-    RootFound,
-    _check_reduction,
     ahat_filter,
     build_embedding_polynomial,
     eliminate,
     external_fact_filter,
     mod12_filter,
-    verify_certificate,
 )
 from .report import (
     _COLUMNS,
@@ -42,7 +39,7 @@ from .report import (
     sci_5,
 )
 # chern_from_case runs in no command; the benchmark's tracer patches it here.
-from .ring import char_number_table, chern_from_case
+from .ring import char_number_table, chern_from_case, replace
 from .riemann_roch import (
     DerivedInvariants,
     chi_O_from_class,
@@ -53,6 +50,7 @@ from .riemann_roch import (
 )
 from .scenario import LEMMA_IDS, LemmaSpec, parse_scenario
 from .search import ConstraintSystem, enumerate_cases, to_chern_case
+from .verify import RootFound, _check_reduction, verify_certificate
 from .version import __version__
 
 __all__ = [
@@ -273,12 +271,12 @@ _PRINTED = {
 def _validate_obstruction(label: str, entry: dict, live: dict) -> dict:
     """Complete a printed obstruction into a certificate and verify it
     against the run's own data for the same case."""
-    kind = entry["kind"]
+    kind = entry.get("kind")
     row: dict = {"id": label, "kind": "obstruction", "obstruction": kind}
     if "note" in entry:
         row["note"] = entry["note"]
     row["verified"] = False
-    if kind not in _PRINTED:
+    if not isinstance(kind, str) or kind not in _PRINTED:
         row["note"] = f"unknown obstruction kind {kind!r}"
         return row
     tag, about = _PRINTED[kind]
@@ -286,24 +284,32 @@ def _validate_obstruction(label: str, entry: dict, live: dict) -> dict:
     if subject is None:
         return row
     # The printed form is the headline data; what it leaves out is
-    # filled in from the live data and re-checked by the verifier.
-    data = {**entry, "type": tag, "m_power": 0}
+    # filled in from the live data and re-checked by the verifier. A
+    # printed field missing or of the wrong type fails the row.
+    data = {**entry, "type": tag, "m_power": 0, "residues": [], "residue": 0}
+    try:
+        cert = certificate_from_json(data)
+    except ValueError as exc:
+        row["note"] = str(exc)
+        return row
     if kind == "modular":
         # No residues when the printed content does not divide the
         # polynomial; the verifier rejects the content first either way.
-        modulus = entry["modulus"]
-        reduced, _ = _check_reduction(subject, parse_int_str(entry["content"]), 0)
-        points = range(modulus) if reduced is not None else ()
-        data["residues"] = [reduced.evaluate_mod(t, modulus) for t in points]
+        reduced, _ = _check_reduction(subject, cert.content, 0)
+        points = range(cert.modulus) if reduced is not None else ()
+        residues = tuple(reduced.evaluate_mod(t, cert.modulus) for t in points)
+        cert = replace(cert, residues=residues)
     elif kind == "congruence-mod12":
-        data["residue"] = parse_int_str(entry["value"]) % 12
-    cert = certificate_from_json(data)
+        cert = replace(cert, residue=cert.value % 12)
     row["verified"] = verify_certificate(subject, cert)
     if kind == "divisor" and "approx_values" in entry:
         lookup = dict(zip(cert.divisors, cert.values))
-        row["approx_match"] = all(
-            sci_5(lookup[parse_int_str(where)]) == text
-            for where, text in entry["approx_values"].items()
+        quoted = {parse_int_str(m): s for m, s in entry["approx_values"].items()}
+        stray = sorted(quoted.keys() - lookup.keys())
+        if stray:
+            row["note"] = f"approximate values quoted at {stray}, not at divisors"
+        row["approx_match"] = not stray and all(
+            sci_5(lookup[m]) == text for m, text in quoted.items()
         )
     return row
 

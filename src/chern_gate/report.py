@@ -15,7 +15,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .obstruction import (
+from .riemann_roch import DerivedInvariants
+from .verify import (
     AhatNonIntegral,
     CongruenceMod12,
     ConstantDivisorTest,
@@ -23,7 +24,6 @@ from .obstruction import (
     ModularObstruction,
     RootFound,
 )
-from .riemann_roch import DerivedInvariants
 
 __all__ = [
     "frac_str",

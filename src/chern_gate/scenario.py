@@ -12,7 +12,7 @@ strings), and every error names the JSON path it was found at. The
 vocabulary is declared where its types live: the lattice models'
 parameters in ring.LATTICE_PARAMS, their bounds and rules in
 search.LATTICE_BOUNDS and search.LATTICE_MODELS, the fact kinds and
-their data keys in obstruction.FACT_KINDS.
+their data keys in verify.FACT_KINDS.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ try:
 except ImportError:  # an interpreter built without the builtin modules
     from hashlib import sha256
 
-from .obstruction import FACT_KINDS, ExternalFact, IntPoly
 from .report import parse_frac, parse_int_str
 from .riemann_roch import HodgeDiamond, complete_invariants, invariants_from_diamond
 from .ring import record
 from .search import LATTICE_BOUNDS, LATTICE_MODELS, LatticeSpec
+from .verify import FACT_KINDS, ExternalFact, IntPoly
 
 __all__ = [
     "LEMMA_IDS",

@@ -6,9 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chern_gate import exact
-from chern_gate.exact import divisors, factorize, integer_sqrt_exact, is_probable_prime
-from chern_gate.obstruction import IntPoly, _reduce
+from chern_gate.exact import divisors, factorize, integer_sqrt_exact
+from chern_gate.obstruction import _reduce
 from chern_gate.search import solve_quadratic_rational
+from chern_gate.verify import IntPoly, is_probable_prime
 
 
 def test_integer_sqrt_exact_squares_and_non_squares():

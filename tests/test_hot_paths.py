@@ -37,15 +37,10 @@ from hypothesis import strategies as st
 from chern_gate import constraint_system_for, enumerate_cases, search
 from chern_gate.exact import divisors, factorize
 from chern_gate.obstruction import (
-    ConstantDivisorTest,
-    IntPoly,
-    ModularObstruction,
-    RootFound,
     _prime_powers,
     _reduce,
     build_embedding_polynomial,
     eliminate,
-    verify_certificate,
 )
 from chern_gate.report import parse_int_str
 from chern_gate.riemann_roch import (
@@ -73,6 +68,13 @@ from chern_gate.search import (
     LatticeSpec,
     _pell_ys,
     solve_quadratic_rational,
+)
+from chern_gate.verify import (
+    ConstantDivisorTest,
+    IntPoly,
+    ModularObstruction,
+    RootFound,
+    verify_certificate,
 )
 
 from conftest import PIPELINE_LEMMAS

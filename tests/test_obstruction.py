@@ -8,6 +8,15 @@ from hypothesis import strategies as st
 
 from chern_gate import exact
 from chern_gate.obstruction import (
+    ahat_filter,
+    build_embedding_polynomial,
+    eliminate,
+    external_fact_filter,
+    mod12_filter,
+)
+from chern_gate.riemann_roch import pontryagin_numbers
+from chern_gate.ring import CharNumbers, ChernCase, Geometry, replace
+from chern_gate.verify import (
     AhatNonIntegral,
     CongruenceMod12,
     ConstantDivisorTest,
@@ -16,16 +25,9 @@ from chern_gate.obstruction import (
     ModularObstruction,
     RootFound,
     _divisor_flaw,
-    ahat_filter,
-    build_embedding_polynomial,
-    eliminate,
-    external_fact_filter,
-    mod12_filter,
     verify_certificate,
     verify_certificate_detailed,
 )
-from chern_gate.riemann_roch import pontryagin_numbers
-from chern_gate.ring import CharNumbers, ChernCase, Geometry, replace
 
 DEGREE_225_DESC = [50625, 0, 0, 0, -28350, -18900, -2700, 225, 30]
 RANK2_CASE_2_DESC = [4, 0, 0, 0, -252, -168, 648, -90, -232]

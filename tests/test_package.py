@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chern_gate
+from chern_gate import report, verify
 from chern_gate.pipeline import SHIPPED_LEMMAS, scenario_bytes
 from chern_gate.scenario import parse_scenario
 
@@ -22,6 +23,7 @@ MODULES = (
     "ring",
     "scenario",
     "search",
+    "verify",
 )
 
 
@@ -71,11 +73,11 @@ def test_package_source_has_no_floats_and_no_asserts():
     assert found == []
 
 
-# The certificate checks in obstruction.py read only exact arithmetic, the
-# Chern ring and the Pontryagin numbers. The enumeration in search and the
-# pipeline must stay out of reach, so that a check cannot trust the code
-# whose output it checks.
-_TRUSTED_IMPORTS = {"exact", "ring", "riemann_roch"}
+# The certificate checks in verify.py read only the Chern ring and the
+# Pontryagin numbers. The enumeration in search, the engine in obstruction,
+# the pipeline and the factorizer in exact must stay out of reach, so that
+# a check cannot trust the code whose output it checks.
+_TRUSTED_CLOSURE = {"ring", "riemann_roch"}
 
 
 def _package_imports(tree: ast.AST):
@@ -98,10 +100,30 @@ def _package_imports(tree: ast.AST):
                 yield from (alias.name for alias in node.names)
 
 
-def test_obstruction_imports_only_the_trusted_modules():
-    path = Path(chern_gate.__file__).parent / "obstruction.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert set(_package_imports(tree)) - _TRUSTED_IMPORTS == set()
+def _import_closure(name: str) -> set[str]:
+    """The package modules that name imports, directly or through others."""
+    package = Path(chern_gate.__file__).parent
+    seen, todo = set(), [name]
+    while todo:
+        path = package / f"{todo.pop()}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        new = set(_package_imports(tree)) - seen
+        seen |= new
+        # The package itself, or a name imported from it, has no file.
+        todo += [module for module in new if (package / f"{module}.py").exists()]
+    return seen
+
+
+def test_verify_reaches_only_ring_and_riemann_roch():
+    assert _import_closure("verify") - _TRUSTED_CLOSURE == set()
+
+
+# Each certificate class has one check and one JSON codec; a kind added to
+# one table and not the other fails here, not at its first use.
+def test_every_certificate_class_has_a_check_and_a_codec():
+    codecs = [cls for cls, _, _ in report._CODECS.values()]
+    assert len(set(codecs)) == len(codecs)
+    assert set(verify._CHECKS) == set(codecs)
 
 
 # Start-up is the largest cost of a command that replays the lemmas, so

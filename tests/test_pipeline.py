@@ -230,6 +230,43 @@ def test_fault_injection_obstruction_value():
     assert "sorcery obstruction 2: failed re-verification" in report["baseline_diff"]
 
 
+# A malformed printed obstruction fails its own row, with a note that says
+# why, and the run goes on: (label, the fault, the failing field, the note).
+@pytest.mark.parametrize(
+    "label, fault, field, note",
+    [
+        ("4", lambda e: e.pop("kind"), "verified", "unknown obstruction kind None"),
+        (
+            "4",
+            lambda e: e.pop("modulus"),
+            "verified",
+            "modular certificate has no field 'modulus'",
+        ),
+        (
+            "4",
+            lambda e: e.update(modulus="2"),
+            "verified",
+            "modular certificate, modulus: expected int, got '2'",
+        ),
+        (
+            "2",
+            lambda e: e["approx_values"].update({"30": "1.0004E+12"}),
+            "approx_match",
+            "approximate values quoted at [30], not at divisors",
+        ),
+    ],
+    ids=["no-kind", "no-modulus", "string-modulus", "approx-off-the-divisors"],
+)
+def test_fault_injection_malformed_printed_obstruction(label, fault, field, note):
+    baseline = load_baseline("3.1")
+    fault(baseline["obstructions"][label])
+    report = run_lemma(load_scenario("3.1"), baseline=baseline)
+    rows = report["baseline_validation"]
+    (row,) = [r for r in rows if (r["id"], r["kind"]) == (label, "obstruction")]
+    assert (row[field], row["note"]) == (False, note)
+    assert any(f"obstruction {label}" in d for d in report["baseline_diff"])
+
+
 def test_flipped_filters_keep_printed_obstructions_verified():
     # embedding-poly now claims the cases the baseline attributes to mod12;
     # their printed congruences still hold for the run's own Chern numbers

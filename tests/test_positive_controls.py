@@ -22,15 +22,14 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
 from chern_gate.obstruction import (
-    RootFound,
     ahat_filter,
     build_embedding_polynomial,
     eliminate,
     mod12_filter,
-    verify_certificate,
 )
 from chern_gate.riemann_roch import chi_O_from_class, pontryagin_numbers
 from chern_gate.ring import CharNumbers, ChernCase, Geometry
+from chern_gate.verify import RootFound, verify_certificate
 
 MULTIDEGREES = tuple(combinations_with_replacement(range(1, 8), 4))
 

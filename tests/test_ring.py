@@ -15,15 +15,6 @@ from fractions import Fraction
 import pytest
 
 import chern_gate
-from chern_gate.obstruction import (
-    AhatNonIntegral,
-    CongruenceMod12,
-    ConstantDivisorTest,
-    ExternalFactCertificate,
-    IntPoly,
-    ModularObstruction,
-    RootFound,
-)
 from chern_gate.pipeline import load_scenario
 from chern_gate.riemann_roch import (
     complete_invariants,
@@ -45,6 +36,15 @@ from chern_gate.ring import (
     top_pairing,
 )
 from chern_gate.search import CaseSolution, ConstraintSystem, LatticeSpec
+from chern_gate.verify import (
+    AhatNonIntegral,
+    CongruenceMod12,
+    ConstantDivisorTest,
+    ExternalFactCertificate,
+    IntPoly,
+    ModularObstruction,
+    RootFound,
+)
 
 
 def test_ambient_pullback_binomials():

@@ -8,15 +8,6 @@ import pytest
 from chern_gate import obstruction
 from chern_gate.cli import dispatch
 from chern_gate.pipeline import load_baseline, run_lemma, scenario_bytes
-from chern_gate.obstruction import (
-    AhatNonIntegral,
-    CongruenceMod12,
-    ConstantDivisorTest,
-    ExternalFactCertificate,
-    IntPoly,
-    ModularObstruction,
-    RootFound,
-)
 from chern_gate.report import (
     _CODECS,
     certificate_from_json,
@@ -31,6 +22,15 @@ from chern_gate.report import (
 from chern_gate.scenario import (
     ScenarioError,
     parse_scenario,
+)
+from chern_gate.verify import (
+    AhatNonIntegral,
+    CongruenceMod12,
+    ConstantDivisorTest,
+    ExternalFactCertificate,
+    IntPoly,
+    ModularObstruction,
+    RootFound,
 )
 
 from conftest import ALL_LEMMAS, PIPELINE_LEMMAS
