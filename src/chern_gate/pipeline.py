@@ -304,7 +304,14 @@ def _validate_obstruction(label: str, entry: dict, live: dict) -> dict:
     row["verified"] = verify_certificate(subject, cert)
     if kind == "divisor" and "approx_values" in entry:
         lookup = dict(zip(cert.divisors, cert.values))
-        quoted = {parse_int_str(m): s for m, s in entry["approx_values"].items()}
+        approx = entry["approx_values"]
+        try:
+            if not isinstance(approx, dict):
+                raise ValueError(f"expected an object, got {type(approx).__name__}")
+            quoted = {parse_int_str(m): s for m, s in approx.items()}
+        except ValueError as exc:
+            row["note"], row["approx_match"] = f"approx_values: {exc}", False
+            return row
         stray = sorted(quoted.keys() - lookup.keys())
         if stray:
             row["note"] = f"approximate values quoted at {stray}, not at divisors"

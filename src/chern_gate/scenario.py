@@ -32,7 +32,7 @@ try:
 except ImportError:  # an interpreter built without the builtin modules
     from hashlib import sha256
 
-from .report import parse_frac, parse_int_str
+from .report import _DECIMAL, parse_frac, parse_int_str
 from .riemann_roch import HodgeDiamond, complete_invariants, invariants_from_diamond
 from .ring import record
 from .search import LATTICE_BOUNDS, LATTICE_MODELS, LatticeSpec
@@ -209,12 +209,18 @@ def _parse_polynomials(raw, path: str) -> tuple[tuple[str, IntPoly], ...]:
                 f"{here}.coefficients",
                 f"degree {degree} exceeds the budget of {MAX_DEGREE}",
             )
-        values = []
-        for j, c in enumerate(coeffs):
-            try:
-                values.append(parse_int_str(c))
-            except ValueError as exc:
-                raise ScenarioError(f"{here}.coefficients[{j}]", str(exc)) from exc
+        try:  # all decimal strings: one pass to check them and one to convert
+            decimal = all(map(_DECIMAL.fullmatch, coeffs))
+            values = list(map(int, coeffs)) if decimal else None
+        except (TypeError, ValueError):  # a JSON integer, or too many digits
+            values = None
+        if values is None:  # the loop that takes integers and names a bad entry
+            values = []
+            for j, c in enumerate(coeffs):
+                try:
+                    values.append(parse_int_str(c))
+                except ValueError as exc:
+                    raise ScenarioError(f"{here}.coefficients[{j}]", str(exc)) from exc
         if values[0] == 0:
             raise ScenarioError(
                 f"{here}.coefficients[0]", "leading coefficient must be nonzero"

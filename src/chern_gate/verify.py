@@ -58,9 +58,11 @@ class IntPoly:
     scale: int = 1
 
     def __post_init__(self):
-        cs = tuple(operator.index(c) for c in self.coeffs)
-        top = next((i for i in reversed(range(len(cs))) if cs[i]), 0)
-        object.__setattr__(self, "coeffs", cs[: top + 1])
+        cs = tuple(map(operator.index, self.coeffs))
+        if cs and not cs[-1]:
+            top = next((i for i in reversed(range(len(cs))) if cs[i]), 0)
+            cs = cs[: top + 1]
+        object.__setattr__(self, "coeffs", cs)
         if operator.index(self.scale) < 1:
             raise ValueError("scale must be a positive integer")
 
@@ -224,13 +226,19 @@ def _check_reduction(poly: IntPoly, content: int, m_power: int):
     """Re-divide poly by the certificate's claimed content and m power.
 
     The claimed content need not be the full content, only a common
-    divisor; any exact reduction preserves positive integer roots.
+    divisor; any exact reduction preserves positive integer roots. A
+    reduction that divides nothing (content 1, m power 0, positive lead,
+    nonzero constant term, scale 1) returns poly itself, which is equal
+    to the polynomial the division would build.
     """
     if poly.is_zero:
         return None, "zero polynomial has every positive integer as a root"
+    cs = poly.coeffs
+    if content == 1 and m_power == 0 and poly.scale == 1 and cs[-1] > 0 and cs[0]:
+        return poly, ""
     if content < 1:
         return None, f"content {content} is not positive"
-    cs = list(poly.coeffs)
+    cs = list(cs)
     if cs[-1] < 0:
         cs = [-c for c in cs]
     if any(c % content for c in cs):

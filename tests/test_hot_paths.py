@@ -7,24 +7,26 @@ power by its residues one by one. It stops at the first integer root it
 meets: a zero among the values is the least positive root, and a
 divisor t of the constant term with p(-t) == 0 sends it to the divisor
 test at once, which reads p(t) from the scan for every divisor t the
-scan reached. The enumeration visits only the
-degrees that solutions of x^2 - 7 y^2 = 3 target / g allow, and takes
-k in closed form from the integer square root of c14 (7 c14 + 3 target).
-Each case's characteristic numbers, Pontryagin numbers,
-signature and chi(O) check are integer numerators over a known
+scan reached. A reduction by content 1 and m power 0 of a polynomial
+with positive lead, nonzero constant term and scale 1 returns the
+polynomial itself. The enumeration visits only the degrees that
+solutions of x^2 - 7 y^2 = 3 target / g allow, and takes k in closed
+form from the integer square root of c14 (7 c14 + 3 target). Each
+case's characteristic numbers, Pontryagin numbers, signature and
+chi(O) check are integer numerators over a known
 denominator, with one Fraction per value returned, and so is c4 of the
 normal bundle, whose inverse of c(X) runs on integers over powers of
 one common denominator L, and the embedding polynomial clears the
 denominators of those Fractions without Fraction arithmetic.
-The oracles below are the plain forms: every modulus 2..max_modulus
-with every residue, the prime-power scan with Horner's rule mod q run
-afresh for every residue of every modulus, both climbing to the cap
-whatever roots they pass, the per-point scan of every
-grid point and r, one Fraction quadratic per grid point and r, y
-tried one by one, and each per-case formula as a chain of Fraction
-operations, c4(N) and the embedding polynomial among them through
-GradedClass.inverse. Every hot path must return exactly what its oracle
-returns.
+The oracles below are the plain forms: the reduction that divides and
+rebuilds every polynomial, every modulus 2..max_modulus with every
+residue, the prime-power scan with Horner's rule mod q run afresh for
+every residue of every modulus, both climbing to the cap whatever
+roots they pass, the per-point scan of every grid point and r, one
+Fraction quadratic per grid point and r, y tried one by one, and each
+per-case formula as a chain of Fraction operations, c4(N) and the
+embedding polynomial among them through GradedClass.inverse. Every hot
+path must return exactly what its oracle returns.
 """
 
 from fractions import Fraction
@@ -74,12 +76,36 @@ from chern_gate.verify import (
     IntPoly,
     ModularObstruction,
     RootFound,
+    _check_reduction,
     verify_certificate,
 )
 
 from conftest import PIPELINE_LEMMAS
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def dividing_check_reduction(poly: IntPoly, content: int, m_power: int):
+    """_check_reduction as a division that builds the reduced polynomial
+    whatever it divides."""
+    if poly.is_zero:
+        return None, "zero polynomial has every positive integer as a root"
+    if content < 1:
+        return None, f"content {content} is not positive"
+    cs = list(poly.coeffs)
+    if cs[-1] < 0:
+        cs = [-c for c in cs]
+    if any(c % content for c in cs):
+        return None, f"content {content} does not divide all coefficients"
+    cs = [c // content for c in cs]
+    if m_power < 0 or m_power > len(cs) - 1:
+        return None, f"m power {m_power} out of range"
+    if any(cs[i] != 0 for i in range(m_power)):
+        return None, f"coefficients below m^{m_power} are not all zero"
+    reduced = IntPoly(tuple(cs[m_power:]))
+    if reduced.coeffs[0] == 0:
+        return None, "reduced polynomial still divisible by m"
+    return reduced, ""
 
 
 def full_scan_eliminate(poly: IntPoly, max_modulus: int = 720):
@@ -340,6 +366,34 @@ def test_eliminate_matches_the_horner_prime_power_scan(poly, max_modulus):
     cert = eliminate(poly, max_modulus=max_modulus)
     assert cert == prime_power_horner_eliminate(poly, max_modulus=max_modulus)
     assert verify_certificate(poly, cert)
+
+
+@st.composite
+def reductions(draw) -> tuple[IntPoly, int, int]:
+    """Small coefficients, so that an empty or zero polynomial and a
+    negative lead come up, and a zero constant term in half the draws;
+    scale 1 to 3, content -1 to 3 and m power -1 to the number of
+    coefficients, half of each at scale 1, content 1 and m power 0, where
+    nothing need be divided."""
+    coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3), max_size=6))
+    if coeffs and draw(st.booleans()):
+        coeffs[0] = 0
+    scale = draw(st.just(1) | st.integers(min_value=1, max_value=3))
+    content = draw(st.just(1) | st.integers(min_value=-1, max_value=3))
+    m_power = draw(st.just(0) | st.integers(min_value=-1, max_value=len(coeffs)))
+    return IntPoly(tuple(coeffs), scale), content, m_power
+
+
+@DIFFERENTIAL
+@given(reductions())
+@example((IntPoly(()), 1, 0))
+@example((IntPoly((0,)), 1, 0))
+@example((IntPoly((1, 2, -1)), 1, 0))  # negative lead
+@example((IntPoly((0, 2, 1)), 1, 0))  # zero constant term
+@example((IntPoly((1, 2, 1), 2), 1, 0))  # scale 2
+@example((IntPoly((1, 2, 1)), 1, 0))  # nothing to divide
+def test_check_reduction_matches_the_division(reduction):
+    assert _check_reduction(*reduction) == dividing_check_reduction(*reduction)
 
 
 def test_prime_powers_are_decided_residue_by_residue():

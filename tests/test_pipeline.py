@@ -16,6 +16,8 @@ from chern_gate.pipeline import (
 )
 from chern_gate.report import canonical_json, emit_report
 from chern_gate.ring import GradedClass, replace
+from chern_gate.scenario import parse_scenario
+from chern_gate.verify import IntPoly
 
 from conftest import ALL_LEMMAS, DIRECT_LEMMAS, PIPELINE_LEMMAS
 
@@ -103,6 +105,32 @@ def test_reproduce_all_builds_no_graded_class(monkeypatch, tmp_path, capsys):
     assert dispatch(["reproduce", "--lemma", "all", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_JSON_SHA256
     assert capsys.readouterr().err.count("(baseline exact match)") == 7
+
+
+def test_an_already_reduced_polynomial_is_built_once(monkeypatch):
+    # m^2 + m + 1 is odd at 0 and 1, so modulus 2 certifies it. Its content
+    # is 1, its lead positive and its constant nonzero: neither eliminate
+    # nor the verifier has anything to divide, and neither builds a copy.
+    doc = {
+        "lemma": "A.1",
+        "mode": "direct",
+        "polynomials": [{"label": "P", "coefficients": ["1", "1", "1"]}],
+    }
+    spec = parse_scenario(json.dumps(doc).encode())
+    built = []
+
+    def counting(self, plain=IntPoly.__post_init__):
+        built.append(self.coeffs)
+        plain(self)
+
+    monkeypatch.setattr(IntPoly, "__post_init__", counting)
+    (row,) = run_lemma(spec)["polynomials"]
+    assert (row["certificate"]["modulus"], row["verified"]) == (2, True)
+    assert built == []
+    # Every polynomial of 3.1 has content > 1, so each takes the full
+    # reduction in eliminate and again in each check of its certificate.
+    run_lemma(load_scenario("3.1"), baseline=load_baseline("3.1"))
+    assert len(built) == 27
 
 
 def test_workers_do_not_change_the_report(shipped_reports):
@@ -254,8 +282,27 @@ def test_fault_injection_obstruction_value():
             "approx_match",
             "approximate values quoted at [30], not at divisors",
         ),
+        (
+            "2",
+            lambda e: e["approx_values"].update({"abc": "1.0004E+12"}),
+            "approx_match",
+            "approx_values: not an integer: 'abc'",
+        ),
+        (
+            "2",
+            lambda e: e.update(approx_values=["1.0004E+12"]),
+            "approx_match",
+            "approx_values: expected an object, got list",
+        ),
     ],
-    ids=["no-kind", "no-modulus", "string-modulus", "approx-off-the-divisors"],
+    ids=[
+        "no-kind",
+        "no-modulus",
+        "string-modulus",
+        "approx-off-the-divisors",
+        "approx-key-not-an-integer",
+        "approx-not-an-object",
+    ],
 )
 def test_fault_injection_malformed_printed_obstruction(label, fault, field, note):
     baseline = load_baseline("3.1")

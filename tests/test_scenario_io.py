@@ -221,6 +221,26 @@ def test_polynomial_validation():
     doc = shipped("A.1")
     doc["polynomials"] = []
     assert error_path(doc) == "polynomials"
+    # A bad entry at the first, a middle or the last index is named with
+    # the reason parse_int_str gives. "1,2" holds a comma inside one entry,
+    # which a check of the joined list would pass; 4,301 digits are past
+    # CPython's limit for int(str).
+    for bad in ("1,2", "", " 7", True, None, "9" * 4301):
+        with pytest.raises(ValueError) as expected:
+            parse_int_str(bad)
+        for j in (0, 4, 8):
+            doc = shipped("A.2")
+            doc["polynomials"][0]["coefficients"][j] = bad
+            with pytest.raises(ScenarioError) as err:
+                reparse(doc)
+            assert err.value.path == f"polynomials[0].coefficients[{j}]"
+            assert err.value.reason == str(expected.value)
+    # JSON integers parse to the polynomials their strings give.
+    doc = shipped("A.2")
+    strings = reparse(doc).polynomials
+    for entry in doc["polynomials"]:
+        entry["coefficients"] = [int(c) for c in entry["coefficients"]]
+    assert reparse(doc).polynomials == strings
 
 
 def test_k_lower_and_cap_validation():
