@@ -30,7 +30,11 @@ def integer_sqrt_exact(n: int) -> int | None:
 # Factoring support for the constant-divisor root test. Primality is
 # decided by verify.is_probable_prime; Brent-Pollard rho with a fixed
 # parameter schedule runs above trial division, so the divisor list for
-# a given integer never varies between runs.
+# a given integer never varies between runs. Its loops reduce once per
+# two squarings and once per four differences in the product; every
+# iterate is still reduced mod n and the product is the same residue at
+# each 128-step gcd checkpoint, so the grouping keeps every checkpoint
+# and the divisor list still never varies.
 
 
 @lru_cache(maxsize=8)
@@ -57,12 +61,22 @@ def _pollard_rho(n: int) -> int:
         x = ys = y
         while g == 1:
             x = y
-            for _ in range(r):
+            for _ in range(r >> 1):
+                t = y * y + c
+                y = (t * t + c) % n
+            if r & 1:
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                m = min(128, r - k)
+                for _ in range(m >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * ((x - y1) * (x - y2)) * ((x - y3) * (x - y)) % n
+                for _ in range(m & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)

@@ -50,7 +50,7 @@ from .riemann_roch import (
 )
 from .scenario import LEMMA_IDS, LemmaSpec, parse_scenario
 from .search import ConstraintSystem, enumerate_cases, to_chern_case
-from .verify import RootFound, _check_reduction, verify_certificate
+from .verify import RootFound, verify_certificate
 from .version import __version__
 
 __all__ = [
@@ -293,11 +293,15 @@ def _validate_obstruction(label: str, entry: dict, live: dict) -> dict:
         row["note"] = str(exc)
         return row
     if kind == "modular":
-        # No residues when the printed content does not divide the
-        # polynomial; the verifier rejects the content first either way.
-        reduced, _ = _check_reduction(subject, cert.content, 0)
-        points = range(cert.modulus) if reduced is not None else ()
-        residues = tuple(reduced.evaluate_mod(t, cert.modulus) for t in points)
+        # The residues come from the exact values divided by the printed
+        # content, the lead made positive, so only the verifier reduces
+        # the polynomial. No residues when the content does not divide
+        # it; the verifier rejects the content first either way.
+        content, cs, modulus = cert.content, subject.coeffs, cert.modulus
+        sign = -1 if cs[-1] < 0 else 1
+        divides = content >= 1 and not any(c % content for c in cs)
+        values = map(subject.evaluate, range(modulus) if divides else ())
+        residues = tuple(sign * v // content % modulus for v in values)
         cert = replace(cert, residues=residues)
     elif kind == "congruence-mod12":
         cert = replace(cert, residue=cert.value % 12)

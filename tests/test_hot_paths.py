@@ -17,7 +17,9 @@ chi(O) check are integer numerators over a known
 denominator, with one Fraction per value returned, and so is c4 of the
 normal bundle, whose inverse of c(X) runs on integers over powers of
 one common denominator L, and the embedding polynomial clears the
-denominators of those Fractions without Fraction arithmetic.
+denominators of those Fractions without Fraction arithmetic. Pollard
+rho reduces once per two squarings and once per four differences of
+its product.
 The oracles below are the plain forms: the reduction that divides and
 rebuilds every polynomial, every modulus 2..max_modulus with every
 residue, the prime-power scan with Horner's rule mod q run afresh for
@@ -25,10 +27,12 @@ every residue of every modulus, both climbing to the cap whatever
 roots they pass, the per-point scan of every grid point and r, one
 Fraction quadratic per grid point and r, y tried one by one, and each
 per-case formula as a chain of Fraction operations, c4(N) and the
-embedding polynomial among them through GradedClass.inverse. Every hot
-path must return exactly what its oracle returns.
+embedding polynomial among them through GradedClass.inverse, and rho
+with one reduction per step. Every hot path must return exactly what
+its oracle returns.
 """
 
+import math
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -36,7 +40,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chern_gate import constraint_system_for, enumerate_cases, search
+from chern_gate import constraint_system_for, enumerate_cases, exact, search
 from chern_gate.exact import divisors, factorize
 from chern_gate.obstruction import (
     _prime_powers,
@@ -77,6 +81,7 @@ from chern_gate.verify import (
     ModularObstruction,
     RootFound,
     _check_reduction,
+    is_probable_prime,
     verify_certificate,
 )
 
@@ -156,6 +161,36 @@ def prime_power_horner_eliminate(poly: IntPoly, max_modulus: int = 720):
     return ConstantDivisorTest(
         content=content, m_power=m_power, divisors=candidates, values=values
     )
+
+
+def plain_pollard_rho(n: int, gcd=math.gcd) -> int:
+    """exact._pollard_rho with one reduction per squaring and one per
+    difference of the product."""
+    for c in range(1, 1000):
+        y, r, q = 2, 1, 1
+        g = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"rho failed to split {n}")
 
 
 def fraction_solve_quadratic(a, b, c) -> tuple[Fraction, ...]:
@@ -489,6 +524,52 @@ def test_each_residue_is_evaluated_once_for_every_modulus(
     assert len(cert.divisors) == 9
     assert len(calls) == 719 + 6 + 3
     assert len(calls) <= 720 + len(cert.divisors)
+
+
+class RecordingMath:
+    """Stands in for the math module, recording the arguments of each gcd."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, *args):
+        self.calls.append(args)
+        return math.gcd(*args)
+
+
+# Products of two or three primes from 10^4 to 2^24, and prime squares.
+PRIMES = st.integers(min_value=10**4, max_value=2**24).map(
+    lambda k: next(p for p in range(k, 2 * k) if is_probable_prime(p))
+)
+COMPOSITES = st.one_of(
+    st.lists(PRIMES, min_size=2, max_size=3).map(math.prod),
+    PRIMES.map(lambda p: p * p),
+)
+
+
+@DIFFERENTIAL
+@given(COMPOSITES)
+@example(9)  # 9, 15, 21, 25 and 49 take the one-step remainders of r = 1, 2
+@example(15)
+@example(21)
+@example(25)
+@example(49)
+@example(101581057)  # 10007 * 10151: gcd hits n at c = 1, the backtrack splits
+@example(101060693)  # 10007 * 10099: the backtrack hits n too, c = 2 splits
+@example(3137564039 * 3642977969)
+def test_pollard_rho_matches_the_plain_loop(n):
+    # Every iterate is reduced mod n and the product is the same residue
+    # at each gcd, so the grouped loops split n where the plain loop does,
+    # after the same gcds with the same arguments.
+    plain, grouped = RecordingMath(), RecordingMath()
+    expected = plain_pollard_rho(n, plain.gcd)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "math", grouped)
+        assert exact._pollard_rho(n) == expected
+    assert grouped.calls == plain.calls
 
 
 @DIFFERENTIAL

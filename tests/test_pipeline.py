@@ -127,10 +127,26 @@ def test_an_already_reduced_polynomial_is_built_once(monkeypatch):
     (row,) = run_lemma(spec)["polynomials"]
     assert (row["certificate"]["modulus"], row["verified"]) == (2, True)
     assert built == []
-    # Every polynomial of 3.1 has content > 1, so each takes the full
-    # reduction in eliminate and again in each check of its certificate.
-    run_lemma(load_scenario("3.1"), baseline=load_baseline("3.1"))
-    assert len(built) == 27
+
+
+@pytest.mark.parametrize("lid, builds", [("3.1", 24), ("A.2", 18)])
+def test_a_printed_modular_obstruction_is_reduced_once(monkeypatch, lid, builds):
+    # Every polynomial of 3.1 and A.2 has content > 1, so each takes the
+    # full reduction in eliminate and again in each check of a
+    # certificate. The residues of each of their three printed modular
+    # obstructions come from the exact values, so only the verifier
+    # reduces its polynomial: 3 builds fewer than reducing it twice.
+    built = []
+
+    def counting(self, plain=IntPoly.__post_init__):
+        built.append(self.coeffs)
+        plain(self)
+
+    spec, baseline = load_scenario(lid), load_baseline(lid)
+    monkeypatch.setattr(IntPoly, "__post_init__", counting)
+    report = run_lemma(spec, baseline=baseline)
+    assert report["baseline_diff"] == []
+    assert len(built) == builds
 
 
 def test_workers_do_not_change_the_report(shipped_reports):
