@@ -99,11 +99,13 @@ def factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     # Trial division by the primes below 10_000. One gcd tells whether any
     # of them divides n; when none does, the loop would divide nothing.
-    # Past p^2 > n, what is left of n is 1 or a prime.
+    # Past p^2 > n, what is left of n is 1 or a prime, so it needs no test.
     if math.gcd(n, _primorial(10_000)) > 1:
         for p in _primes_upto(10_000):
             if p * p > n:
-                break
+                if n > 1:
+                    out[n] = 1
+                return out
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p

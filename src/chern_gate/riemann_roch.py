@@ -49,19 +49,24 @@ class HodgeDiamond:
     h: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.h) != 5 or any(len(row) != 5 for row in self.h):
+        h = self.h
+        if len(h) != 5 or any(len(row) != 5 for row in h):
             raise ValueError("expected a 5x5 grid of Hodge numbers")
-        for p in range(5):
-            for q in range(5):
-                if self.h[p][q] < 0:
-                    raise ValueError(f"h[{p}][{q}] is negative")
-                if self.h[p][q] != self.h[q][p]:
-                    raise ValueError(f"h[{p}][{q}] != h[{q}][{p}]: not symmetric")
-                if self.h[p][q] != self.h[4 - p][4 - q]:
-                    raise ValueError(
-                        f"h[{p}][{q}] != h[{4 - p}][{4 - q}]: not Serre-dual"
-                    )
-        if self.h[0][0] != 1 or self.h[4][4] != 1:
+        # One pass accepts a good grid; only a bad one runs the loop, which
+        # names its first bad cell.
+        serre = tuple(row[::-1] for row in h[::-1])
+        if not (h == tuple(zip(*h)) and h == serre and min(map(min, h)) >= 0):
+            for p in range(5):
+                for q in range(5):
+                    if h[p][q] < 0:
+                        raise ValueError(f"h[{p}][{q}] is negative")
+                    if h[p][q] != h[q][p]:
+                        raise ValueError(f"h[{p}][{q}] != h[{q}][{p}]: not symmetric")
+                    if h[p][q] != h[4 - p][4 - q]:
+                        raise ValueError(
+                            f"h[{p}][{q}] != h[{4 - p}][{4 - q}]: not Serre-dual"
+                        )
+        if h[0][0] != 1 or h[4][4] != 1:
             raise ValueError("a connected fourfold needs h[0][0] == h[4][4] == 1")
 
     @staticmethod
@@ -80,11 +85,11 @@ class DerivedInvariants:
 
 
 def invariants_from_diamond(hd: HodgeDiamond) -> DerivedInvariants:
-    chi = sum((-1) ** (p + q) * hd.h[p][q] for p in range(5) for q in range(5))
-    chi_o = sum((-1) ** q * hd.h[0][q] for q in range(5))
-    chi1 = sum((-1) ** q * hd.h[1][q] for q in range(5))
-    sigma = sum((-1) ** q * hd.h[p][q] for p in range(5) for q in range(5))
-    return DerivedInvariants(chi=chi, chi_O=chi_o, chi1=chi1, signature=sigma)
+    """The four sums from the row sums rho_p = sum_q (-1)^q h^{p,q}:
+    chi_O = rho_0, chi^1 = rho_1, sigma = sum rho_p, chi = sum (-1)^p rho_p."""
+    rho = [h0 - h1 + h2 - h3 + h4 for h0, h1, h2, h3, h4 in hd.h]
+    chi = rho[0] - rho[1] + rho[2] - rho[3] + rho[4]
+    return DerivedInvariants(chi=chi, chi_O=rho[0], chi1=rho[1], signature=sum(rho))
 
 
 def complete_invariants(inv: DerivedInvariants) -> DerivedInvariants:

@@ -115,31 +115,42 @@ def _known_keys(mapping: dict, allowed, path: str, reason: str) -> None:
 def _parse_hodge(raw, path: str) -> HodgeDiamond:
     if not isinstance(raw, list) or len(raw) != 5:
         raise ScenarioError(path, "expected a 5x5 matrix")
-    grid = []
-    for p, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != 5:
-            raise ScenarioError(f"{path}[{p}]", "expected a row of 5 integers")
-        grid.append([_expect(x, int, f"{path}[{p}][{q}]") for q, x in enumerate(row)])
-    for p in range(5):
-        for q in range(p + 1, 5):
-            if grid[p][q] != grid[q][p]:
+    # One pass accepts rows of 5 ints (no bool) equal to their transpose
+    # and to their Serre mirror; only a bad grid runs the checks below,
+    # which name its first bad cell.
+    if not (
+        all(type(row) is list and len(row) == 5 for row in raw)
+        and all(type(x) is int for row in raw for x in row)
+        and raw == list(map(list, zip(*raw)))
+        and raw == [row[::-1] for row in raw[::-1]]
+    ):
+        grid = []
+        for p, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != 5:
+                raise ScenarioError(f"{path}[{p}]", "expected a row of 5 integers")
+            grid.append(
+                [_expect(x, int, f"{path}[{p}][{q}]") for q, x in enumerate(row)]
+            )
+        for p in range(5):
+            for q in range(p + 1, 5):
+                if grid[p][q] != grid[q][p]:
+                    raise ScenarioError(
+                        f"{path}[{p}][{q}]",
+                        f"h[{p}][{q}]={grid[p][q]} is not matched by "
+                        f"h[{q}][{p}]={grid[q][p]}",
+                    )
+        # Serre duality: h^{p,q} = h^{4-p,4-q}. The cells before the centre
+        # in row order meet every pair once.
+        for cell in range(12):
+            p, q = divmod(cell, 5)
+            if grid[p][q] != grid[4 - p][4 - q]:
                 raise ScenarioError(
                     f"{path}[{p}][{q}]",
                     f"h[{p}][{q}]={grid[p][q]} is not matched by "
-                    f"h[{q}][{p}]={grid[q][p]}",
+                    f"h[{4 - p}][{4 - q}]={grid[4 - p][4 - q]} (Serre duality)",
                 )
-    # Serre duality: h^{p,q} = h^{4-p,4-q}. The cells before the centre
-    # in row order meet every pair once.
-    for cell in range(12):
-        p, q = divmod(cell, 5)
-        if grid[p][q] != grid[4 - p][4 - q]:
-            raise ScenarioError(
-                f"{path}[{p}][{q}]",
-                f"h[{p}][{q}]={grid[p][q]} is not matched by "
-                f"h[{4 - p}][{4 - q}]={grid[4 - p][4 - q]} (Serre duality)",
-            )
     try:
-        return HodgeDiamond.from_rows(grid)
+        return HodgeDiamond.from_rows(raw)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
 

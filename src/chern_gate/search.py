@@ -14,10 +14,10 @@ k is rational exactly when D * (7 r^4 D + 3 target) is a square, D the
 degree. With g = gcd(D, 3 target) that forces D = g a^2 and
 b^2 - 7 (r^2 a)^2 = 3 target / g, so the degrees come from the
 solutions of one Pell-type equation per divisor g of 3 target, not from
-a scan of the grid. The grid points of those degrees then go through
-the per-point solver, which for each r repeats the square test with
-s its root, takes k = (-2 c14 +- s) / (3 c14) with c14 = r^4 D, and
-applies the bounds and the rule. The cost
+a scan of the grid, and so do the r at each degree. The grid points of
+those degrees then go through the per-point solver with those r only,
+which takes k = (-2 c14 +- s) / (3 c14) with c14 = r^4 D and s the
+square root, and applies the bounds and the rule. The cost
 grows with the target rather than with the grid. Output order is
 deterministic: lattice parameters, then r, then k, ascending.
 """
@@ -100,8 +100,8 @@ class LatticeSpec:
         if self.model == "rank2":
             out = []
             for a in range(1, min(self.a_max, isqrt(d)) + 1):
-                b = integer_sqrt_exact(d - a * a)
-                if b is not None and b <= self.b_max:
+                b = isqrt(d - a * a)
+                if a * a + b * b == d and b <= self.b_max:
                     out.append(Geometry.rank2(a, b))
             return out
         return [Geometry.free(d)] if d <= self.d_max else []
@@ -159,18 +159,20 @@ def solve_quadratic_rational(c14: int, target: int) -> tuple[Fraction, ...]:
     return (Fraction(-2 * c14 - s, 3 * c14), Fraction(-2 * c14 + s, 3 * c14))
 
 
-def _solve_point(system: ConstraintSystem, geom: Geometry) -> list[tuple]:
+def _solve_point(system: ConstraintSystem, geom: Geometry, rs) -> list[tuple]:
+    """The solutions at grid point geom with r in rs."""
     found = []
-    for r in range(system.r_min, system.r_max + 1):
+    lower = system.k_lower
+    for r in rs:
         c14 = r**4 * geom.degree
         if system.c14_max is not None and c14 > system.c14_max:
             continue
         for k in solve_quadratic_rational(c14, system.target):
-            if system.k_lower is not None and not k > system.k_lower:
+            p, q = k.numerator, k.denominator
+            if lower is not None and p * lower.denominator <= lower.numerator * q:
                 continue
             if not _passes_divisibility(geom, r, k):
                 continue
-            p, q = k.numerator, k.denominator
             if (3 * p * p + 4 * p * q - q * q) * c14 != system.target * q * q:
                 raise ArithmeticError("solver produced a non-solution")
             found.append((geom, r, k))
@@ -185,11 +187,15 @@ def _pell_ys(n: int, y_max: int) -> set[int]:
     with the unit 8 + 3 sqrt 7), and x0 may have either sign.
     Taking x0 > 0 and y of both signs, the unit's powers then reach every
     solution with positive x and y, none of them with y below y0.
+    As x^2 - 7 y^2 is x^2 mod 7 and x^2 + y^2 mod 8, there is no solution
+    when n is 3, 5 or 6 mod 7, or 3, 6 or 7 mod 8.
     """
     ys = set()
+    if n % 7 in (3, 5, 6) or n % 8 in (3, 6, 7):
+        return ys
     for y0 in range(min(isqrt(n // 2), y_max) + 1):
-        x0 = integer_sqrt_exact(n + 7 * y0 * y0)
-        if x0 is not None:
+        x0 = isqrt(n + 7 * y0 * y0)
+        if x0 * x0 == n + 7 * y0 * y0:
             for x, y in ((x0, y0), (x0, -y0)):
                 while y <= y_max:
                     if y >= 1:
@@ -198,42 +204,44 @@ def _pell_ys(n: int, y_max: int) -> set[int]:
     return ys
 
 
-def _candidate_degrees(system: ConstraintSystem) -> set[int]:
+def _candidate_degrees(system: ConstraintSystem) -> dict[int, set[int]]:
     """Every degree D <= the grid's largest at which D (7 r^4 D + 3 target)
-    is a square for some r in range: D = g a^2 with g dividing 3 target
-    and r^2 a a solution y of x^2 - 7 y^2 == 3 target / g."""
+    is a square for some r in range, mapped to those r: D = g a^2 with g
+    dividing 3 target and r^2 a a solution y of x^2 - 7 y^2 == 3 target / g.
+    The r range has one sign, so r^2 names r."""
     d_max = system.lattice.max_degree
-    squares = {r * r for r in range(system.r_min, system.r_max + 1)}
+    roots = {r * r: r for r in range(system.r_min, system.r_max + 1)}
     n = 3 * system.target
-    found = set()
+    found = {}
     for g in divisors(n):
         a_max = isqrt(d_max // g)
         if a_max == 0:
             break  # the divisors ascend
-        for y in _pell_ys(n // g, max(squares) * a_max):
-            for s in squares:
+        for y in _pell_ys(n // g, max(roots) * a_max):
+            for s, r in roots.items():
                 a, rem = divmod(y, s)
                 if rem == 0 and a <= a_max:
-                    found.add(g * a * a)
+                    found.setdefault(g * a * a, set()).add(r)
     return found
 
 
 def enumerate_cases(system: ConstraintSystem, workers: int = 1) -> list[CaseSolution]:
     """All solutions over the grid, sorted and numbered from 1.
 
-    Only the grid points at a candidate degree are solved. workers is
-    accepted and ignored: the benchmark harness still passes it.
+    Only the grid points at a candidate degree are solved, each with the
+    r found there. workers is accepted and ignored: the benchmark harness
+    still passes it.
     """
     raw = [
         hit
-        for d in sorted(_candidate_degrees(system))
+        for d, rs in _candidate_degrees(system).items()
         for geom in system.lattice.at_degree(d)
-        for hit in _solve_point(system, geom)
+        for hit in _solve_point(system, geom, rs)
     ]
     raw.sort(key=lambda hit: (hit[0].sort_params, hit[1], hit[2]))
     seen = set()
-    for hit in raw:
-        key = (hit[0].sort_params, hit[1], hit[2])
+    for geom, r, k in raw:
+        key = (geom.sort_params, r, k.numerator, k.denominator)
         if key in seen:
             raise ArithmeticError(f"duplicate solution {key}")
         seen.add(key)

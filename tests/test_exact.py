@@ -157,6 +157,24 @@ def test_factorize_across_the_trial_bound(small, medium, with_m61):
     assert len(calls) == max(sum(above.values()) - 1, 0)
 
 
+def test_a_rest_that_trial_division_proves_prime_is_not_tested(monkeypatch):
+    calls = []
+
+    def counting(m, plain=exact.is_probable_prime):
+        calls.append(m)
+        return plain(m)
+
+    monkeypatch.setattr(exact, "is_probable_prime", counting)
+    # Trial division stops at 101, past the square root of 10007, so the
+    # rest is prime with no Miller-Rabin test.
+    assert factorize(2 * 10007) == {2: 1, 10007: 1}
+    assert calls == []
+    # No prime below 10_000 divides 10007 * 10009: the gcd skips trial
+    # division, so Miller-Rabin decides.
+    assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
+    assert calls
+
+
 def test_factorize_splits_a_semiprime_of_32_bit_primes():
     assert factorize(3137564039 * 3642977969) == {3137564039: 1, 3642977969: 1}
 

@@ -10,8 +10,11 @@ test at once, which reads p(t) from the scan for every divisor t the
 scan reached. A reduction by content 1 and m power 0 of a polynomial
 with positive lead, nonzero constant term and scale 1 returns the
 polynomial itself. The enumeration visits only the degrees that
-solutions of x^2 - 7 y^2 = 3 target / g allow, and takes k in closed
-form from the integer square root of c14 (7 c14 + 3 target). Each
+solutions of x^2 - 7 y^2 = 3 target / g allow, solves only the r those
+solutions give at each, and takes k in closed form from the integer
+square root of c14 (7 c14 + 3 target). A Hodge diamond is accepted in
+one pass over the grid, its transpose and its Serre mirror, and its
+invariants come from its row sums. Each
 case's characteristic numbers, Pontryagin numbers, signature and
 chi(O) check are integer numerators over a known
 denominator, with one Fraction per value returned, and so is c4 of the
@@ -25,14 +28,18 @@ rebuilds every polynomial, every modulus 2..max_modulus with every
 residue, the prime-power scan with Horner's rule mod q run afresh for
 every residue of every modulus, both climbing to the cap whatever
 roots they pass, the per-point scan of every grid point and r, one
-Fraction quadratic per grid point and r, y tried one by one, and each
+Fraction quadratic per grid point and r, y tried one by one, the
+diamond checked cell by cell and its invariants summed cell by cell,
+and each
 per-case formula as a chain of Fraction operations, c4(N) and the
 embedding polynomial among them through GradedClass.inverse, and rho
 with one reduction per step. Every hot path must return exactly what
 its oracle returns.
 """
 
+import copy
 import math
+import operator
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -50,8 +57,11 @@ from chern_gate.obstruction import (
 )
 from chern_gate.report import parse_int_str
 from chern_gate.riemann_roch import (
+    DerivedInvariants,
+    HodgeDiamond,
     PontryaginData,
     chi_O_from_class,
+    invariants_from_diamond,
     l_genus_signature,
     pontryagin_numbers,
 )
@@ -66,6 +76,7 @@ from chern_gate.ring import (
     normal_c4_polynomial,
     top_pairing,
 )
+from chern_gate.scenario import ScenarioError, _expect, _parse_hodge
 from chern_gate.search import (
     LATTICE_BOUNDS,
     LATTICE_MODELS,
@@ -290,12 +301,73 @@ def fraction_solve_point(system: ConstraintSystem, geom) -> list[tuple]:
 def scan_cases(system: ConstraintSystem) -> list[CaseSolution]:
     """enumerate_cases as the per-point scan: every grid point, every r."""
     grid = system.lattice.grid()
-    raw = [hit for geom in grid for hit in search._solve_point(system, geom)]
+    rs = range(system.r_min, system.r_max + 1)
+    raw = [hit for geom in grid for hit in search._solve_point(system, geom, rs)]
     raw.sort(key=lambda hit: (hit[0].sort_params, hit[1], hit[2]))
     return [
         CaseSolution(ordinal=i, geometry=geom, r=r, k=k)
         for i, (geom, r, k) in enumerate(raw, start=1)
     ]
+
+
+def loop_diamond(rows) -> HodgeDiamond:
+    """HodgeDiamond.from_rows with its checks run cell by cell first."""
+    h = tuple(tuple(map(operator.index, row)) for row in rows)
+    if len(h) != 5 or any(len(row) != 5 for row in h):
+        raise ValueError("expected a 5x5 grid of Hodge numbers")
+    for p in range(5):
+        for q in range(5):
+            if h[p][q] < 0:
+                raise ValueError(f"h[{p}][{q}] is negative")
+            if h[p][q] != h[q][p]:
+                raise ValueError(f"h[{p}][{q}] != h[{q}][{p}]: not symmetric")
+            if h[p][q] != h[4 - p][4 - q]:
+                raise ValueError(f"h[{p}][{q}] != h[{4 - p}][{4 - q}]: not Serre-dual")
+    if h[0][0] != 1 or h[4][4] != 1:
+        raise ValueError("a connected fourfold needs h[0][0] == h[4][4] == 1")
+    return HodgeDiamond(h)
+
+
+def loop_parse_hodge(raw, path: str) -> HodgeDiamond:
+    """scenario._parse_hodge as cell-by-cell checks on every grid."""
+    if not isinstance(raw, list) or len(raw) != 5:
+        raise ScenarioError(path, "expected a 5x5 matrix")
+    grid = []
+    for p, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != 5:
+            raise ScenarioError(f"{path}[{p}]", "expected a row of 5 integers")
+        grid.append([_expect(x, int, f"{path}[{p}][{q}]") for q, x in enumerate(row)])
+    for p in range(5):
+        for q in range(p + 1, 5):
+            if grid[p][q] != grid[q][p]:
+                raise ScenarioError(
+                    f"{path}[{p}][{q}]",
+                    f"h[{p}][{q}]={grid[p][q]} is not matched by "
+                    f"h[{q}][{p}]={grid[q][p]}",
+                )
+    for cell in range(12):
+        p, q = divmod(cell, 5)
+        if grid[p][q] != grid[4 - p][4 - q]:
+            raise ScenarioError(
+                f"{path}[{p}][{q}]",
+                f"h[{p}][{q}]={grid[p][q]} is not matched by "
+                f"h[{4 - p}][{4 - q}]={grid[4 - p][4 - q]} (Serre duality)",
+            )
+    try:
+        return loop_diamond(grid)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from exc
+
+
+def cell_sum_invariants(hd: HodgeDiamond) -> DerivedInvariants:
+    """invariants_from_diamond as one signed sum over the cells per value."""
+    h, cells = hd.h, [(p, q) for p in range(5) for q in range(5)]
+    return DerivedInvariants(
+        chi=sum((-1) ** (p + q) * h[p][q] for p, q in cells),
+        chi_O=sum((-1) ** q * h[0][q] for q in range(5)),
+        chi1=sum((-1) ** q * h[1][q] for q in range(5)),
+        signature=sum((-1) ** q * h[p][q] for p, q in cells),
+    )
 
 
 COEFF = st.integers(min_value=-(10**4), max_value=10**4)
@@ -352,6 +424,42 @@ def constraint_systems(draw, top: int = 30) -> ConstraintSystem:
     )
     c14_max = draw(st.none() | st.integers(min_value=1, max_value=10**5))
     return ConstraintSystem(target, lattice, r_min, r_max, k_lower, c14_max)
+
+
+@st.composite
+def hodge_grids(draw):
+    """A 5x5 JSON grid: symmetric and Serre-dual, with h[0][0] = h[4][4]
+    mostly 1, then often spoilt: one cell, a cell and its transpose, or a
+    cell and all its images set to another value (negative too, True for
+    all the images, and for one cell a bool, a string or a float), a row
+    cut short or not a list, or a grid of the wrong length."""
+    values = st.integers(min_value=0, max_value=6)
+    orbit = {}
+    grid = [[0] * 5 for _ in range(5)]
+    for p in range(5):
+        for q in range(5):
+            rep = min((p, q), (q, p), (4 - p, 4 - q), (4 - q, 4 - p))
+            if rep not in orbit:
+                corner = st.sampled_from((1, 1, 2))
+                orbit[rep] = draw(corner if rep == (0, 0) else values)
+            grid[p][q] = orbit[rep]
+    cell = st.integers(min_value=0, max_value=4)
+    p, q = draw(cell), draw(cell)
+    value = st.integers(min_value=-2, max_value=7)
+    fault = draw(st.sampled_from(("none", "cell", "pair", "orbit", "row", "rows")))
+    if fault == "cell":
+        grid[p][q] = draw(value | st.sampled_from((True, "1", 1.0)))
+    elif fault in ("pair", "orbit"):
+        v = draw(value | st.just(True) if fault == "orbit" else value)
+        images = ((p, q), (q, p), (4 - p, 4 - q), (4 - q, 4 - p))
+        for i, j in images[: 2 if fault == "pair" else 4]:
+            grid[i][j] = v
+    elif fault == "row":
+        row = grid[p]
+        grid[p] = draw(st.sampled_from((row[:4], row + [0], None, tuple(row))))
+    elif fault == "rows":
+        grid = draw(st.sampled_from((grid[:4], grid + [grid[0]], {})))
+    return grid
 
 
 # Rationals with denominators up to 60, zero and negatives included.
@@ -575,8 +683,9 @@ def test_pollard_rho_matches_the_plain_loop(n):
 @DIFFERENTIAL
 @given(constraint_systems())
 def test_solve_point_matches_the_fraction_quadratic(system):
+    rs = range(system.r_min, system.r_max + 1)
     for geom in system.lattice.grid():
-        assert search._solve_point(system, geom) == fraction_solve_point(
+        assert search._solve_point(system, geom, rs) == fraction_solve_point(
             system, geom
         )
 
@@ -587,6 +696,23 @@ def test_enumeration_matches_the_per_point_scan(system):
     assert enumerate_cases(system) == scan_cases(system)
 
 
+@DIFFERENTIAL
+@given(hodge_grids())
+@example([[1, 0, 0, 0, -1], *[[0] * 5] * 3, [-1, 0, 0, 0, 1]])  # negative corner
+@example([[2, 0, 0, 0, 0], *[[0] * 5] * 3, [0, 0, 0, 0, 2]])  # not connected
+def test_parse_hodge_matches_the_cell_by_cell_checks(raw):
+    def outcome(parse):
+        try:
+            return parse(copy.deepcopy(raw), "hodge")
+        except ScenarioError as err:
+            return err.path, err.reason
+
+    got = outcome(_parse_hodge)
+    assert got == outcome(loop_parse_hodge)
+    if isinstance(got, HodgeDiamond):
+        assert invariants_from_diamond(got) == cell_sum_invariants(got)
+
+
 def test_pell_solutions_match_trying_every_y():
     for n in range(1, 400):
         expected = {
@@ -595,6 +721,16 @@ def test_pell_solutions_match_trying_every_y():
         for y_max in (1, 2, 5, 17, 3000):
             ys = {y for y in expected if y <= y_max}
             assert _pell_ys(n, y_max) == ys, (n, y_max)
+
+
+def test_pell_equations_skipped_by_residue_have_no_small_solution():
+    # x^2 - 7 y^2 is x^2 mod 7 and x^2 + y^2 mod 8, so no n that is 3, 5 or
+    # 6 mod 7, or 3, 6 or 7 mod 8, is a value; try every y up to 100.
+    for n in range(1, 1001):
+        if n % 7 in (3, 5, 6) or n % 8 in (3, 6, 7):
+            assert _pell_ys(n, 100) == set(), n
+            for y in range(101):
+                assert isqrt(n + 7 * y * y) ** 2 != n + 7 * y * y, (n, y)
 
 
 def test_quadratic_is_solved_only_where_k_is_rational(pipeline_runs, monkeypatch):
@@ -610,11 +746,13 @@ def test_quadratic_is_solved_only_where_k_is_rational(pipeline_runs, monkeypatch
         spec, inv, solutions = pipeline_runs[lid]
         system = constraint_system_for(spec, target=inv.target)
         assert enumerate_cases(system) == solutions, lid
-    # A call returns () exactly when c14 (7 c14 + 3 target) is not a square.
-    assert calls
+    # The Pell step passes only the r at which c14 (7 c14 + 3 target) is a
+    # square, so every call has rational roots: 62 over the four lemmas,
+    # where solving every r at each candidate degree takes 231.
+    assert len(calls) == 62
     for c14, target, roots in calls:
         n = c14 * (7 * c14 + 3 * target)
-        assert (roots == ()) == (isqrt(n) ** 2 != n), (c14, target)
+        assert isqrt(n) ** 2 == n and len(roots) == 2, (c14, target)
 
 
 @st.composite
