@@ -149,8 +149,9 @@ def _parse_hodge(raw, path: str) -> HodgeDiamond:
                     f"h[{p}][{q}]={grid[p][q]} is not matched by "
                     f"h[{4 - p}][{4 - q}]={grid[4 - p][4 - q]} (Serre duality)",
                 )
+    # Every cell is an int by now, so the rows need no conversion.
     try:
-        return HodgeDiamond.from_rows(raw)
+        return HodgeDiamond(tuple(map(tuple, raw)))
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
 

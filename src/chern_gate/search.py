@@ -14,12 +14,15 @@ k is rational exactly when D * (7 r^4 D + 3 target) is a square, D the
 degree. With g = gcd(D, 3 target) that forces D = g a^2 and
 b^2 - 7 (r^2 a)^2 = 3 target / g, so the degrees come from the
 solutions of one Pell-type equation per divisor g of 3 target, not from
-a scan of the grid, and so do the r at each degree. The grid points of
+a scan of the grid, and so do the r at each degree. The bounds cap
+c14 = r^4 D = g (r^2 a)^2 at a ceiling (see _c14_ceiling), so they cap
+r^2 a below the square root of ceiling / g for every r, and no degree
+past the ceiling is visited however large the box. The grid points of
 those degrees then go through the per-point solver with those r only,
-which takes k = (-2 c14 +- s) / (3 c14) with c14 = r^4 D and s the
-square root, and applies the bounds and the rule. The cost
-grows with the target rather than with the grid. Output order is
-deterministic: lattice parameters, then r, then k, ascending.
+which takes k = (-2 c14 +- s) / (3 c14) with s the square root, and
+applies the bounds and the rule. The cost grows with the target and
+the ceiling rather than with the grid. Output order is deterministic:
+lattice parameters, then r, then k, ascending.
 """
 
 from __future__ import annotations
@@ -204,20 +207,48 @@ def _pell_ys(n: int, y_max: int) -> set[int]:
     return ys
 
 
+def _c14_ceiling(system: ConstraintSystem) -> int | None:
+    """The largest c14 = r^4 D at which a case can pass the bounds, or None
+    when they set none: the smaller of c14_max and the largest c14 at
+    which the larger root still exceeds k_lower = p/q.
+
+    The roots are (-2 c14 -+ s) / (3 c14), s^2 = c14 (7 c14 + 3 target).
+    The smaller is below -2/3, so it never passes a bound with
+    3p + 2q > 0, and the larger passes one exactly when
+    ((3p + 2q)^2 - 7 q^2) c14 < 3 target q^2. The larger exceeds
+    (sqrt 7 - 2) / 3, so it passes every bound with 3p + 2q <= 0 or
+    (3p + 2q)^2 < 7 q^2 at every c14; as sqrt 7 is irrational,
+    (3p + 2q)^2 != 7 q^2.
+    """
+    ceilings = [] if system.c14_max is None else [system.c14_max]
+    if system.k_lower is not None:
+        p, q = system.k_lower.numerator, system.k_lower.denominator
+        spread = (3 * p + 2 * q) ** 2 - 7 * q * q
+        if 3 * p + 2 * q > 0 and spread > 0:
+            ceilings.append((3 * system.target * q * q - 1) // spread)
+    return min(ceilings, default=None)
+
+
 def _candidate_degrees(system: ConstraintSystem) -> dict[int, set[int]]:
     """Every degree D <= the grid's largest at which D (7 r^4 D + 3 target)
-    is a square for some r in range, mapped to those r: D = g a^2 with g
-    dividing 3 target and r^2 a a solution y of x^2 - 7 y^2 == 3 target / g.
-    The r range has one sign, so r^2 names r."""
+    is a square for some r in range with r^4 D at most the c14 ceiling,
+    mapped to those r: D = g a^2 with g dividing 3 target and r^2 a a
+    solution y of x^2 - 7 y^2 == 3 target / g. Then r^4 D = g y^2, so the
+    ceiling caps y alike for every r. The r range has one sign, so r^2
+    names r."""
     d_max = system.lattice.max_degree
     roots = {r * r: r for r in range(system.r_min, system.r_max + 1)}
+    ceiling = _c14_ceiling(system)
     n = 3 * system.target
     found = {}
     for g in divisors(n):
         a_max = isqrt(d_max // g)
-        if a_max == 0:
-            break  # the divisors ascend
-        for y in _pell_ys(n // g, max(roots) * a_max):
+        y_max = max(roots) * a_max
+        if ceiling is not None:
+            y_max = min(y_max, isqrt(max(ceiling, 0) // g))
+        if y_max < min(roots):
+            break  # the divisors ascend, and y is r^2 a with a >= 1
+        for y in _pell_ys(n // g, y_max):
             for s, r in roots.items():
                 a, rem = divmod(y, s)
                 if rem == 0 and a <= a_max:

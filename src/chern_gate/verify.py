@@ -80,7 +80,7 @@ class IntPoly:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def evaluate(self, m):
         acc = 0

@@ -10,9 +10,10 @@ test at once, which reads p(t) from the scan for every divisor t the
 scan reached. A reduction by content 1 and m power 0 of a polynomial
 with positive lead, nonzero constant term and scale 1 returns the
 polynomial itself. The enumeration visits only the degrees that
-solutions of x^2 - 7 y^2 = 3 target / g allow, solves only the r those
-solutions give at each, and takes k in closed form from the integer
-square root of c14 (7 c14 + 3 target). A Hodge diamond is accepted in
+solutions of x^2 - 7 y^2 = 3 target / g allow, up to the c14 ceiling
+that k_lower and c14_max set, solves only the r those solutions give
+at each, and takes k in closed form from the integer square root of
+c14 (7 c14 + 3 target). A Hodge diamond is accepted in
 one pass over the grid, its transpose and its Serre mirror, and its
 invariants come from its row sums. Each
 case's characteristic numbers, Pontryagin numbers, signature and
@@ -74,6 +75,7 @@ from chern_gate.ring import (
     char_number_table,
     chern_from_case,
     normal_c4_polynomial,
+    replace,
     top_pairing,
 )
 from chern_gate.scenario import ScenarioError, _expect, _parse_hodge
@@ -696,6 +698,51 @@ def test_enumeration_matches_the_per_point_scan(system):
     assert enumerate_cases(system) == scan_cases(system)
 
 
+# k_lower in each branch of search._c14_ceiling: 3p + 2q <= 0, where the
+# larger root always passes; (3p + 2q)^2 < 7 q^2, where it passes too, as
+# it exceeds (sqrt 7 - 2) / 3, about 0.2153; and (3p + 2q)^2 > 7 q^2, which
+# caps c14.
+K_LOWER_BRANCHES = (
+    st.fractions(min_value=-3, max_value=Fraction(-2, 3), max_denominator=12),
+    st.fractions(
+        min_value=Fraction(-2, 3), max_value=Fraction(1, 5), max_denominator=12
+    ).filter(lambda k: k > Fraction(-2, 3)),
+    st.fractions(min_value=Fraction(2, 9), max_value=3, max_denominator=12),
+)
+
+
+@st.composite
+def ceiling_systems(draw) -> ConstraintSystem:
+    """constraint_systems with k_lower drawn from one branch of the c14
+    ceiling, or none, and c14_max none or any integer, even one below
+    every c14."""
+    system = draw(constraint_systems(top=60))
+    k_lower = draw(st.one_of(st.none(), *K_LOWER_BRANCHES))
+    c14_max = draw(st.none() | st.integers(min_value=-3, max_value=10**5))
+    return replace(system, k_lower=k_lower, c14_max=c14_max)
+
+
+# 3k^2 + 4k - 1 == 6 at k = 1, and k_lower = 2/3 caps c14 at
+# (3 * 6 * 9 - 1) // (12^2 - 7 * 9) == 1, the c14 of d = 1 and r = 1.
+ON_THE_CEILING = ConstraintSystem(
+    6, LatticeSpec("free", d_max=10), 1, 1, Fraction(2, 3)
+)
+
+
+@DIFFERENTIAL
+@given(ceiling_systems())
+@example(ON_THE_CEILING)
+@example(replace(ON_THE_CEILING, k_lower=None, c14_max=-1))
+def test_enumeration_below_the_c14_ceiling_matches_the_per_point_scan(system):
+    assert enumerate_cases(system) == scan_cases(system)
+
+
+def test_a_case_exactly_on_the_c14_ceiling_is_found():
+    assert search._c14_ceiling(ON_THE_CEILING) == 1
+    [sol] = enumerate_cases(ON_THE_CEILING)
+    assert (sol.geometry.degree, sol.r, sol.k) == (1, 1, Fraction(1))
+
+
 @DIFFERENTIAL
 @given(hodge_grids())
 @example([[1, 0, 0, 0, -1], *[[0] * 5] * 3, [-1, 0, 0, 0, 1]])  # negative corner
@@ -747,9 +794,11 @@ def test_quadratic_is_solved_only_where_k_is_rational(pipeline_runs, monkeypatch
         system = constraint_system_for(spec, target=inv.target)
         assert enumerate_cases(system) == solutions, lid
     # The Pell step passes only the r at which c14 (7 c14 + 3 target) is a
-    # square, so every call has rational roots: 62 over the four lemmas,
-    # where solving every r at each candidate degree takes 231.
-    assert len(calls) == 62
+    # square and c14 is at most the ceiling that k_lower and c14_max set,
+    # so every call has rational roots: 32 over the four lemmas, where
+    # every square below the box takes 62 and solving every r at each
+    # candidate degree 231.
+    assert len(calls) == 32
     for c14, target, roots in calls:
         n = c14 * (7 * c14 + 3 * target)
         assert isqrt(n) ** 2 == n and len(roots) == 2, (c14, target)

@@ -23,10 +23,12 @@ from chern_gate import (
     graded,
     invariants_from_diamond,
     load_scenario,
+    search,
     to_chern_case,
     top_pairing,
 )
 from chern_gate.ring import replace
+from chern_gate.search import LATTICE_BOUNDS
 
 
 def case_keys(solutions):
@@ -179,6 +181,34 @@ def test_rank2_case_set_and_redundant_cap(pipeline_runs):
     for cap in (626, 627, 628):
         capped = replace(system, c14_max=cap)
         assert case_keys(enumerate_cases(capped)) == expected
+
+
+@pytest.mark.parametrize(
+    "lid, points", [("2.1", 1), ("2.2", 6), ("3.1", 14), ("4.2", 9)]
+)
+def test_growing_the_box_past_the_c14_ceiling_solves_no_more_points(
+    pipeline_runs, monkeypatch, lid, points
+):
+    # Each shipped box already holds the ceiling that k_lower or c14_max
+    # sets on r^4 d, so a box 10 or 1000 times as wide, built directly and
+    # so past the scenario's grid budget, must give the same cases from
+    # the same number of solved grid points.
+    spec, inv, solutions = pipeline_runs[lid]
+    system = constraint_system_for(spec, target=inv.target)
+    solve_point, solved = search._solve_point, []
+
+    def recording(constraints, geom, rs):
+        solved.append(geom)
+        return solve_point(constraints, geom, rs)
+
+    monkeypatch.setattr(search, "_solve_point", recording)
+    lattice = system.lattice
+    for scale in (1, 10, 1000):
+        bounds = {b: getattr(lattice, b) * scale for b in LATTICE_BOUNDS[lattice.model]}
+        grown = replace(system, lattice=replace(lattice, **bounds))
+        solved.clear()
+        assert enumerate_cases(grown) == solutions, scale
+        assert len(solved) == points, scale
 
 
 def test_free_model_case_set(pipeline_runs):
