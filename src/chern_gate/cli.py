@@ -34,7 +34,7 @@ from .report import (
 )
 from .ring import replace
 from .scenario import MAX_DEGREE, parse_scenario
-from .verify import IntPoly, RootFound, verify_certificate
+from .verify import IntPoly, RootFound, verify_certificate_detailed
 
 __all__ = ["dispatch", "main"]
 
@@ -102,12 +102,14 @@ def _cmd_eliminate(args) -> int:
     if poly.degree > MAX_DEGREE:
         raise ValueError(f"degree {poly.degree} exceeds the budget of {MAX_DEGREE}")
     cert = eliminate(poly)
-    ok = verify_certificate(poly, cert)
+    ok, reason = verify_certificate_detailed(poly, cert)
     payload = {
         "polynomial": [int_str(c) for c in poly.desc_coeffs],
         "certificate": certificate_to_json(cert),
         "verified": ok,
     }
+    if not ok:
+        payload["note"] = reason
     _write_out(canonical_json(payload), args.out)
     if isinstance(cert, RootFound) or not ok:
         return 1

@@ -29,15 +29,7 @@ from .obstruction import (
     external_fact_filter,
     mod12_filter,
 )
-from .report import (
-    _COLUMNS,
-    certificate_from_json,
-    certificate_to_json,
-    frac_str,
-    int_str,
-    parse_int_str,
-    sci_5,
-)
+from .report import _COLUMNS, certificate_to_json, frac_str, int_str, sci_5
 # chern_from_case runs in no command; the benchmark's tracer patches it here.
 from .ring import char_number_table, chern_from_case, replace
 from .riemann_roch import (
@@ -48,9 +40,16 @@ from .riemann_roch import (
     l_genus_signature,
     pontryagin_numbers,
 )
-from .scenario import LEMMA_IDS, LemmaSpec, parse_scenario
+from .scenario import (
+    LEMMA_IDS,
+    Baseline,
+    LemmaSpec,
+    ScenarioError,
+    parse_baseline,
+    parse_scenario,
+)
 from .search import ConstraintSystem, enumerate_cases, to_chern_case
-from .verify import RootFound, verify_certificate
+from .verify import RootFound, verify_certificate, verify_certificate_detailed
 from .version import __version__
 
 __all__ = [
@@ -96,13 +95,11 @@ def _key_str(key) -> str:
 
 
 def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -> dict:
-    """The report of spec, diffed against baseline when one is given.
-    workers is accepted and ignored: the benchmark harness still passes it."""
-    if baseline is not None and baseline.get("lemma") != spec.lemma_id:
-        raise ValueError(
-            f"baseline is for lemma {baseline.get('lemma')!r}, "
-            f"scenario replays {spec.lemma_id!r}"
-        )
+    """The report of spec, diffed against baseline when one is given. The
+    baseline is read by parse_baseline, and one for another lemma is
+    refused by diff_baseline. workers is accepted and ignored: the
+    benchmark harness still passes it."""
+    baseline = None if baseline is None else parse_baseline(baseline)
     # records: ordinal -> the case's data, keyed by what a filter or a
     # printed obstruction is about ("char_numbers", "case", "poly").
     if spec.mode == "direct":
@@ -146,6 +143,8 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
                 "certificate": certificate_to_json(cert),
                 "verified": ok,
             }
+            if not ok:
+                row["note"] = verify_certificate_detailed(subject, cert)[1]
             if name == "embedding-poly":
                 poly_rows.append(
                     {
@@ -213,15 +212,12 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
     return report
 
 
-def _case_rows(solutions, inv, baseline: dict | None):
+def _case_rows(solutions, inv, baseline: Baseline | None):
     """The report's case table, plus each case's record (its
     characteristic numbers and Chern data) and baseline id, keyed by
     ordinal."""
-    id_by_key = {}
-    if baseline is not None:
-        for entry in baseline.get("cases", []):
-            key = _case_key(entry["params"], entry["r"], entry["k"])
-            id_by_key[key] = entry["id"]
+    cases = () if baseline is None else baseline.cases
+    id_by_key = {(params, r, k): bid for params, r, k, bid, _ in cases}
     rows, records, ids = [], {}, {}
     for sol in solutions:
         case = to_chern_case(sol, inv)
@@ -234,7 +230,8 @@ def _case_rows(solutions, inv, baseline: dict | None):
             )
         pd = pontryagin_numbers(case)
         params, k = sol.geometry.params, frac_str(sol.k)  # params is a fresh dict
-        bid = id_by_key.get(_case_key(params, sol.r, k))
+        key = _case_key(params, sol.r, k)
+        bid = id_by_key[key] if key in id_by_key else None
         records[sol.ordinal] = {"char_numbers": cn, "case": case}
         ids[sol.ordinal] = bid
         rows.append(
@@ -258,92 +255,61 @@ def _case_rows(solutions, inv, baseline: dict | None):
     return rows, records, ids
 
 
-# Printed obstruction kind -> (certificate tag, the record key of the live
-# data it is about).
-_PRINTED = {
-    "modular": ("modular", "poly"),
-    "divisor": ("divisor", "poly"),
-    "congruence-mod12": ("congruence-mod12", "char_numbers"),
-    "ahat": ("ahat-nonintegral", "case"),
-}
-
-
-def _validate_obstruction(label: str, entry: dict, live: dict) -> dict:
+def _validate_obstruction(label: str, printed: tuple, live: dict) -> dict:
     """Complete a printed obstruction into a certificate and verify it
-    against the run's own data for the same case."""
-    kind = entry.get("kind")
-    row: dict = {"id": label, "kind": "obstruction", "obstruction": kind}
-    if "note" in entry:
-        row["note"] = entry["note"]
-    row["verified"] = False
-    if not isinstance(kind, str) or kind not in _PRINTED:
-        row["note"] = f"unknown obstruction kind {kind!r}"
-        return row
-    tag, about = _PRINTED[kind]
+    against the run's own data for the same case. The note gives the
+    printed note, then why the certificate failed and where approximate
+    values are quoted off the divisors."""
+    kind, about, cert, note, approx = printed
+    row = {"id": label, "kind": "obstruction", "obstruction": kind, "verified": False}
+    notes = [note]
     subject = live.get(label, {}).get(about)
-    if subject is None:
-        return row
-    # The printed form is the headline data; what it leaves out is
-    # filled in from the live data and re-checked by the verifier. A
-    # printed field missing or of the wrong type fails the row.
-    data = {**entry, "type": tag, "m_power": 0, "residues": [], "residue": 0}
-    try:
-        cert = certificate_from_json(data)
-    except ValueError as exc:
-        row["note"] = str(exc)
-        return row
-    if kind == "modular":
-        # The residues come from the exact values divided by the printed
-        # content, the lead made positive, so only the verifier reduces
-        # the polynomial. No residues when the content does not divide
-        # it; the verifier rejects the content first either way.
-        content, cs, modulus = cert.content, subject.coeffs, cert.modulus
-        sign = -1 if cs[-1] < 0 else 1
-        divides = content >= 1 and not any(c % content for c in cs)
-        values = map(subject.evaluate, range(modulus) if divides else ())
-        residues = tuple(sign * v // content % modulus for v in values)
-        cert = replace(cert, residues=residues)
-    elif kind == "congruence-mod12":
-        cert = replace(cert, residue=cert.value % 12)
-    row["verified"] = verify_certificate(subject, cert)
-    if kind == "divisor" and "approx_values" in entry:
-        lookup = dict(zip(cert.divisors, cert.values))
-        approx = entry["approx_values"]
-        try:
-            if not isinstance(approx, dict):
-                raise ValueError(f"expected an object, got {type(approx).__name__}")
-            quoted = {parse_int_str(m): s for m, s in approx.items()}
-        except ValueError as exc:
-            row["note"], row["approx_match"] = f"approx_values: {exc}", False
-            return row
-        stray = sorted(quoted.keys() - lookup.keys())
-        if stray:
-            row["note"] = f"approximate values quoted at {stray}, not at divisors"
-        row["approx_match"] = not stray and all(
-            sci_5(lookup[m]) == text for m, text in quoted.items()
-        )
+    if subject is not None:
+        if kind == "modular":
+            # The residues come from the exact values divided by the
+            # printed content, the lead made positive, so only the verifier
+            # reduces the polynomial. No residues when the content does not
+            # divide it; the verifier rejects the content first either way.
+            content, cs, modulus = cert.content, subject.coeffs, cert.modulus
+            sign = -1 if cs[-1] < 0 else 1
+            divides = content >= 1 and not any(c % content for c in cs)
+            values = map(subject.evaluate, range(modulus) if divides else ())
+            residues = tuple(sign * v // content % modulus for v in values)
+            cert = replace(cert, residues=residues)
+        elif kind == "congruence-mod12":
+            cert = replace(cert, residue=cert.value % 12)
+        row["verified"] = verify_certificate(subject, cert)
+        if not row["verified"]:
+            notes.append(verify_certificate_detailed(subject, cert)[1])
+        if approx is not None:
+            lookup = dict(zip(cert.divisors, cert.values))
+            stray = [m for m, _ in approx if m not in lookup]
+            if stray:
+                notes.append(f"approximate values quoted at {stray}, not at divisors")
+            row["approx_match"] = not stray and all(
+                sci_5(lookup[m]) == text for m, text in approx
+            )
+    if any(notes):
+        row["note"] = "; ".join(filter(None, notes))
     return row
 
 
-def _validate_printed(baseline: dict, live: dict, poly_rows: list[dict]) -> list[dict]:
-    """Rebuild every printed artifact of the baseline and re-check it.
-
-    Polynomial coefficient lists are compared exactly. Printed
-    obstructions are verified as described in _validate_obstruction.
-    Expected engine certificates must match the run's output verbatim,
-    and the run's row must record that its certificate verified.
-    """
+def _validate_printed(baseline: Baseline, live: dict, poly_rows: list[dict]) -> list:
+    """Re-check every printed artifact of the baseline: polynomials
+    exactly, printed obstructions by _validate_obstruction, and expected
+    engine certificates against the run's row, which must have verified."""
     rows = []
-    for label, expected in sorted(baseline.get("polynomials", {}).items()):
+    for label, expected in baseline.polynomials:
         ours = live.get(label, {}).get("poly")
-        ours = None if ours is None else [int_str(c) for c in ours.desc_coeffs]
+        ours = None if ours is None else tuple(map(int_str, ours.desc_coeffs))
         rows.append({"id": label, "kind": "polynomial", "verified": ours == expected})
-    for label, entry in sorted(baseline.get("obstructions", {}).items()):
-        rows.append(_validate_obstruction(label, entry, live))
+    for label, printed in baseline.obstructions:
+        rows.append(_validate_obstruction(label, printed, live))
     engine = {row["label"]: row for row in poly_rows}
-    for label, expected in sorted(baseline.get("expected_certificates", {}).items()):
+    for label, cert in baseline.expected_certificates:
         row = engine.get(label)
-        ok = row is not None and row["certificate"] == expected and row["verified"]
+        ok = row is not None and row["verified"]
+        ok = ok and row["certificate"] == certificate_to_json(cert)
         rows.append({"id": label, "kind": "expected-certificate", "verified": ok})
     return rows
 
@@ -365,32 +331,26 @@ _CASE_WORDING = {
 }
 
 
-def diff_baseline(report: dict, baseline: dict) -> list[str]:
-    """Everything the run disagrees with the baseline about, in words.
-
-    An empty list is an exact match. Raises ValueError when the two
-    are not even about the same lemma.
-    """
-    if report.get("lemma") != baseline.get("lemma"):
-        raise ValueError(
-            f"baseline is for lemma {baseline.get('lemma')!r}, "
-            f"report is for {report.get('lemma')!r}"
+def diff_baseline(report: dict, baseline: Baseline) -> list[str]:
+    """Everything the run disagrees with the baseline (as parse_baseline
+    reads it) about, in words. An empty list is an exact match. Raises
+    ScenarioError when the two are not even about the same lemma."""
+    if report.get("lemma") != baseline.lemma:
+        raise ScenarioError(
+            "lemma",
+            f"baseline is for lemma {baseline.lemma!r}, "
+            f"report is for {report.get('lemma')!r}",
         )
     diffs: list[str] = []
 
-    binv = baseline.get("invariants") or {}
     rinv = report.get("invariants") or {}
-    for key in DerivedInvariants._fields:
-        if key in binv and binv[key] != rinv.get(key):
+    for key, expected in zip(DerivedInvariants._fields, baseline.invariants):
+        if expected is not None and expected != rinv.get(key):
             diffs.append(
-                f"invariant {key}: run has {rinv.get(key)}, "
-                f"baseline has {binv[key]}"
+                f"invariant {key}: run has {rinv.get(key)}, baseline has {expected}"
             )
 
-    bcases = {
-        _case_key(c["params"], c["r"], c["k"]): c
-        for c in baseline.get("cases", [])
-    }
+    bcases = {(params, r, k): (bid, cn) for params, r, k, bid, cn in baseline.cases}
     rcases = {
         _case_key(c["params"], c["r"], c["k"]): c for c in report.get("cases", [])
     }
@@ -403,16 +363,13 @@ def diff_baseline(report: dict, baseline: dict) -> list[str]:
             f"case ({_key_str(key)}) produced by the run but not in the baseline"
         )
     for key in sorted(bcases.keys() & rcases.keys()):
-        expected_cn = bcases[key].get("char_numbers")
-        if not expected_cn:
-            continue
-        label = bcases[key]["id"]
+        label, expected_cn = bcases[key]
         ours_cn = rcases[key]["char_numbers"]
-        for field, symbol in _COLUMNS:
-            if field in expected_cn and expected_cn[field] != ours_cn[field]:
+        for (field, symbol), expected in zip(_COLUMNS, expected_cn or ()):
+            if expected is not None and expected != ours_cn[field]:
                 diffs.append(
                     f"case {label}: {symbol} is {ours_cn[field]}, "
-                    f"baseline says {expected_cn[field]}"
+                    f"baseline says {expected}"
                 )
 
     run = {"eliminated_by": {}, "concluded": {}}
@@ -426,25 +383,25 @@ def diff_baseline(report: dict, baseline: dict) -> list[str]:
         if s.get("conclusion") and s.get("baseline_id"):
             run["concluded"][s["baseline_id"]] = s["conclusion"]
     for key, (only_run, only_base, both) in _CASE_WORDING.items():
-        expected, actual = baseline.get(key, {}), run[key]
-        for label in sorted(set(expected) | set(actual)):
-            exp, act = expected.get(label), actual.get(label)
+        # Every label either side names, None where that side says nothing.
+        expected = dict.fromkeys(run[key]) | dict(getattr(baseline, key))
+        actual = dict.fromkeys(expected) | run[key]
+        for label in sorted(expected):
+            exp, act = expected[label], actual[label]
             if exp != act:
                 text = only_run if exp is None else only_base if act is None else both
                 diffs.append(text.format(label=label, exp=exp, act=act))
 
-    if report.get("verdict") != baseline.get("verdict"):
+    if report.get("verdict") != baseline.verdict:
         diffs.append(
             f"verdict: run says {report.get('verdict')}, "
-            f"baseline says {baseline.get('verdict')}"
+            f"baseline says {baseline.verdict}"
         )
 
-    bpolys = baseline.get("polynomials", {})
     rpolys = {
         row["label"]: row["coefficients"] for row in report.get("polynomials", [])
     }
-    for label in sorted(bpolys):
-        expected = bpolys[label]
+    for label, expected in baseline.polynomials:
         ours = rpolys.get(label)
         if ours is None:
             diffs.append(f"polynomial {label}: baseline lists it, run built none")

@@ -23,7 +23,6 @@ so that every admissible case satisfies (3k^2 + 4k - 1) <c1^4> = target.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import lcm
 
@@ -68,10 +67,6 @@ class HodgeDiamond:
                         )
         if h[0][0] != 1 or h[4][4] != 1:
             raise ValueError("a connected fourfold needs h[0][0] == h[4][4] == 1")
-
-    @staticmethod
-    def from_rows(rows) -> "HodgeDiamond":
-        return HodgeDiamond(tuple(tuple(map(operator.index, row)) for row in rows))
 
 
 @record

@@ -12,7 +12,8 @@ strings), and every error names the JSON path it was found at. The
 vocabulary is declared where its types live: the lattice models'
 parameters in ring.LATTICE_PARAMS, their bounds and rules in
 search.LATTICE_BOUNDS and search.LATTICE_MODELS, the fact kinds and
-their data keys in verify.FACT_KINDS.
+their data keys in verify.FACT_KINDS. A baseline, the replay's expected
+result, is read as strictly by parse_baseline, from a schema.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ try:
 except ImportError:  # an interpreter built without the builtin modules
     from hashlib import sha256
 
-from .report import _DECIMAL, parse_frac, parse_int_str
-from .riemann_roch import HodgeDiamond, complete_invariants, invariants_from_diamond
+from .report import _COLUMNS, _DECIMAL, _same, parse_frac, parse_int_str
+from .report import certificate_from_json
+from .riemann_roch import DerivedInvariants, HodgeDiamond, complete_invariants
+from .riemann_roch import invariants_from_diamond
 from .ring import record
 from .search import LATTICE_BOUNDS, LATTICE_MODELS, LatticeSpec
 from .verify import FACT_KINDS, ExternalFact, IntPoly
@@ -44,6 +47,8 @@ __all__ = [
     "ScenarioError",
     "LemmaSpec",
     "parse_scenario",
+    "Baseline",
+    "parse_baseline",
 ]
 
 LEMMA_IDS = ("2.1", "2.2", "3.1", "4.2", "A.1", "A.2", "A.3")
@@ -377,3 +382,134 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         baseline_id=baseline_id,
         input_sha256=sha,
     )
+
+
+@record
+class Baseline:
+    """A baseline as parse_baseline reads it: an object of labels as its
+    (label, value) pairs sorted by label, an object of fixed keys as the
+    tuple of its values in _BASELINE's order, None for one left out."""
+
+    lemma: str
+    verdict: str
+    invariants: tuple
+    cases: tuple  # (params, r, k, id, characteristic numbers)
+    eliminated_by: tuple
+    concluded: tuple
+    polynomials: tuple
+    obstructions: tuple  # (label, _printed's tuple)
+    expected_certificates: tuple
+
+
+def _reader(schema):
+    """The function that reads a JSON value by schema: str or int, a value
+    of that JSON type, as _expect reads it; [item], a list, into a tuple;
+    (key, item), an object of items, into its (key, item) pairs sorted by
+    key; an object's keys mapped to their schemas, a key ending in "?"
+    optional, into the tuple of their values, None for one left out; or a
+    function that decodes the value or raises ValueError. A fault raises
+    ScenarioError, whose path is put together only as the fault unwinds."""
+    kind = type(schema)
+    if schema is str or schema is int:  # _expect raises, saying why, if not one
+        return lambda x: x if type(x) is schema and (
+            schema is int or x.isascii() and x.isprintable()
+        ) else _expect(x, schema, "")
+    if kind is dict:
+        fields = [(k.rstrip("?"), k[-1] == "?", _reader(v)) for k, v in schema.items()]
+        names = {name for name, _, _ in fields}
+    elif kind is list or kind is tuple:
+        reads = list(map(_reader, schema))
+    else:
+        return schema
+    json_type = list if kind is list else dict
+
+    def read(value):
+        items = value if type(value) is json_type else _expect(value, json_type, "")
+        if kind is dict and not items.keys() <= names:
+            _known_keys(items, names, "", "unknown key")
+        out = []
+        try:
+            if kind is list:
+                for step, x in enumerate(items):
+                    out.append(reads[0](x))
+            elif kind is tuple:
+                for step, x in items.items():
+                    out.append((reads[0](step), reads[1](x)))
+            else:
+                for step, optional, read_field in fields:
+                    if step in items:
+                        out.append(read_field(items[step]))
+                    elif not optional:
+                        raise ValueError(f"missing required key {step!r}")
+                    else:
+                        out.append(None)
+        except ValueError as exc:
+            path = f"[{step}]" if kind is list else str(step)
+            if isinstance(exc, ScenarioError):  # a fault further in
+                sep = "" if exc.path[:1] in ("", "[") else "."
+                path, exc = f"{path}{sep}{exc.path}", exc.reason
+            raise ScenarioError(path, str(exc)) from None
+        return tuple(sorted(out) if kind is tuple else out)
+
+    return read
+
+
+# Printed obstruction kind -> the certificate type it completes, the record
+# key of the run's data it is about, and the keys it may print.
+_PRINTED = {
+    "modular": ("modular", "poly", ("content", "modulus")),
+    "divisor": ("divisor", "poly", ("content", "divisors", "values", "approx_values")),
+    "congruence-mod12": ("congruence-mod12", "char_numbers", ("value",)),
+    "ahat": ("ahat-nonintegral", "case", ("value",)),
+}
+# Every key a printed obstruction may have. The fields of its certificate
+# are read by the certificate's codecs once the kind has said which.
+_CERT_FIELDS = ("content?", "modulus?", "divisors?", "values?", "value?")
+_PRINTED_KEYS = _reader(
+    {"kind": str, "note?": str, "approx_values?": (parse_int_str, str)}
+    | dict.fromkeys(_CERT_FIELDS, _same)
+)
+
+
+def _printed(entry) -> tuple:
+    """A printed obstruction as (kind, about, certificate, note, approximate
+    values). Its fields are read as the certificate's, and those it leaves
+    out are zero until the run fills them in."""
+    kind, note, approx, *_ = _PRINTED_KEYS(entry)
+    if kind not in _PRINTED:
+        raise ScenarioError("kind", f"unknown obstruction kind {kind!r}")
+    tag, about, keys = _PRINTED[kind]
+    _known_keys(entry, ("kind", "note", *keys), "", f"not a {kind} obstruction key")
+    zeros = {"type": tag, "m_power": 0, "residues": [], "residue": 0}
+    return kind, about, certificate_from_json({**entry, **zeros}), note, approx
+
+
+_BASELINE = _reader(
+    {
+        "lemma": str,
+        "verdict": str,
+        "invariants?": {f"{name}?": int for name in DerivedInvariants._fields},
+        "cases?": [
+            {
+                "params": (str, int), "r": int, "k": str, "id": str,
+                "char_numbers?": {f"{name}?": str for name, _ in _COLUMNS},
+            }
+        ],
+        "eliminated_by?": (str, str),
+        "concluded?": (str, str),
+        "polynomials?": (str, [str]),
+        "obstructions?": (str, _printed),
+        "expected_certificates?": (str, certificate_from_json),
+    }
+)
+
+
+def parse_baseline(doc) -> Baseline:
+    """The baseline a decoded JSON document holds. A structural fault (a
+    missing or unknown key, a value of the wrong JSON type, an unknown
+    obstruction kind) raises ScenarioError with its JSON path; whether
+    the values hold is for the run to find."""
+    if not isinstance(doc, dict):
+        raise ScenarioError("$", "top level must be an object")
+    # The keys a baseline may leave out are lists and objects: none is empty.
+    return Baseline(*(() if v is None else v for v in _BASELINE(doc)))

@@ -129,6 +129,8 @@ class ConstraintSystem:
             raise ValueError("empty r range")
         if self.r_min <= 0 <= self.r_max:
             raise ValueError("r range must not contain zero")
+        if self.c14_max is not None and self.c14_max < 1:
+            raise ValueError("c14_max must be positive")
 
 
 @record
@@ -245,7 +247,7 @@ def _candidate_degrees(system: ConstraintSystem) -> dict[int, set[int]]:
         a_max = isqrt(d_max // g)
         y_max = max(roots) * a_max
         if ceiling is not None:
-            y_max = min(y_max, isqrt(max(ceiling, 0) // g))
+            y_max = min(y_max, isqrt(ceiling // g))
         if y_max < min(roots):
             break  # the divisors ascend, and y is r^2 a with a >= 1
         for y in _pell_ys(n // g, y_max):

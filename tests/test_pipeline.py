@@ -1,8 +1,11 @@
 import builtins
+import copy
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chern_gate import pipeline
 from chern_gate.cli import dispatch
@@ -16,8 +19,8 @@ from chern_gate.pipeline import (
 )
 from chern_gate.report import canonical_json, emit_report
 from chern_gate.ring import GradedClass, replace
-from chern_gate.scenario import parse_scenario
-from chern_gate.verify import IntPoly
+from chern_gate.scenario import ScenarioError, parse_baseline, parse_scenario
+from chern_gate.verify import PSI_13, IntPoly
 
 from conftest import ALL_LEMMAS, DIRECT_LEMMAS, PIPELINE_LEMMAS
 
@@ -176,8 +179,8 @@ def test_filter_order_does_not_change_survivors():
 def test_lemma_mismatch_is_an_error():
     with pytest.raises(ValueError):
         run_lemma(load_scenario("2.1"), baseline=load_baseline("2.2"))
-    with pytest.raises(ValueError):
-        diff_baseline({"lemma": "2.1"}, {"lemma": "3.1"})
+    with pytest.raises(ValueError, match="^lemma: baseline is for lemma '3.1'"):
+        diff_baseline({"lemma": "2.1"}, parse_baseline(load_baseline("3.1")))
 
 
 def test_unknown_lemma_ids_are_rejected():
@@ -266,49 +269,51 @@ def test_fault_injection_obstruction_value():
     baseline["obstructions"]["2"]["values"][3] = "1000401930904"
     diff = run_31_against(baseline)
     assert any("divisor obstruction 2" in d and "failed" in d for d in diff)
+    # an unknown kind is a fault of the baseline's shape, not of a value
     baseline["obstructions"]["2"]["kind"] = "sorcery"
-    report = run_lemma(load_scenario("3.1"), baseline=baseline)
-    rows = report["baseline_validation"]
-    (row,) = [r for r in rows if (r["id"], r["kind"]) == ("2", "obstruction")]
-    assert row["note"] == "unknown obstruction kind 'sorcery'"
-    assert "sorcery obstruction 2: failed re-verification" in report["baseline_diff"]
+    with pytest.raises(
+        ScenarioError,
+        match="^obstructions.2.kind: unknown obstruction kind 'sorcery'$",
+    ):
+        run_lemma(load_scenario("3.1"), baseline=baseline)
 
 
-# A malformed printed obstruction fails its own row, with a note that says
-# why, and the run goes on: (label, the fault, the failing field, the note).
+# A printed obstruction of the wrong shape is refused at its JSON path; one
+# whose values do not hold fails its own row, with a note that says why,
+# and the run goes on: (label, the fault, the refusal, the row's note).
 @pytest.mark.parametrize(
-    "label, fault, field, note",
+    "label, fault, refusal, note",
     [
-        ("4", lambda e: e.pop("kind"), "verified", "unknown obstruction kind None"),
+        ("4", lambda e: e.pop("kind"), "4.kind: missing required key 'kind'", None),
         (
             "4",
             lambda e: e.pop("modulus"),
-            "verified",
-            "modular certificate has no field 'modulus'",
+            "4: modular certificate has no field 'modulus'",
+            None,
         ),
         (
             "4",
             lambda e: e.update(modulus="2"),
-            "verified",
-            "modular certificate, modulus: expected int, got '2'",
+            "4: modular certificate, modulus: expected int, got '2'",
+            None,
         ),
         (
             "2",
             lambda e: e["approx_values"].update({"30": "1.0004E+12"}),
-            "approx_match",
+            None,
             "approximate values quoted at [30], not at divisors",
         ),
         (
             "2",
             lambda e: e["approx_values"].update({"abc": "1.0004E+12"}),
-            "approx_match",
-            "approx_values: not an integer: 'abc'",
+            "2.approx_values.abc: not an integer: 'abc'",
+            None,
         ),
         (
             "2",
             lambda e: e.update(approx_values=["1.0004E+12"]),
-            "approx_match",
-            "approx_values: expected an object, got list",
+            "2.approx_values: expected object, got ['1.0004E+12']",
+            None,
         ),
     ],
     ids=[
@@ -320,13 +325,18 @@ def test_fault_injection_obstruction_value():
         "approx-not-an-object",
     ],
 )
-def test_fault_injection_malformed_printed_obstruction(label, fault, field, note):
+def test_fault_injection_malformed_printed_obstruction(label, fault, refusal, note):
     baseline = load_baseline("3.1")
     fault(baseline["obstructions"][label])
+    if refusal is not None:
+        with pytest.raises(ScenarioError) as err:
+            run_lemma(load_scenario("3.1"), baseline=baseline)
+        assert str(err.value) == f"obstructions.{refusal}"
+        return
     report = run_lemma(load_scenario("3.1"), baseline=baseline)
     rows = report["baseline_validation"]
     (row,) = [r for r in rows if (r["id"], r["kind"]) == (label, "obstruction")]
-    assert (row[field], row["note"]) == (False, note)
+    assert (row["approx_match"], row["note"]) == (False, note)
     assert any(f"obstruction {label}" in d for d in report["baseline_diff"])
 
 
@@ -440,6 +450,89 @@ def test_unverified_elimination_leaves_the_case_alive(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "lid, change, refusal",
+    [
+        ("3.1", lambda b: b.update(extra=1), "extra: unknown key"),
+        ("3.1", lambda b: b["cases"][4].update(e=15), "cases[4].e: unknown key"),
+        (
+            "3.1",
+            lambda b: b["invariants"].update(chi=6.0),
+            "invariants.chi: expected integer, got 6.0",
+        ),
+        (
+            "3.1",
+            lambda b: b["cases"][0].update(r=True),
+            "cases[0].r: expected integer, got True",
+        ),
+        (
+            "2.2",
+            lambda b: b["concluded"].update({"10": "P\u2074"}),
+            "concluded.10: expected printable ASCII, got 'P\\u2074'",
+        ),
+        (
+            "4.2",
+            lambda b: b["obstructions"]["3"].update(divisors=["1"]),
+            "obstructions.3.divisors: not a modular obstruction key",
+        ),
+        (
+            "4.2",
+            lambda b: b["obstructions"]["1"].update(approx_values={}),
+            "obstructions.1.approx_values: not a modular obstruction key",
+        ),
+    ],
+)
+def test_parse_baseline_refuses_a_fault_of_shape_at_its_path(lid, change, refusal):
+    baseline = load_baseline(lid)
+    change(baseline)
+    with pytest.raises(ScenarioError) as err:
+        parse_baseline(baseline)
+    assert str(err.value) == refusal
+    with pytest.raises(ScenarioError, match=r"^\$: top level must be an object$"):
+        parse_baseline([baseline])
+
+
+# What the probe of a baseline's shape sets one field to; or it deletes
+# the field.
+MUTATIONS = ("delete", None, 1, "x", [], {}, 2.5, True, -1, "1/0")
+
+
+def on_path(inner: str, outer: str) -> bool:
+    """Whether the JSON path inner is outer or lies within it."""
+    return inner == outer or inner.startswith(outer) and inner[len(outer)] in ".["
+
+
+def json_slots(doc, path=""):
+    """Every (container, key or index, JSON path) of the JSON value doc."""
+    keyed = isinstance(doc, dict)
+    for key, value in doc.items() if keyed else enumerate(doc):
+        here = (f"{path}.{key}" if path else key) if keyed else f"{path}[{key}]"
+        yield doc, key, here
+        if isinstance(value, (dict, list)):
+            yield from json_slots(value, here)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SHIPPED_LEMMAS), st.data())
+def test_a_baseline_with_one_field_changed_runs_or_is_refused_at_a_path(lid, data):
+    baseline = load_baseline(lid)
+    container, key, path = data.draw(st.sampled_from(list(json_slots(baseline))))
+    value = data.draw(st.sampled_from(MUTATIONS))
+    if value == "delete":
+        del container[key]
+    else:
+        container[key] = copy.deepcopy(value)
+    try:
+        report = run_lemma(load_scenario(lid), baseline=baseline)
+    except ValueError as exc:
+        # refused where the field was changed, or at the object around it
+        assert isinstance(exc, ScenarioError), exc
+        assert str(exc) == f"{exc.path}: {exc.reason}"
+        assert on_path(path, exc.path) or on_path(exc.path, path), exc
+    else:
+        emit_report(report, "json"), emit_report(report, "md")
+
+
 def test_fault_injection_leaves_original_data_untouched():
     # load_baseline hands out fresh structures, so mutation in one test
     # can never leak into another
@@ -477,6 +570,25 @@ def _forge_concluded_citation(monkeypatch):
         return cert
 
     monkeypatch.setattr(pipeline, "external_fact_filter", forged)
+
+
+def test_a_failing_row_says_why(monkeypatch, capsys):
+    _forge_concluded_citation(monkeypatch)
+    baseline = load_baseline("2.2")
+    baseline["obstructions"] = {"10": {"kind": "ahat", "value": "1/4", "note": "n"}}
+    report = run_lemma(load_scenario("2.2"), baseline=baseline)
+    (row,) = [e for e in report["eliminations"] if not e["verified"]]
+    assert row["note"].startswith("certificate quotes fact 5, the fact for r = 5 ")
+    (row,) = report["baseline_validation"]
+    assert row["note"] == "n; r = 5 is odd, so the A-hat genus need not be integral"
+    # psi_13 is a strong pseudoprime to every Miller-Rabin witness, so the
+    # divisor list that stops at it proves nothing
+    assert dispatch(["eliminate", "--coeffs=1,1287836182260,-" + str(PSI_13)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is False
+    assert payload["note"] == (
+        f"divisor {PSI_13} is at least psi_13, so its primality is unproven"
+    )
 
 
 def test_markdown_marks_an_unverified_elimination(monkeypatch, capsys):

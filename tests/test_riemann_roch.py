@@ -11,6 +11,7 @@ from chern_gate.riemann_roch import (
     pontryagin_numbers,
 )
 from chern_gate.ring import ChernCase, Geometry, char_number_table, replace
+from chern_gate.scenario import ScenarioError, _parse_hodge
 
 IDENTITY_ROWS = [
     [1, 0, 0, 0, 0],
@@ -37,33 +38,34 @@ LEVEL_TWO_ROWS = [
 
 def test_diamond_validation():
     with pytest.raises(ValueError):
-        HodgeDiamond.from_rows([[1, 0], [0, 1]])
+        HodgeDiamond(tuple(map(tuple, [[1, 0], [0, 1]])))
     asym = [row[:] for row in IDENTITY_ROWS]
     asym[0][1] = 3
     with pytest.raises(ValueError):
-        HodgeDiamond.from_rows(asym)
+        HodgeDiamond(tuple(map(tuple, asym)))
     not_dual = [row[:] for row in IDENTITY_ROWS]
     not_dual[1][1] = 2
     with pytest.raises(ValueError, match=r"h\[1\]\[1\] != h\[3\]\[3\]"):
-        HodgeDiamond.from_rows(not_dual)
+        HodgeDiamond(tuple(map(tuple, not_dual)))
     negative = [row[:] for row in MIDDLE_TWO_ROWS]
     negative[2][2] = -2
     with pytest.raises(ValueError):
-        HodgeDiamond.from_rows(negative)
+        HodgeDiamond(tuple(map(tuple, negative)))
     unnormalized = [row[:] for row in IDENTITY_ROWS]
     unnormalized[0][0] = 2
     unnormalized[4][4] = 2
     with pytest.raises(ValueError):
-        HodgeDiamond.from_rows(unnormalized)
+        HodgeDiamond(tuple(map(tuple, unnormalized)))
 
 
 
 def test_diamond_rejects_inexact_entries():
-    # h^{2,2} = 1.9 must not be truncated to 1.
+    # h^{2,2} = 1.9 must not be truncated to 1: the scenario parser, where
+    # a diamond comes in from outside, refuses it at its cell.
     rows = [row[:] for row in MIDDLE_TWO_ROWS]
     rows[2][2] = 1.9
-    with pytest.raises(TypeError):
-        HodgeDiamond.from_rows(rows)
+    with pytest.raises(ScenarioError, match=r"^hodge\[2\]\[2\]: expected integer"):
+        _parse_hodge(rows, "hodge")
 
 @pytest.mark.parametrize(
     "rows, chi, chi_O, chi1, signature",
@@ -74,7 +76,7 @@ def test_diamond_rejects_inexact_entries():
     ],
 )
 def test_invariants_from_diamond(rows, chi, chi_O, chi1, signature):
-    inv = invariants_from_diamond(HodgeDiamond.from_rows(rows))
+    inv = invariants_from_diamond(HodgeDiamond(tuple(map(tuple, rows))))
     assert (inv.chi, inv.chi_O, inv.chi1, inv.signature) == (
         chi,
         chi_O,
@@ -92,7 +94,7 @@ def test_invariants_from_diamond(rows, chi, chi_O, chi1, signature):
     ],
 )
 def test_rr_target_for_the_three_diamonds(rows, c1c3, target):
-    inv = invariants_from_diamond(HodgeDiamond.from_rows(rows))
+    inv = invariants_from_diamond(HodgeDiamond(tuple(map(tuple, rows))))
     assert complete_invariants(inv) == replace(inv, c1c3=c1c3, target=target)
     # the closed forms behind complete_invariants, recomputed longhand
     assert c1c3 == 12 * (4 * inv.chi_O - inv.chi1) - 2 * inv.chi

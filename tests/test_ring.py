@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import chern_gate
-from chern_gate.pipeline import load_scenario
+from chern_gate.pipeline import load_baseline, load_scenario
 from chern_gate.riemann_roch import (
     complete_invariants,
     invariants_from_diamond,
@@ -35,6 +35,7 @@ from chern_gate.ring import (
     replace,
     top_pairing,
 )
+from chern_gate.scenario import parse_baseline
 from chern_gate.search import CaseSolution, ConstraintSystem, LatticeSpec
 from chern_gate.verify import (
     AhatNonIntegral,
@@ -271,6 +272,7 @@ def _one_of_each_record():
     case = ChernCase(-1, Fraction(7, 16), 48, 6, geom)
     return [
         spec,
+        parse_baseline(load_baseline("2.1")),
         spec.diamond,
         spec.lattice,
         spec.facts[0],

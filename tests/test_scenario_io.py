@@ -614,7 +614,7 @@ def with_search_steps(doc: dict, steps: int) -> dict:
     )
 
     def target(h):
-        inv = invariants_from_diamond(HodgeDiamond.from_rows(h))
+        inv = invariants_from_diamond(HodgeDiamond(tuple(map(tuple, h))))
         return complete_invariants(inv).target
 
     base = target(doc["hodge"])
