@@ -54,9 +54,16 @@ class HodgeDiamond:
         # One pass accepts a good grid; only a bad one runs the loop, which
         # names its first bad cell.
         serre = tuple(row[::-1] for row in h[::-1])
-        if not (h == tuple(zip(*h)) and h == serre and min(map(min, h)) >= 0):
+        if not (
+            all(type(x) is int for row in h for x in row)
+            and h == tuple(zip(*h))
+            and h == serre
+            and min(map(min, h)) >= 0
+        ):
             for p in range(5):
                 for q in range(5):
+                    if type(h[p][q]) is not int:
+                        raise ValueError(f"h[{p}][{q}] is not an integer")
                     if h[p][q] < 0:
                         raise ValueError(f"h[{p}][{q}] is negative")
                     if h[p][q] != h[q][p]:

@@ -4,21 +4,26 @@ A scenario either describes a full pipeline run (Hodge diamond, sign
 of c1, lattice grid, filters, literature facts) or a direct run over
 explicit obstruction polynomials. The divisibility rule follows from
 the lattice model, so a pipeline scenario may leave it out; one that
-names a rule the model does not have is refused. Parsing is strict
-and typed: every object rejects a key it does not define, every value
-is read by a check of its field's type, so a float fails at its own
-field (rationals travel as "p/q" strings, big integers as decimal
-strings), and every error names the JSON path it was found at. The
-vocabulary is declared where its types live: the lattice models'
-parameters in ring.LATTICE_PARAMS, their bounds and rules in
-search.LATTICE_BOUNDS and search.LATTICE_MODELS, the fact kinds and
-their data keys in verify.FACT_KINDS. A baseline, the replay's expected
-result, is read as strictly by parse_baseline, from a schema.
+names a rule the model does not have is refused. A scenario, and a
+baseline (the replay's expected result), are read by one schema
+walker, _reader, strictly and typed: every object rejects a key it
+does not define, every value is read by a check of its field's type,
+so a float fails at its own field (rationals travel as "p/q" strings,
+big integers as decimal strings), and every error names the JSON path
+it was found at. An object whose tag says which keys it has (a
+scenario's mode, a lattice's model, a fact's kind, a printed
+obstruction's kind) is read by the walker's tagged form, _tagged. The
+rules that tie one field of a scenario to another are checked after
+the walk. The vocabulary is declared where its types live: the lattice
+models' parameters in ring.LATTICE_PARAMS, their bounds in
+search.LATTICE_BOUNDS, the fact kinds and their data keys in
+verify.FACT_KINDS.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 import sys
 from fractions import Fraction
@@ -33,12 +38,12 @@ try:
 except ImportError:  # an interpreter built without the builtin modules
     from hashlib import sha256
 
-from .report import _COLUMNS, _DECIMAL, _same, parse_frac, parse_int_str
+from .report import _COLUMNS, _same, parse_frac, parse_int_str
 from .report import certificate_from_json
 from .riemann_roch import DerivedInvariants, HodgeDiamond, complete_invariants
 from .riemann_roch import invariants_from_diamond
 from .ring import record
-from .search import LATTICE_BOUNDS, LATTICE_MODELS, LatticeSpec
+from .search import LATTICE_BOUNDS, LatticeSpec
 from .verify import FACT_KINDS, ExternalFact, IntPoly
 
 __all__ = [
@@ -103,164 +108,221 @@ def _expect(value, kind: type, path: str, nonempty: bool = False):
     raise ScenarioError(path, f"expected {name}, got {reprlib.repr(value)}")
 
 
-def _require(mapping: dict, key: str, path: str, kind=None, nonempty=False):
-    """mapping[key], checked by _expect when kind is given."""
-    if key not in mapping:
-        raise ScenarioError(path, f"missing required key {key!r}")
-    return mapping[key] if kind is None else _expect(mapping[key], kind, path, nonempty)
-
-
-def _known_keys(mapping: dict, allowed, path: str, reason: str) -> None:
-    """Reject, at its own path, the first key of mapping not in allowed."""
-    for key in mapping:
-        if key not in allowed:
-            raise ScenarioError(f"{path}.{key}" if path else key, reason)
-
-
-def _parse_hodge(raw, path: str) -> HodgeDiamond:
-    if not isinstance(raw, list) or len(raw) != 5:
-        raise ScenarioError(path, "expected a 5x5 matrix")
-    # One pass accepts rows of 5 ints (no bool) equal to their transpose
-    # and to their Serre mirror; only a bad grid runs the checks below,
-    # which name its first bad cell.
-    if not (
-        all(type(row) is list and len(row) == 5 for row in raw)
-        and all(type(x) is int for row in raw for x in row)
-        and raw == list(map(list, zip(*raw)))
-        and raw == [row[::-1] for row in raw[::-1]]
-    ):
-        grid = []
-        for p, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != 5:
-                raise ScenarioError(f"{path}[{p}]", "expected a row of 5 integers")
-            grid.append(
-                [_expect(x, int, f"{path}[{p}][{q}]") for q, x in enumerate(row)]
-            )
-        for p in range(5):
-            for q in range(p + 1, 5):
-                if grid[p][q] != grid[q][p]:
-                    raise ScenarioError(
-                        f"{path}[{p}][{q}]",
-                        f"h[{p}][{q}]={grid[p][q]} is not matched by "
-                        f"h[{q}][{p}]={grid[q][p]}",
-                    )
-        # Serre duality: h^{p,q} = h^{4-p,4-q}. The cells before the centre
-        # in row order meet every pair once.
-        for cell in range(12):
-            p, q = divmod(cell, 5)
-            if grid[p][q] != grid[4 - p][4 - q]:
-                raise ScenarioError(
-                    f"{path}[{p}][{q}]",
-                    f"h[{p}][{q}]={grid[p][q]} is not matched by "
-                    f"h[{4 - p}][{4 - q}]={grid[4 - p][4 - q]} (Serre duality)",
-                )
-    # Every cell is an int by now, so the rows need no conversion.
-    try:
-        return HodgeDiamond(tuple(map(tuple, raw)))
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
-
-
-def _parse_lattice(raw, path: str) -> LatticeSpec:
-    raw = _expect(raw, dict, path)
-    model = _require(raw, "model", f"{path}.model")
-    if not isinstance(model, str) or model not in LATTICE_MODELS:
-        raise ScenarioError(f"{path}.model", f"unknown lattice model {model!r}")
-    names = LATTICE_BOUNDS[model]
-    _known_keys(raw, ("model", *names), path, f"not a bound of model {model!r}")
-    bounds = {}
-    for key in names:
-        bounds[key] = _require(raw, key, f"{path}.{key}", int)
-        if bounds[key] < 0:
-            raise ScenarioError(f"{path}.{key}", "bound must be non-negative")
-    lattice = LatticeSpec(model=model, **bounds)
-    # An empty grid would void the budget on grid points times values of r.
-    if lattice.points == 0:
-        raise ScenarioError(path, f"the {model!r} grid {bounds} has no points")
-    return lattice
-
-
-_FACT_KEYS = ("index", "r", "citation", "constraint")
-_POLYNOMIAL_KEYS = ("label", "coefficients")
-
-
-def _parse_fact(raw, path: str) -> ExternalFact:
-    raw = _expect(raw, dict, path)
-    _known_keys(raw, _FACT_KEYS, path, "unknown key for a fact")
-    index = _require(raw, "index", f"{path}.index", int)
-    r = _require(raw, "r", f"{path}.r", int)
-    citation = _require(raw, "citation", f"{path}.citation", str, nonempty=True)
-    here = f"{path}.constraint"
-    constraint = _require(raw, "constraint", here, dict)
-    kind = _require(constraint, "kind", f"{here}.kind")
-    if not isinstance(kind, str) or kind not in FACT_KINDS:
-        raise ScenarioError(f"{here}.kind", f"unknown fact kind {kind!r}")
-    name, kind_type = FACT_KINDS[kind]
-    _known_keys(constraint, ("kind", name), here, f"unknown key for fact kind {kind!r}")
-    here = f"{here}.{name}"
-    if kind_type is tuple:  # a nonempty JSON list of integers
-        value = _require(constraint, name, here, list, nonempty=True)
-        value = tuple(_expect(x, int, f"{here}[{i}]") for i, x in enumerate(value))
+def _reader(schema, unknown: str = "unknown key"):
+    """The function that reads a JSON value by schema: str or int, a value
+    of that JSON type, as _expect reads it; [item], a list, into a tuple;
+    (key, item), an object of items, into its (key, item) pairs sorted by
+    key; an object's keys mapped to their schemas, a key ending in "?"
+    optional, into the tuple of their values, None for one left out, and
+    any other key refused for the reason unknown; or a function that
+    decodes the value or raises ValueError, as _tagged's readers do. A
+    fault raises ScenarioError, whose path is put together only as the
+    fault unwinds."""
+    kind = type(schema)
+    if schema is str or schema is int:  # _expect raises, saying why, if not one
+        return lambda x: x if type(x) is schema and (
+            schema is int or x.isascii() and x.isprintable()
+        ) else _expect(x, schema, "")
+    if kind is dict:
+        fields = [(k.rstrip("?"), k[-1] == "?", _reader(v)) for k, v in schema.items()]
+        names = {name for name, _, _ in fields}
+    elif kind is list or kind is tuple:
+        reads = list(map(_reader, schema))
     else:
-        value = _require(constraint, name, here, kind_type, nonempty=True)
-    return ExternalFact(index=index, r=r, kind=kind, citation=citation, value=value)
+        return schema
+    json_type = list if kind is list else dict
+
+    def read(value):
+        items = value if type(value) is json_type else _expect(value, json_type, "")
+        if kind is dict and not items.keys() <= names:
+            raise ScenarioError(next(k for k in items if k not in names), unknown)
+        out = []
+        try:
+            if kind is dict:
+                for step, optional, read_field in fields:
+                    if step in items:
+                        out.append(read_field(items[step]))
+                    elif not optional:
+                        raise ValueError(f"missing required key {step!r}")
+                    else:
+                        out.append(None)
+            elif kind is list:
+                for step, x in enumerate(items):
+                    out.append(reads[0](x))
+            else:
+                for step, x in items.items():
+                    out.append((reads[0](step), reads[1](x)))
+        except ValueError as exc:
+            path = f"[{step}]" if kind is list else str(step)
+            if isinstance(exc, ScenarioError):  # a fault further in
+                sep = "" if exc.path[:1] in ("", "[") else "."
+                path, exc = f"{path}{sep}{exc.path}", exc.reason
+            raise ScenarioError(path, str(exc)) from None
+        return tuple(sorted(out) if kind is tuple else out)
+
+    return read
 
 
-def _parse_polynomials(raw, path: str) -> tuple[tuple[str, IntPoly], ...]:
-    out = []
-    seen = set()
-    for i, entry in enumerate(_expect(raw, list, path, nonempty=True)):
-        here = f"{path}[{i}]"
-        entry = _expect(entry, dict, here)
-        _known_keys(entry, _POLYNOMIAL_KEYS, here, "unknown key for a polynomial")
-        label = _require(entry, "label", f"{here}.label", str, nonempty=True)
-        if label in seen:
-            raise ScenarioError(f"{here}.label", f"duplicate label {label!r}")
-        seen.add(label)
-        coeffs = _require(
-            entry, "coefficients", f"{here}.coefficients", list, nonempty=True
-        )
-        degree = len(coeffs) - 1  # leading zeros are rejected below
-        if degree > MAX_DEGREE:
+def _tagged(key: str, what: str, variants: dict):
+    """The function that reads an object whose key `key` holds a tag of
+    variants, and whose other keys are those of the tag's schema, into the
+    tuple of the tag and their values. Another tag is an unknown {what},
+    refused at the key; another key is refused at its own path."""
+    reads = {
+        tag: _reader({key: _same, **schema}, f"unknown key for {what} {tag!r}")
+        for tag, schema in variants.items()
+    }
+
+    def read(value):
+        items = value if type(value) is dict else _expect(value, dict, "")
+        if key not in items:
+            raise ScenarioError(key, f"missing required key {key!r}")
+        tag = items[key]
+        if type(tag) is not str or tag not in reads:
+            raise ScenarioError(key, f"unknown {what} {tag!r}")
+        return reads[tag](items)
+
+    return read
+
+
+def _nonempty(schema):
+    """The reader of schema, a JSON type or [item], that refuses "" and []."""
+    kind, read = list if type(schema) is list else schema, _reader(schema)
+    # _expect raises, saying why, for anything but a nonempty value of kind.
+    return lambda x: read(x) if x and type(x) is kind else _expect(x, kind, "", True)
+
+
+def _nullable(decode):
+    """decode, but null reads as None, as a key left out does."""
+    return lambda x: None if x is None else decode(x)
+
+
+def _sized(n: int, item, reason: str):
+    """The reader of a list of n items, which refuses another for reason."""
+    read = _reader([item])
+
+    def decode(x):
+        if type(x) is not list or len(x) != n:
+            raise ValueError(reason)
+        return read(x)
+
+    return decode
+
+
+def _where(kind, holds, reason: str):
+    """The decoder of a value of JSON type kind, or of any JSON value if
+    kind is None, that refuses one for which holds is false, for reason,
+    formatted with the value."""
+
+    def decode(x):
+        if kind is not None and type(x) is not kind:
+            _expect(x, kind, "")  # raises, saying why
+        if not holds(x):
+            raise ValueError(reason.format(x))
+        return x
+
+    return decode
+
+
+_ROW = _sized(5, int, "expected a row of 5 integers")
+_GRID = _sized(5, _ROW, "expected a 5x5 matrix")
+
+
+def _parse_hodge(raw) -> HodgeDiamond:
+    """The diamond of a 5x5 JSON matrix. A bad row or cell raises
+    ScenarioError at its path in the matrix, a bad matrix ValueError."""
+    if type(raw) is list and all(type(row) is list for row in raw):
+        try:  # HodgeDiamond accepts a good grid in one pass
+            return HodgeDiamond(tuple(map(tuple, raw)))
+        except ValueError as exc:
+            fault = exc
+    # Only a bad grid gets here. _GRID refuses one that is not a 5x5 list
+    # of ints at its first bad row or cell. Then each cell above the
+    # diagonal is matched with its transpose, and each cell before the
+    # centre in row order, which meets every pair once, with its Serre
+    # mirror; a grid that passes them all keeps HodgeDiamond's reason.
+    grid = _GRID(raw)
+    pairs = [(p, q, q, p, "") for p in range(5) for q in range(p + 1, 5)]
+    for p, q in (divmod(cell, 5) for cell in range(12)):
+        pairs.append((p, q, 4 - p, 4 - q, " (Serre duality)"))
+    for p, q, s, t, why in pairs:
+        if grid[p][q] != grid[s][t]:
             raise ScenarioError(
-                f"{here}.coefficients",
-                f"degree {degree} exceeds the budget of {MAX_DEGREE}",
+                f"[{p}][{q}]",
+                f"h[{p}][{q}]={grid[p][q]} is not matched by "
+                f"h[{s}][{t}]={grid[s][t]}{why}",
             )
-        try:  # all decimal strings: one pass to check them and one to convert
-            decimal = all(map(_DECIMAL.fullmatch, coeffs))
-            values = list(map(int, coeffs)) if decimal else None
-        except (TypeError, ValueError):  # a JSON integer, or too many digits
-            values = None
-        if values is None:  # the loop that takes integers and names a bad entry
-            values = []
-            for j, c in enumerate(coeffs):
-                try:
-                    values.append(parse_int_str(c))
-                except ValueError as exc:
-                    raise ScenarioError(f"{here}.coefficients[{j}]", str(exc)) from exc
-        if values[0] == 0:
-            raise ScenarioError(
-                f"{here}.coefficients[0]", "leading coefficient must be nonzero"
-            )
-        out.append((label, IntPoly.from_desc(values)))
-    return tuple(out)
+    raise fault  # a negative cell, or a fourfold that is not connected
 
 
-_PIPELINE_KEYS = {
-    "lemma",
+_COEFFICIENTS = _reader([parse_int_str])
+# Decimal strings joined by commas. int() refuses a comma, so a list whose
+# join matches holds only decimal strings if each of them converts.
+_DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _coefficients(raw) -> IntPoly:
+    coeffs = _expect(raw, list, "", nonempty=True)
+    degree = len(coeffs) - 1  # leading zeros are refused below
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the budget of {MAX_DEGREE}")
+    try:  # all decimal strings: one match to check them and one pass to convert
+        decimal = _DECIMALS.fullmatch(",".join(coeffs))
+        values = list(map(int, coeffs)) if decimal else None
+    except (TypeError, ValueError):  # a JSON integer, a comma, or too many digits
+        values = None
+    if values is None:  # the reader that takes integers and names a bad entry
+        values = _COEFFICIENTS(coeffs)
+    if values[0] == 0:
+        raise ScenarioError("[0]", "leading coefficient must be nonzero")
+    return IntPoly.from_desc(values)
+
+
+_LEMMA = _where(None, LEMMA_IDS.__contains__, "unknown lemma id {!r}")
+_FILTER = _where(None, FILTER_NAMES.__contains__, "unknown filter {!r}")
+_BOUND = _where(int, lambda n: n >= 0, "bound must be non-negative")
+_CAP = _where(int, lambda n: n > 0, "cap must be positive")
+_LATTICE = _tagged(
+    "model",
+    "lattice model",
+    {model: dict.fromkeys(names, _BOUND) for model, names in LATTICE_BOUNDS.items()},
+)
+_CONSTRAINT = _tagged(
+    "kind",
+    "fact kind",
+    {
+        kind: {name: _nonempty([int] if of is tuple else of)}
+        for kind, (name, of) in FACT_KINDS.items()
+    },
+)
+_FACT = {"index": int, "r": int, "citation": _nonempty(str), "constraint": _CONSTRAINT}
+_POLYNOMIAL = {"label": _nonempty(str), "coefficients": _coefficients}
+_POLYNOMIALS = _nonempty([_reader(_POLYNOMIAL, "unknown key for a polynomial")])
+_SCENARIO = _tagged(
     "mode",
-    "hodge",
-    "c1_sign",
-    "lattice",
-    "r_bounds",
-    "divisibility",
-    "k_lower",
-    "c14_max",
-    "filters",
-    "facts",
-    "baseline_id",
-}
-_DIRECT_KEYS = {"lemma", "mode", "polynomials", "baseline_id"}
+    "mode",
+    {
+        "pipeline": {
+            "lemma": _LEMMA,
+            "hodge": _parse_hodge,
+            "c1_sign": _where(int, (-1, 1).__contains__, "must be -1 or 1, got {}"),
+            "lattice": _LATTICE,
+            "r_bounds": _sized(2, int, "expected [min, max]"),
+            # read as a 1-tuple, so that a null rule is told from one left out
+            "divisibility?": lambda rule: (rule,),
+            "k_lower?": _nullable(parse_frac),
+            "c14_max?": _nullable(_CAP),
+            "filters?": [_FILTER],
+            "facts?": [_reader(_FACT, "unknown key for a fact")],
+            "baseline_id?": _same,
+        },
+        "direct": {
+            "lemma": _LEMMA,
+            "polynomials": _POLYNOMIALS,
+            "baseline_id?": _same,
+        },
+    },
+)
 
 
 def parse_scenario(raw: bytes) -> LemmaSpec:
@@ -272,36 +334,33 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         raise ScenarioError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("$", "top level must be an object")
-
-    lemma = _require(doc, "lemma", "lemma")
-    if lemma not in LEMMA_IDS:
-        raise ScenarioError("lemma", f"unknown lemma id {lemma!r}")
-    mode = doc.get("mode", "pipeline")
-    if mode not in ("pipeline", "direct"):
-        raise ScenarioError("mode", f"unknown mode {mode!r}")
-
-    allowed = _PIPELINE_KEYS if mode == "pipeline" else _DIRECT_KEYS
-    _known_keys(doc, allowed, "", f"unknown key for mode {mode!r}")
-
-    baseline_id = doc.get("baseline_id")
+    doc.setdefault("mode", "pipeline")
+    mode, lemma, *fields, baseline_id = _SCENARIO(doc)
+    # Every field is read; what is left are the rules that tie fields together.
     if baseline_id is not None and baseline_id != lemma:
         raise ScenarioError(
             "baseline_id", f"{baseline_id!r} is not the scenario's lemma {lemma!r}"
         )
     sha = sha256(raw).hexdigest()
-
     if mode == "direct":
+        (polynomials,) = fields
+        labels = set()
+        for i, (label, _) in enumerate(polynomials):
+            if label in labels:
+                raise ScenarioError(
+                    f"polynomials[{i}].label", f"duplicate label {label!r}"
+                )
+            labels.add(label)
         return LemmaSpec(
             lemma_id=lemma,
             mode=mode,
-            polynomials=_parse_polynomials(
-                _require(doc, "polynomials", "polynomials"), "polynomials"
-            ),
+            polynomials=polynomials,
             baseline_id=baseline_id,
             input_sha256=sha,
         )
 
-    diamond = _parse_hodge(_require(doc, "hodge", "hodge"), "hodge")
+    diamond, c1_sign, (model, *values), (r_min, r_max), rule, *fields = fields
+    k_lower, c14_max, filters, facts = fields
     target = complete_invariants(invariants_from_diamond(diamond)).target
     if target <= 0:
         raise ScenarioError(
@@ -313,15 +372,11 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
             f"the Riemann-Roch target {target} needs isqrt(3 * target) = "
             f"{isqrt(3 * target)} search steps, over the budget of {GRID_BUDGET}",
         )
-    c1_sign = _require(doc, "c1_sign", "c1_sign", int)
-    if c1_sign not in (-1, 1):
-        raise ScenarioError("c1_sign", f"must be -1 or 1, got {c1_sign}")
-    lattice = _parse_lattice(_require(doc, "lattice", "lattice"), "lattice")
-    r_raw = _require(doc, "r_bounds", "r_bounds")
-    if not isinstance(r_raw, list) or len(r_raw) != 2:
-        raise ScenarioError("r_bounds", "expected [min, max]")
-    r_min = _expect(r_raw[0], int, "r_bounds[0]")
-    r_max = _expect(r_raw[1], int, "r_bounds[1]")
+    bounds = dict(zip(LATTICE_BOUNDS[model], values))
+    lattice = LatticeSpec(model=model, **bounds)
+    # An empty grid would void the budget on grid points times values of r.
+    if lattice.points == 0:
+        raise ScenarioError("lattice", f"the {model!r} grid {bounds} has no points")
     if r_min > r_max:
         raise ScenarioError("r_bounds", f"empty range [{r_min}, {r_max}]")
     if c1_sign < 0 and r_max >= 0:
@@ -335,33 +390,17 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
             f"{lattice.points} grid points times {r_values} values of r "
             f"exceed the budget of {GRID_BUDGET}",
         )
-    divisibility = doc.get("divisibility", lattice.rule)
-    if divisibility != lattice.rule:
+    if rule is not None and rule != (lattice.rule,):
         raise ScenarioError(
-            "divisibility",
-            f"rule {divisibility!r} does not fit model {lattice.model!r}",
+            "divisibility", f"rule {rule[0]!r} does not fit model {model!r}"
         )
-    k_lower = None
-    if doc.get("k_lower") is not None:
-        try:
-            k_lower = parse_frac(doc["k_lower"])
-        except ValueError as exc:
-            raise ScenarioError("k_lower", str(exc)) from exc
-    c14_max = None
-    if doc.get("c14_max") is not None:
-        c14_max = _expect(doc["c14_max"], int, "c14_max")
-        if c14_max < 1:
-            raise ScenarioError("c14_max", "cap must be positive")
-    filters = []
-    for i, name in enumerate(_expect(doc.get("filters", []), list, "filters")):
-        if name not in FILTER_NAMES:
-            raise ScenarioError(f"filters[{i}]", f"unknown filter {name!r}")
-        if name in filters:
+    filters = filters or ()
+    for i, name in enumerate(filters):
+        if name in filters[:i]:
             raise ScenarioError(f"filters[{i}]", f"duplicate filter {name!r}")
-        filters.append(name)
-    facts_raw = _expect(doc.get("facts", []), list, "facts")
     facts = tuple(
-        _parse_fact(entry, f"facts[{i}]") for i, entry in enumerate(facts_raw)
+        ExternalFact(index=index, r=r, kind=kind, citation=citation, value=value)
+        for index, r, citation, (kind, value) in facts or ()
     )
     seen_r = set()
     for i, fact in enumerate(facts):
@@ -377,7 +416,7 @@ def parse_scenario(raw: bytes) -> LemmaSpec:
         r_bounds=(r_min, r_max),
         k_lower=k_lower,
         c14_max=c14_max,
-        filters=tuple(filters),
+        filters=filters,
         facts=facts,
         baseline_id=baseline_id,
         input_sha256=sha,
@@ -401,73 +440,25 @@ class Baseline:
     expected_certificates: tuple
 
 
-def _reader(schema):
-    """The function that reads a JSON value by schema: str or int, a value
-    of that JSON type, as _expect reads it; [item], a list, into a tuple;
-    (key, item), an object of items, into its (key, item) pairs sorted by
-    key; an object's keys mapped to their schemas, a key ending in "?"
-    optional, into the tuple of their values, None for one left out; or a
-    function that decodes the value or raises ValueError. A fault raises
-    ScenarioError, whose path is put together only as the fault unwinds."""
-    kind = type(schema)
-    if schema is str or schema is int:  # _expect raises, saying why, if not one
-        return lambda x: x if type(x) is schema and (
-            schema is int or x.isascii() and x.isprintable()
-        ) else _expect(x, schema, "")
-    if kind is dict:
-        fields = [(k.rstrip("?"), k[-1] == "?", _reader(v)) for k, v in schema.items()]
-        names = {name for name, _, _ in fields}
-    elif kind is list or kind is tuple:
-        reads = list(map(_reader, schema))
-    else:
-        return schema
-    json_type = list if kind is list else dict
-
-    def read(value):
-        items = value if type(value) is json_type else _expect(value, json_type, "")
-        if kind is dict and not items.keys() <= names:
-            _known_keys(items, names, "", "unknown key")
-        out = []
-        try:
-            if kind is list:
-                for step, x in enumerate(items):
-                    out.append(reads[0](x))
-            elif kind is tuple:
-                for step, x in items.items():
-                    out.append((reads[0](step), reads[1](x)))
-            else:
-                for step, optional, read_field in fields:
-                    if step in items:
-                        out.append(read_field(items[step]))
-                    elif not optional:
-                        raise ValueError(f"missing required key {step!r}")
-                    else:
-                        out.append(None)
-        except ValueError as exc:
-            path = f"[{step}]" if kind is list else str(step)
-            if isinstance(exc, ScenarioError):  # a fault further in
-                sep = "" if exc.path[:1] in ("", "[") else "."
-                path, exc = f"{path}{sep}{exc.path}", exc.reason
-            raise ScenarioError(path, str(exc)) from None
-        return tuple(sorted(out) if kind is tuple else out)
-
-    return read
-
-
 # Printed obstruction kind -> the certificate type it completes, the record
-# key of the run's data it is about, and the keys it may print.
+# key of the run's data it is about, and the keys it may print besides its
+# kind and note. The fields of its certificate are read by the certificate's
+# codecs once the kind has said which.
 _PRINTED = {
     "modular": ("modular", "poly", ("content", "modulus")),
     "divisor": ("divisor", "poly", ("content", "divisors", "values", "approx_values")),
     "congruence-mod12": ("congruence-mod12", "char_numbers", ("value",)),
     "ahat": ("ahat-nonintegral", "case", ("value",)),
 }
-# Every key a printed obstruction may have. The fields of its certificate
-# are read by the certificate's codecs once the kind has said which.
-_CERT_FIELDS = ("content?", "modulus?", "divisors?", "values?", "value?")
-_PRINTED_KEYS = _reader(
-    {"kind": str, "note?": str, "approx_values?": (parse_int_str, str)}
-    | dict.fromkeys(_CERT_FIELDS, _same)
+_APPROX = (parse_int_str, str)
+_PRINTED_KIND = _tagged(
+    "kind",
+    "obstruction kind",
+    {
+        kind: {"note?": str}
+        | {f"{key}?": _APPROX if key == "approx_values" else _same for key in keys}
+        for kind, (_, _, keys) in _PRINTED.items()
+    },
 )
 
 
@@ -475,11 +466,9 @@ def _printed(entry) -> tuple:
     """A printed obstruction as (kind, about, certificate, note, approximate
     values). Its fields are read as the certificate's, and those it leaves
     out are zero until the run fills them in."""
-    kind, note, approx, *_ = _PRINTED_KEYS(entry)
-    if kind not in _PRINTED:
-        raise ScenarioError("kind", f"unknown obstruction kind {kind!r}")
+    kind, note, *fields = _PRINTED_KIND(entry)
     tag, about, keys = _PRINTED[kind]
-    _known_keys(entry, ("kind", "note", *keys), "", f"not a {kind} obstruction key")
+    approx = dict(zip(keys, fields)).get("approx_values")
     zeros = {"type": tag, "m_power": 0, "residues": [], "residue": 0}
     return kind, about, certificate_from_json({**entry, **zeros}), note, approx
 

@@ -80,7 +80,8 @@ class LatticeSpec:
         if self.model not in LATTICE_MODELS:
             raise ValueError(f"unknown lattice model {self.model!r}")
         ranges = self._ranges()
-        points = prod(map(len, ranges))
+        # len() of a range past sys.maxsize overflows; its stop - start does not.
+        points = prod(max(0, r.stop - r.start) for r in ranges)
         largest = lattice_degree(self.model, [r[-1] for r in ranges]) if points else 0
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "max_degree", largest)

@@ -4,7 +4,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chern_gate import pipeline
@@ -16,6 +16,7 @@ from chern_gate.pipeline import (
     load_baseline,
     load_scenario,
     run_lemma,
+    scenario_bytes,
 )
 from chern_gate.report import canonical_json, emit_report
 from chern_gate.ring import GradedClass, replace
@@ -473,12 +474,12 @@ def test_unverified_elimination_leaves_the_case_alive(monkeypatch):
         (
             "4.2",
             lambda b: b["obstructions"]["3"].update(divisors=["1"]),
-            "obstructions.3.divisors: not a modular obstruction key",
+            "obstructions.3.divisors: unknown key for obstruction kind 'modular'",
         ),
         (
             "4.2",
             lambda b: b["obstructions"]["1"].update(approx_values={}),
-            "obstructions.1.approx_values: not a modular obstruction key",
+            "obstructions.1.approx_values: unknown key for obstruction kind 'modular'",
         ),
     ],
 )
@@ -531,6 +532,48 @@ def test_a_baseline_with_one_field_changed_runs_or_is_refused_at_a_path(lid, dat
         assert on_path(path, exc.path) or on_path(exc.path, path), exc
     else:
         emit_report(report, "json"), emit_report(report, "md")
+
+
+# One field of a shipped scenario, by its JSON path, and what it is set to
+# (or "delete"): 10**30 is past the range len() takes.
+SCENARIO_MUTANTS = [
+    (lid, path, value)
+    for lid in SHIPPED_LEMMAS
+    for _, _, path in json_slots(json.loads(scenario_bytes(lid)))
+    for value in MUTATIONS + (10**30,)
+]
+# A rule that reads two fields may refuse a change of one at the other: the
+# diamond's symmetries tie its cells, c1_sign fixes the sign of r_bounds,
+# r_bounds times the grid is held to the budget at lattice, and the mode
+# says which keys the whole scenario may have.
+TIED = {"hodge": "hodge", "c1_sign": "r_bounds", "r_bounds": "lattice", "mode": ""}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SCENARIO_MUTANTS))
+@example(("2.1", "lattice.e_max", 10**30))
+def test_a_scenario_with_one_field_changed_parses_or_is_refused_at_a_path(mutant):
+    lid, path, value = mutant
+    doc = json.loads(scenario_bytes(lid))
+    container, key = next((c, k) for c, k, p in json_slots(doc) if p == path)
+    if value == "delete":
+        del container[key]
+    else:
+        container[key] = copy.deepcopy(value)
+    try:
+        parse_scenario(json.dumps(doc).encode())
+    except ValueError as exc:
+        # refused where the field was changed, at the object around it, or
+        # at the field a rule ties it to
+        assert isinstance(exc, ScenarioError), exc
+        assert str(exc) == f"{exc.path}: {exc.reason}"
+        tie = TIED.get(path.split(".")[0].split("[")[0])
+        assert (
+            on_path(path, exc.path)
+            or on_path(exc.path, path)
+            or tie == ""
+            or tie is not None and on_path(exc.path, tie)
+        ), exc
 
 
 def test_fault_injection_leaves_original_data_untouched():

@@ -59,13 +59,24 @@ def test_diamond_validation():
 
 
 
+@pytest.mark.parametrize("cell", [1.9, True])
+def test_diamond_refuses_a_cell_that_is_not_an_int(cell):
+    # h^{2,2} = 1.9 would give chi = 5.9 and a fractional target, and True
+    # would pass for 1; the centre cell is its own mirror, so only the
+    # check of each cell's type can refuse either.
+    rows = [row[:] for row in MIDDLE_TWO_ROWS]
+    rows[2][2] = cell
+    with pytest.raises(ValueError, match=r"^h\[2\]\[2\] is not an integer$"):
+        HodgeDiamond(tuple(map(tuple, rows)))
+
+
 def test_diamond_rejects_inexact_entries():
     # h^{2,2} = 1.9 must not be truncated to 1: the scenario parser, where
     # a diamond comes in from outside, refuses it at its cell.
     rows = [row[:] for row in MIDDLE_TWO_ROWS]
     rows[2][2] = 1.9
-    with pytest.raises(ScenarioError, match=r"^hodge\[2\]\[2\]: expected integer"):
-        _parse_hodge(rows, "hodge")
+    with pytest.raises(ScenarioError, match=r"^\[2\]\[2\]: expected integer"):
+        _parse_hodge(rows)
 
 @pytest.mark.parametrize(
     "rows, chi, chi_O, chi1, signature",

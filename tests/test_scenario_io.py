@@ -8,6 +8,7 @@ import pytest
 from chern_gate import obstruction
 from chern_gate.cli import dispatch
 from chern_gate.pipeline import load_baseline, run_lemma, scenario_bytes
+from chern_gate.ring import replace
 from chern_gate.report import (
     _CODECS,
     certificate_from_json,
@@ -241,6 +242,34 @@ def test_polynomial_validation():
     for entry in doc["polynomials"]:
         entry["coefficients"] = [int(c) for c in entry["coefficients"]]
     assert reparse(doc).polynomials == strings
+
+
+@pytest.mark.parametrize("key", ["baseline_id", "k_lower", "c14_max"])
+def test_null_reads_as_a_key_left_out_where_the_value_is_optional(key):
+    doc = shipped("2.1")
+    doc.update(k_lower="2/5", c14_max=10**6)
+    doc[key] = None
+    spec = reparse(doc)
+    assert getattr(spec, key) is None
+    del doc[key]
+    # the input bytes differ, and so does their digest
+    assert replace(spec, input_sha256="") == replace(reparse(doc), input_sha256="")
+
+
+@pytest.mark.parametrize(
+    "lid, key",
+    [
+        ("2.1", "filters"),
+        ("2.2", "facts"),
+        ("2.1", "divisibility"),
+        ("2.1", "mode"),
+        ("A.1", "mode"),
+    ],
+)
+def test_null_is_refused_at_a_key_that_may_not_be_null(lid, key):
+    doc = shipped(lid)
+    doc[key] = None
+    assert error_path(doc) == key
 
 
 def test_k_lower_and_cap_validation():
@@ -571,6 +600,25 @@ def test_grid_budget_is_checked_from_the_bounds(tmp_path, capsys, monkeypatch):
     doc = shipped("2.2")
     doc["r_bounds"] = [1, 10**12]
     assert error_path(doc) == "lattice"
+
+
+@pytest.mark.parametrize(
+    "lid, bound", [("2.1", "e_max"), ("3.1", "b_max"), ("4.2", "d_max")]
+)
+def test_a_bound_past_the_range_len_takes_is_refused_at_lattice(
+    lid, bound, tmp_path, capsys
+):
+    # len() of a range of 2**63 points or more raises OverflowError; the
+    # grid budget must refuse such a grid as input, not fail inside.
+    doc = shipped(lid)
+    doc["lattice"][bound] = 10**30
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(doc))
+    assert dispatch(["run", "--scenario", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lattice: ")
+    assert "exceed the budget" in captured.err
 
 
 def test_an_empty_grid_is_refused_whatever_the_r_range(tmp_path, capsys):
