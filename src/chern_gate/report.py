@@ -4,7 +4,9 @@ Everything that leaves the tool goes through here: certificates become
 tagged JSON objects, rationals become "p/q" strings, big integers
 become decimal strings, and reports serialize canonically (sorted
 keys, fixed indentation, trailing newline) so a repeated run is
-byte-identical.
+byte-identical. One table, _CODECS, declares each certificate kind's
+JSON fields, with an encoder and a schema for each; this module only
+writes them, and scenario's schema walker reads them by their schemas.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "parse_int_str",
     "sci_5",
     "certificate_to_json",
-    "certificate_from_json",
     "canonical_json",
     "emit_report",
 ]
@@ -100,36 +101,14 @@ def _same(x):
     return x
 
 
-def _strict(kind: type):
-    """A decoder that passes a value of exactly that JSON type through;
-    anything else, a bool for an int among them, raises ValueError."""
-
-    def decode(x):
-        if isinstance(x, kind) and not isinstance(x, bool):
-            return x
-        raise ValueError(f"expected {kind.__name__}, got {x!r}")
-
-    return decode
-
-
-def _each(decode):
-    """A decoder of a JSON list, element by element, into a tuple."""
-
-    def decode_list(xs):
-        if not isinstance(xs, list):
-            raise ValueError(f"expected a list, got {xs!r}")
-        return tuple(map(decode, xs))
-
-    return decode_list
-
-
-# (encode, decode) pairs for certificate fields. Big integers travel as
-# decimal strings, small ones (moduli, residues, exponents) as JSON ints.
+# (encode, schema) pairs for certificate fields: the schema is one that
+# scenario's walker reads. Big integers travel as decimal strings, small
+# ones (moduli, residues, exponents) as JSON ints.
 _BIG = (int_str, parse_int_str)
-_SMALL = (_same, _strict(int))
-_BIGS = (lambda xs: [int_str(x) for x in xs], _each(parse_int_str))
-_SMALLS = (list, _each(_strict(int)))
-_TEXT = (_same, _strict(str))
+_SMALL = (_same, int)
+_BIGS = (lambda xs: [int_str(x) for x in xs], [parse_int_str])
+_SMALLS = (list, [int])
+_TEXT = (_same, str)
 
 
 def _md_divisor(cert: dict) -> str:
@@ -144,10 +123,10 @@ def _md_external_fact(cert: dict) -> str:
     return f"{text}, violated by {cert.get('violated_by')}"
 
 
-# Certificate tag -> (class, field codecs, markdown sentence). A field
-# whose value is None is left out of the JSON, and a field missing from
-# the JSON is left to the class default. The sentence is rendered from
-# the certificate's JSON form.
+# Certificate tag -> (class, field codecs, markdown sentence): the one
+# declaration of each kind's JSON shape, which scenario reads certificates
+# by. A field whose value is None is left out of the JSON. The sentence is
+# rendered from the certificate's JSON form.
 _CODECS = {
     "modular": (
         ModularObstruction,
@@ -186,13 +165,6 @@ _CODECS = {
 _TAGS = {cls: tag for tag, (cls, _, _) in _CODECS.items()}
 
 
-def _codec(data: dict) -> tuple:
-    kind = data.get("type") if isinstance(data, dict) else None
-    if not isinstance(kind, str) or kind not in _CODECS:
-        raise ValueError(f"unknown certificate type {kind!r}")
-    return _CODECS[kind]
-
-
 def certificate_to_json(cert) -> dict:
     tag = _TAGS.get(type(cert))
     if tag is None:
@@ -203,24 +175,6 @@ def certificate_to_json(cert) -> dict:
         if value is not None:
             out[name] = encode(value)
     return out
-
-
-def certificate_from_json(data: dict):
-    """The certificate a JSON object encodes. A field of the wrong JSON
-    type, or a missing one the class has no default for, raises
-    ValueError naming the certificate type and the field."""
-    cls, fields, _ = _codec(data)
-    values = {}
-    for name, (_, decode) in fields.items():
-        if data.get(name) is not None:
-            try:
-                values[name] = decode(data[name])
-            except ValueError as exc:
-                raise ValueError(f"{data['type']} certificate, {name}: {exc}") from exc
-    for name in cls._fields:
-        if name not in values and not hasattr(cls, name):  # no default
-            raise ValueError(f"{data['type']} certificate has no field {name!r}")
-    return cls(**values)
 
 
 def _write(obj, pad: str, out: list) -> None:
@@ -309,7 +263,10 @@ def _md_certificate(row: dict) -> str:
     """The sentence for a row's certificate, marked if the row says it
     failed to verify."""
     cert = row["certificate"]
-    text = _codec(cert)[2](cert)
+    kind = cert.get("type") if isinstance(cert, dict) else None
+    if not isinstance(kind, str) or kind not in _CODECS:
+        raise ValueError(f"unknown certificate type {kind!r}")
+    text = _CODECS[kind][2](cert)
     return f"{text} (not verified)" if row.get("verified") is False else text
 
 

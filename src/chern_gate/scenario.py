@@ -4,20 +4,21 @@ A scenario either describes a full pipeline run (Hodge diamond, sign
 of c1, lattice grid, filters, literature facts) or a direct run over
 explicit obstruction polynomials. The divisibility rule follows from
 the lattice model, so a pipeline scenario may leave it out; one that
-names a rule the model does not have is refused. A scenario, and a
-baseline (the replay's expected result), are read by one schema
-walker, _reader, strictly and typed: every object rejects a key it
-does not define, every value is read by a check of its field's type,
-so a float fails at its own field (rationals travel as "p/q" strings,
-big integers as decimal strings), and every error names the JSON path
-it was found at. An object whose tag says which keys it has (a
-scenario's mode, a lattice's model, a fact's kind, a printed
-obstruction's kind) is read by the walker's tagged form, _tagged. The
-rules that tie one field of a scenario to another are checked after
-the walk. The vocabulary is declared where its types live: the lattice
-models' parameters in ring.LATTICE_PARAMS, their bounds in
-search.LATTICE_BOUNDS, the fact kinds and their data keys in
-verify.FACT_KINDS.
+names a rule the model does not have is refused. A scenario, a
+baseline (the replay's expected result) and a certificate are read by
+one schema walker, _reader, strictly and typed: every object rejects a
+key it does not define, every value is read by a check of its field's
+type, so a float fails at its own field (rationals travel as "p/q"
+strings, big integers as decimal strings), and every error names the
+JSON path it was found at. An object whose tag says which keys it has
+(a scenario's mode, a lattice's model, a fact's kind, a certificate's
+type, a printed obstruction's kind) is read by the walker's tagged
+form, _tagged. The rules that tie one field of a scenario to another
+are checked after the walk. The vocabulary is declared where its types
+live: the lattice models' parameters in ring.LATTICE_PARAMS, their
+bounds in search.LATTICE_BOUNDS, the fact kinds and their data keys in
+verify.FACT_KINDS, the certificate types and their fields' schemas in
+report._CODECS.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ try:
 except ImportError:  # an interpreter built without the builtin modules
     from hashlib import sha256
 
-from .report import _COLUMNS, _same, parse_frac, parse_int_str
-from .report import certificate_from_json
+from .report import _CODECS, _COLUMNS, _same, parse_frac, parse_int_str
 from .riemann_roch import DerivedInvariants, HodgeDiamond, complete_invariants
 from .riemann_roch import invariants_from_diamond
 from .ring import record
@@ -54,6 +54,7 @@ __all__ = [
     "parse_scenario",
     "Baseline",
     "parse_baseline",
+    "certificate_from_json",
 ]
 
 LEMMA_IDS = ("2.1", "2.2", "3.1", "4.2", "A.1", "A.2", "A.3")
@@ -96,16 +97,17 @@ class LemmaSpec:
 _JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
 
 
-def _expect(value, kind: type, path: str, nonempty: bool = False):
-    """value, if it is a JSON value of type kind (and not "" or [] if nonempty)."""
+def _expect(value, kind: type, nonempty: bool = False):
+    """value, if it is a JSON value of type kind (and not "" or [] if nonempty).
+    Another raises ScenarioError at the path "", which the walker completes."""
     if isinstance(value, kind) and not isinstance(value, bool):
         # Strings reach the reports verbatim, so each must be printable ASCII.
         if kind is str and not (value.isascii() and value.isprintable()):
-            raise ScenarioError(path, f"expected printable ASCII, got {ascii(value)}")
+            raise ScenarioError("", f"expected printable ASCII, got {ascii(value)}")
         if not (nonempty and value in ("", [])):
             return value
     name = ("nonempty " if nonempty else "") + _JSON_TYPES[kind]
-    raise ScenarioError(path, f"expected {name}, got {reprlib.repr(value)}")
+    raise ScenarioError("", f"expected {name}, got {reprlib.repr(value)}")
 
 
 def _reader(schema, unknown: str = "unknown key"):
@@ -122,7 +124,7 @@ def _reader(schema, unknown: str = "unknown key"):
     if schema is str or schema is int:  # _expect raises, saying why, if not one
         return lambda x: x if type(x) is schema and (
             schema is int or x.isascii() and x.isprintable()
-        ) else _expect(x, schema, "")
+        ) else _expect(x, schema)
     if kind is dict:
         fields = [(k.rstrip("?"), k[-1] == "?", _reader(v)) for k, v in schema.items()]
         names = {name for name, _, _ in fields}
@@ -133,7 +135,7 @@ def _reader(schema, unknown: str = "unknown key"):
     json_type = list if kind is list else dict
 
     def read(value):
-        items = value if type(value) is json_type else _expect(value, json_type, "")
+        items = value if type(value) is json_type else _expect(value, json_type)
         if kind is dict and not items.keys() <= names:
             raise ScenarioError(next(k for k in items if k not in names), unknown)
         out = []
@@ -174,7 +176,7 @@ def _tagged(key: str, what: str, variants: dict):
     }
 
     def read(value):
-        items = value if type(value) is dict else _expect(value, dict, "")
+        items = value if type(value) is dict else _expect(value, dict)
         if key not in items:
             raise ScenarioError(key, f"missing required key {key!r}")
         tag = items[key]
@@ -189,7 +191,7 @@ def _nonempty(schema):
     """The reader of schema, a JSON type or [item], that refuses "" and []."""
     kind, read = list if type(schema) is list else schema, _reader(schema)
     # _expect raises, saying why, for anything but a nonempty value of kind.
-    return lambda x: read(x) if x and type(x) is kind else _expect(x, kind, "", True)
+    return lambda x: read(x) if x and type(x) is kind else _expect(x, kind, True)
 
 
 def _nullable(decode):
@@ -216,7 +218,7 @@ def _where(kind, holds, reason: str):
 
     def decode(x):
         if kind is not None and type(x) is not kind:
-            _expect(x, kind, "")  # raises, saying why
+            _expect(x, kind)  # raises, saying why
         if not holds(x):
             raise ValueError(reason.format(x))
         return x
@@ -262,7 +264,7 @@ _DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _coefficients(raw) -> IntPoly:
-    coeffs = _expect(raw, list, "", nonempty=True)
+    coeffs = _expect(raw, list, nonempty=True)
     degree = len(coeffs) - 1  # leading zeros are refused below
     if degree > MAX_DEGREE:
         raise ValueError(f"degree {degree} exceeds the budget of {MAX_DEGREE}")
@@ -440,24 +442,59 @@ class Baseline:
     expected_certificates: tuple
 
 
-# Printed obstruction kind -> the certificate type it completes, the record
-# key of the run's data it is about, and the keys it may print besides its
-# kind and note. The fields of its certificate are read by the certificate's
-# codecs once the kind has said which.
+def _fields(tag: str, leave_out=()) -> dict:
+    """The walker's schema of a certificate type's fields but those in
+    leave_out: one whose class has a default may be left out, and null
+    reads as left out; any other is required."""
+    cls, fields, _ = _CODECS[tag]
+    return {
+        name + "?" * hasattr(cls, name): (
+            _nullable(_reader(read)) if hasattr(cls, name) else read
+        )
+        for name, (_, read) in fields.items()
+        if name not in leave_out
+    }
+
+
+def _certificate(tag: str, *values, **filled):
+    """The certificate of type tag with the fields filled, and the others,
+    in order, as the walker read them: None for one left out."""
+    cls, fields, _ = _CODECS[tag]
+    names = (name for name in fields if name not in filled)
+    return cls(**{n: v for n, v in zip(names, values) if v is not None}, **filled)
+
+
+_CERTIFICATE = _tagged("type", "certificate type", {t: _fields(t) for t in _CODECS})
+
+
+def certificate_from_json(data):
+    """The certificate a JSON object encodes. A fault of shape raises
+    ScenarioError at its JSON path, at $ for a top level not an object."""
+    if not isinstance(data, dict):
+        raise ScenarioError("$", "top level must be an object")
+    return _certificate(*_CERTIFICATE(data))
+
+
+# Printed obstruction kind -> the certificate type it completes and the
+# record key of the run's data it is about. It prints the certificate's
+# fields but those the run fills in, and may add a note; a divisor
+# obstruction may also quote approximate values at its divisors.
 _PRINTED = {
-    "modular": ("modular", "poly", ("content", "modulus")),
-    "divisor": ("divisor", "poly", ("content", "divisors", "values", "approx_values")),
-    "congruence-mod12": ("congruence-mod12", "char_numbers", ("value",)),
-    "ahat": ("ahat-nonintegral", "case", ("value",)),
+    "modular": ("modular", "poly"),
+    "divisor": ("divisor", "poly"),
+    "congruence-mod12": ("congruence-mod12", "char_numbers"),
+    "ahat": ("ahat-nonintegral", "case"),
 }
-_APPROX = (parse_int_str, str)
+# The fields the run fills in, as they stand until it does.
+_FILLED = {"m_power": 0, "residues": (), "residue": 0}
 _PRINTED_KIND = _tagged(
     "kind",
     "obstruction kind",
     {
         kind: {"note?": str}
-        | {f"{key}?": _APPROX if key == "approx_values" else _same for key in keys}
-        for kind, (_, _, keys) in _PRINTED.items()
+        | _fields(tag, _FILLED)
+        | ({"approx_values?": (parse_int_str, str)} if kind == "divisor" else {})
+        for kind, (tag, _) in _PRINTED.items()
     },
 )
 
@@ -465,12 +502,12 @@ _PRINTED_KIND = _tagged(
 def _printed(entry) -> tuple:
     """A printed obstruction as (kind, about, certificate, note, approximate
     values). Its fields are read as the certificate's, and those it leaves
-    out are zero until the run fills them in."""
-    kind, note, *fields = _PRINTED_KIND(entry)
-    tag, about, keys = _PRINTED[kind]
-    approx = dict(zip(keys, fields)).get("approx_values")
-    zeros = {"type": tag, "m_power": 0, "residues": [], "residue": 0}
-    return kind, about, certificate_from_json({**entry, **zeros}), note, approx
+    out stand as in _FILLED until the run fills them in."""
+    kind, note, *values = _PRINTED_KIND(entry)
+    approx = values.pop() if kind == "divisor" else None
+    tag, about = _PRINTED[kind]
+    filled = {name: _FILLED[name] for name in _CODECS[tag][1] if name in _FILLED}
+    return kind, about, _certificate(tag, *values, **filled), note, approx
 
 
 _BASELINE = _reader(
@@ -488,7 +525,7 @@ _BASELINE = _reader(
         "concluded?": (str, str),
         "polynomials?": (str, [str]),
         "obstructions?": (str, _printed),
-        "expected_certificates?": (str, certificate_from_json),
+        "expected_certificates?": (str, lambda data: _certificate(*_CERTIFICATE(data))),
     }
 )
 

@@ -331,6 +331,14 @@ def loop_diamond(rows) -> HodgeDiamond:
     return HodgeDiamond(h)
 
 
+def _cell(x, path: str) -> int:
+    """x, if it is a JSON integer; another is refused at path."""
+    try:
+        return _expect(x, int)
+    except ScenarioError as exc:
+        raise ScenarioError(path, exc.reason) from None
+
+
 def loop_parse_hodge(raw) -> HodgeDiamond:
     """scenario._parse_hodge as cell-by-cell checks on every grid."""
     if not isinstance(raw, list) or len(raw) != 5:
@@ -339,7 +347,7 @@ def loop_parse_hodge(raw) -> HodgeDiamond:
     for p, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != 5:
             raise ScenarioError(f"[{p}]", "expected a row of 5 integers")
-        grid.append([_expect(x, int, f"[{p}][{q}]") for q, x in enumerate(row)])
+        grid.append([_cell(x, f"[{p}][{q}]") for q, x in enumerate(row)])
     for p in range(5):
         for q in range(p + 1, 5):
             if grid[p][q] != grid[q][p]:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chern_gate
-from chern_gate import report, verify
+from chern_gate import report, scenario, verify
 from chern_gate.pipeline import SHIPPED_LEMMAS, scenario_bytes
 from chern_gate.scenario import parse_scenario
 
@@ -119,11 +119,16 @@ def test_verify_reaches_only_ring_and_riemann_roch():
 
 
 # Each certificate class has one check and one JSON codec; a kind added to
-# one table and not the other fails here, not at its first use.
+# one table and not the other fails here, not at its first use. Each kind
+# of printed obstruction completes a certificate type of the codecs, about
+# a record key that run_lemma fills for a case or a polynomial.
 def test_every_certificate_class_has_a_check_and_a_codec():
     codecs = [cls for cls, _, _ in report._CODECS.values()]
     assert len(set(codecs)) == len(codecs)
     assert set(verify._CHECKS) == set(codecs)
+    for kind, (tag, about) in scenario._PRINTED.items():
+        assert tag in report._CODECS, kind
+        assert about in ("poly", "char_numbers", "case"), kind
 
 
 # Start-up is the largest cost of a command that replays the lemmas, so

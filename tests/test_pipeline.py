@@ -20,7 +20,12 @@ from chern_gate.pipeline import (
 )
 from chern_gate.report import canonical_json, emit_report
 from chern_gate.ring import GradedClass, replace
-from chern_gate.scenario import ScenarioError, parse_baseline, parse_scenario
+from chern_gate.scenario import (
+    ScenarioError,
+    certificate_from_json,
+    parse_baseline,
+    parse_scenario,
+)
 from chern_gate.verify import PSI_13, IntPoly
 
 from conftest import ALL_LEMMAS, DIRECT_LEMMAS, PIPELINE_LEMMAS
@@ -289,13 +294,13 @@ def test_fault_injection_obstruction_value():
         (
             "4",
             lambda e: e.pop("modulus"),
-            "4: modular certificate has no field 'modulus'",
+            "4.modulus: missing required key 'modulus'",
             None,
         ),
         (
             "4",
             lambda e: e.update(modulus="2"),
-            "4: modular certificate, modulus: expected int, got '2'",
+            "4.modulus: expected integer, got '2'",
             None,
         ),
         (
@@ -481,6 +486,21 @@ def test_unverified_elimination_leaves_the_case_alive(monkeypatch):
             lambda b: b["obstructions"]["1"].update(approx_values={}),
             "obstructions.1.approx_values: unknown key for obstruction kind 'modular'",
         ),
+        (
+            "2.1",
+            lambda b: b["expected_certificates"]["1"].update(bogus=1),
+            "expected_certificates.1.bogus: unknown key for certificate type 'modular'",
+        ),
+        (
+            "2.1",
+            lambda b: b["expected_certificates"]["1"].update(modulus=None),
+            "expected_certificates.1.modulus: expected integer, got None",
+        ),
+        (
+            "A.1",
+            lambda b: b["expected_certificates"].update({"1": ["modular"]}),
+            "expected_certificates.1: expected object, got ['modular']",
+        ),
     ],
 )
 def test_parse_baseline_refuses_a_fault_of_shape_at_its_path(lid, change, refusal):
@@ -491,6 +511,9 @@ def test_parse_baseline_refuses_a_fault_of_shape_at_its_path(lid, change, refusa
     assert str(err.value) == refusal
     with pytest.raises(ScenarioError, match=r"^\$: top level must be an object$"):
         parse_baseline([baseline])
+    # a certificate read on its own is refused at $ in the same way
+    with pytest.raises(ScenarioError, match=r"^\$: top level must be an object$"):
+        certificate_from_json([{"type": "root", "m": "3"}])
 
 
 # What the probe of a baseline's shape sets one field to; or it deletes
@@ -513,16 +536,34 @@ def json_slots(doc, path=""):
             yield from json_slots(value, here)
 
 
+# One field of a shipped baseline, by its JSON path, and what it is set to
+# (or "delete"); or an object, the top level at "", and "insert", which
+# adds the key "bogus" to it.
+BASELINE_MUTANTS = [(lid, "", "insert") for lid in SHIPPED_LEMMAS] + [
+    (lid, path, value)
+    for lid in SHIPPED_LEMMAS
+    for container, key, path in json_slots(load_baseline(lid))
+    for value in MUTATIONS + ("insert",) * isinstance(container[key], dict)
+]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(SHIPPED_LEMMAS), st.data())
-def test_a_baseline_with_one_field_changed_runs_or_is_refused_at_a_path(lid, data):
+@given(st.sampled_from(BASELINE_MUTANTS))
+@example(("2.1", "expected_certificates.1", "insert"))
+@example(("A.1", "expected_certificates.1", "insert"))
+def test_a_baseline_with_one_field_changed_runs_or_is_refused_at_a_path(mutant):
+    lid, path, value = mutant
     baseline = load_baseline(lid)
-    container, key, path = data.draw(st.sampled_from(list(json_slots(baseline))))
-    value = data.draw(st.sampled_from(MUTATIONS))
-    if value == "delete":
-        del container[key]
+    if value == "insert":
+        slots = json_slots(baseline)
+        target = next((c[k] for c, k, p in slots if p == path), baseline)
+        target["bogus"], path = 1, f"{path}.bogus".lstrip(".")
     else:
-        container[key] = copy.deepcopy(value)
+        container, key = next((c, k) for c, k, p in json_slots(baseline) if p == path)
+        if value == "delete":
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(value)
     try:
         report = run_lemma(load_scenario(lid), baseline=baseline)
     except ValueError as exc:
@@ -532,6 +573,9 @@ def test_a_baseline_with_one_field_changed_runs_or_is_refused_at_a_path(lid, dat
         assert on_path(path, exc.path) or on_path(exc.path, path), exc
     else:
         emit_report(report, "json"), emit_report(report, "md")
+        # A key an object does not define is refused; one that is a label
+        # (a case's parameter) is a case the run does not produce.
+        assert value != "insert" or report["baseline_diff"], path
 
 
 # One field of a shipped scenario, by its JSON path, and what it is set to

@@ -11,7 +11,6 @@ from chern_gate.pipeline import load_baseline, run_lemma, scenario_bytes
 from chern_gate.ring import replace
 from chern_gate.report import (
     _CODECS,
-    certificate_from_json,
     certificate_to_json,
     emit_report,
     frac_str,
@@ -22,6 +21,7 @@ from chern_gate.report import (
 )
 from chern_gate.scenario import (
     ScenarioError,
+    certificate_from_json,
     parse_scenario,
 )
 from chern_gate.verify import (
@@ -718,15 +718,19 @@ def test_certificate_decoding_is_strict():
         ("residues", [1, "1", 1]),
         ("residues", [1, 1, True]),
         ("residues", "111"),
+        ("modulus", None),  # a required field may not be null
     ):
-        with pytest.raises(ValueError, match=f"modular certificate, {field}: "):
+        with pytest.raises(ScenarioError, match=rf"^{field}(\[\d\])?: "):
             certificate_from_json({**good, field: bad})
     for field in ("content", "m_power", "modulus", "residues"):
         data = {k: v for k, v in good.items() if k != field}
-        missing = f"modular certificate has no field '{field}'"
-        with pytest.raises(ValueError, match=missing):
+        missing = f"^{field}: missing required key '{field}'$"
+        with pytest.raises(ScenarioError, match=missing):
             certificate_from_json(data)
-    with pytest.raises(ValueError, match="divisor certificate, divisors: "):
+    unknown = "^bogus: unknown key for certificate type 'modular'$"
+    with pytest.raises(ScenarioError, match=unknown):
+        certificate_from_json({**good, "bogus": 1})
+    with pytest.raises(ScenarioError, match="^divisors: expected list, got '17'$"):
         certificate_from_json(
             {
                 "type": "divisor",
@@ -745,11 +749,13 @@ def test_certificate_decoding_is_strict():
             violated_by=9,
         )
     )
-    with pytest.raises(ValueError, match="external-fact certificate, citation: "):
+    with pytest.raises(ScenarioError, match="^citation: expected string, got 5$"):
         certificate_from_json({**fact, "citation": 5})
-    del fact["violated_by"]  # has a default, so it may be left out
+    # violated_by has a default, so it may be left out, and null reads so
+    assert certificate_from_json({**fact, "violated_by": None}).violated_by is None
+    del fact["violated_by"]
     assert certificate_from_json(fact).violated_by is None
-    with pytest.raises(ValueError, match="unknown certificate type"):
+    with pytest.raises(ScenarioError, match=r"^\$: top level must be an object$"):
         certificate_from_json(["modular"])
 
 
