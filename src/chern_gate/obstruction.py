@@ -4,8 +4,9 @@ A candidate surface class is ruled out by showing that its embedding
 polynomial has no positive integer root: eliminate returns a
 ModularObstruction or a ConstantDivisorTest, or a RootFound witness
 when a root exists. The cheaper filters certify with CongruenceMod12,
-AhatNonIntegral and ExternalFactCertificate. The records and their
-checks live in verify, which imports nothing of this module.
+AhatNonIntegral and ExternalFactCertificate. Each engine takes the one
+subject verify_certificate checks its certificate against. The records
+and their checks live in verify, which imports nothing of this module.
 """
 
 from __future__ import annotations
@@ -185,8 +186,9 @@ def ahat_filter(case: ChernCase) -> AhatNonIntegral | None:
     return AhatNonIntegral(value=data.a_hat)
 
 
-def external_fact_filter(case: ChernCase, facts) -> ExternalFactCertificate | None:
-    """Apply the first literature fact whose r matches the case."""
+def external_fact_filter(subject) -> ExternalFactCertificate | None:
+    """Apply the first fact whose r matches the case in subject = (case, facts)."""
+    case, facts = subject
     fact = next((f for f in facts if f.r == case.r), None)
     if fact is None or fact.admits(case.geometry.degree):
         return None

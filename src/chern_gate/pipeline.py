@@ -2,14 +2,14 @@
 
 run_lemma drives the full chain: Hodge diamond to the Riemann-Roch
 target, lattice enumeration, characteristic-number tables and the
-configured elimination filters. A direct scenario is the single filter
-embedding-poly over the polynomials it lists, so both modes decide
-their cases in one filter loop, from one record per case. Every
-certificate, whichever filter produced it, is re-checked by
-verify.verify_certificate against the data the filter consumed,
-and only a verified one decides a case: a certificate that fails is
-listed with verified false and the case stays alive. The verdict is
-read from the survivors, so it says what the rows say.
+configured elimination filters. Each case keeps its data in one record,
+and one table maps each filter name to the record key it reads and its
+engine; a direct scenario is the single filter embedding-poly over the
+polynomials it lists. An engine takes the very subject that
+verify.verify_certificate re-checks its certificate against, and only
+a verified certificate decides a case: one that fails is listed with
+verified false and the case stays alive. The verdict is read from the
+survivors, so it says what the rows say.
 When a baseline is supplied the run is compared against it cell by
 cell, and every obstruction the baseline records in printed form is
 completed into a certificate and verified against the run's own data
@@ -88,12 +88,6 @@ def _case_key(params: dict, r: int, k: str):
     return (tuple(sorted(params.items())), r, k)
 
 
-def _key_str(key) -> str:
-    params, r, k = key
-    inside = ", ".join(f"{name}={value}" for name, value in params)
-    return f"{inside}, r={r}, k={k}"
-
-
 def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -> dict:
     """The report of spec, diffed against baseline when one is given. The
     baseline is read by parse_baseline, and one for another lemma is
@@ -101,7 +95,7 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
     benchmark harness still passes it."""
     baseline = None if baseline is None else parse_baseline(baseline)
     # records: ordinal -> the case's data, keyed by what a filter or a
-    # printed obstruction is about ("char_numbers", "case", "poly").
+    # printed obstruction is about ("char_numbers", "case", "facts", "poly").
     if spec.mode == "direct":
         invariants, case_rows, filters = None, [], ("embedding-poly",)
         records = {i: {"poly": p} for i, (_, p) in enumerate(spec.polynomials, 1)}
@@ -111,7 +105,7 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
         invariants = {name: getattr(inv, name) for name in inv._fields}
         system = constraint_system_for(spec, target=inv.target)
         solutions = enumerate_cases(system)
-        case_rows, records, ids = _case_rows(solutions, inv, baseline)
+        case_rows, records, ids = _case_rows(solutions, inv, spec.facts, baseline)
         filters = spec.filters
     labels = {o: f"case-{o}" if bid is None else bid for o, bid in ids.items()}
     poly_rows: list[dict] = []
@@ -119,21 +113,22 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
     survivors: list[dict] = []
     decided = {}  # ordinal -> the verified certificate that took the case
     roots = {}  # ordinal -> a verified positive integer root
+    # Per run, not at import: the benchmark's tracer and tests rebind these names.
+    engines = {
+        "mod12": ("char_numbers", mod12_filter),
+        "ahat": ("case", ahat_filter),
+        "external-facts": ("facts", external_fact_filter),
+        "embedding-poly": ("poly", eliminate),
+    }
     for name in filters:
+        key, engine = engines[name]
         for o, rec in records.items():
             if o in decided:
                 continue
-            if name == "embedding-poly":
-                if "poly" not in rec:
-                    rec["poly"] = build_embedding_polynomial(rec["case"])
-                subject, cert = rec["poly"], eliminate(rec["poly"])
-            elif name == "mod12":
-                subject, cert = rec["char_numbers"], mod12_filter(rec["char_numbers"])
-            elif name == "ahat":
-                subject, cert = rec["case"], ahat_filter(rec["case"])
-            else:  # external-facts
-                subject = (rec["case"], spec.facts)
-                cert = external_fact_filter(*subject)
+            if key not in rec:  # only a polynomial waits until a filter asks
+                rec[key] = build_embedding_polynomial(rec["case"])
+            subject = rec[key]
+            cert = engine(subject)
             if cert is None:
                 continue
             ok = verify_certificate(subject, cert)
@@ -145,7 +140,7 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
             }
             if not ok:
                 row["note"] = verify_certificate_detailed(subject, cert)[1]
-            if name == "embedding-poly":
+            if key == "poly":
                 poly_rows.append(
                     {
                         **row,
@@ -212,10 +207,9 @@ def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -
     return report
 
 
-def _case_rows(solutions, inv, baseline: Baseline | None):
-    """The report's case table, plus each case's record (its
-    characteristic numbers and Chern data) and baseline id, keyed by
-    ordinal."""
+def _case_rows(solutions, inv, facts, baseline: Baseline | None):
+    """The report's case table, plus each case's record (the data its
+    filters read) and baseline id, keyed by ordinal."""
     cases = () if baseline is None else baseline.cases
     id_by_key = {(params, r, k): bid for params, r, k, bid, _ in cases}
     rows, records, ids = [], {}, {}
@@ -232,7 +226,7 @@ def _case_rows(solutions, inv, baseline: Baseline | None):
         params, k = sol.geometry.params, frac_str(sol.k)  # params is a fresh dict
         key = _case_key(params, sol.r, k)
         bid = id_by_key[key] if key in id_by_key else None
-        records[sol.ordinal] = {"char_numbers": cn, "case": case}
+        records[sol.ordinal] = dict(char_numbers=cn, case=case, facts=(case, facts))
         ids[sol.ordinal] = bid
         rows.append(
             {
@@ -264,7 +258,10 @@ def _validate_obstruction(label: str, printed: tuple, live: dict) -> dict:
     row = {"id": label, "kind": "obstruction", "obstruction": kind, "verified": False}
     notes = [note]
     subject = live.get(label, {}).get(about)
-    if subject is not None:
+    if subject is None:
+        missing = f"{about} for case" if label in live else "case"
+        notes.append(f"the run has no {missing} {label}")
+    else:
         if kind == "modular":
             # The residues come from the exact values divided by the
             # printed content, the lead made positive, so only the verifier
@@ -308,9 +305,16 @@ def _validate_printed(baseline: Baseline, live: dict, poly_rows: list[dict]) -> 
     engine = {row["label"]: row for row in poly_rows}
     for label, cert in baseline.expected_certificates:
         row = engine.get(label)
-        ok = row is not None and row["verified"]
-        ok = ok and row["certificate"] == certificate_to_json(cert)
-        rows.append({"id": label, "kind": "expected-certificate", "verified": ok})
+        out = {"id": label, "kind": "expected-certificate", "verified": False}
+        if row is None:
+            out["note"] = f"the run has no engine certificate for {label}"
+        elif not row["verified"]:
+            out["note"] = f"the run's engine certificate fails: {row['note']}"
+        elif row["certificate"] != certificate_to_json(cert):
+            out["note"] = "the run's engine certificate is a different one"
+        else:
+            out["verified"] = True
+        rows.append(out)
     return rows
 
 
@@ -354,14 +358,13 @@ def diff_baseline(report: dict, baseline: Baseline) -> list[str]:
     rcases = {
         _case_key(c["params"], c["r"], c["k"]): c for c in report.get("cases", [])
     }
-    for key in sorted(bcases.keys() - rcases.keys()):
-        diffs.append(
-            f"case ({_key_str(key)}) expected by the baseline but not produced"
-        )
-    for key in sorted(rcases.keys() - bcases.keys()):
-        diffs.append(
-            f"case ({_key_str(key)}) produced by the run but not in the baseline"
-        )
+    for keys, what in (
+        (bcases.keys() - rcases.keys(), "expected by the baseline but not produced"),
+        (rcases.keys() - bcases.keys(), "produced by the run but not in the baseline"),
+    ):
+        for params, r, k in sorted(keys):
+            inside = ", ".join(f"{name}={value}" for name, value in params)
+            diffs.append(f"case ({inside}, r={r}, k={k}) {what}")
     for key in sorted(bcases.keys() & rcases.keys()):
         label, expected_cn = bcases[key]
         ours_cn = rcases[key]["char_numbers"]
@@ -435,16 +438,17 @@ def diff_baseline(report: dict, baseline: Baseline) -> list[str]:
     return diffs
 
 
-def _data_bytes(*parts: str) -> bytes:
+def _data_bytes(kind: str, prefix: str, lemma_id: str) -> bytes:
+    if lemma_id not in SHIPPED_LEMMAS:
+        raise ValueError(f"no shipped {kind} for lemma {lemma_id!r}")
     # data/ beside this module: the package ships as files, never zipped.
-    with open(os.path.join(os.path.dirname(__file__), "data", *parts), "rb") as fh:
+    path = os.path.join(os.path.dirname(__file__), "data", kind + "s")
+    with open(os.path.join(path, f"{prefix}-{lemma_id}.json"), "rb") as fh:
         return fh.read()
 
 
 def scenario_bytes(lemma_id: str) -> bytes:
-    if lemma_id not in SHIPPED_LEMMAS:
-        raise ValueError(f"no shipped scenario for lemma {lemma_id!r}")
-    return _data_bytes("scenarios", f"lemma-{lemma_id}.json")
+    return _data_bytes("scenario", "lemma", lemma_id)
 
 
 def load_scenario(lemma_id: str) -> LemmaSpec:
@@ -452,10 +456,7 @@ def load_scenario(lemma_id: str) -> LemmaSpec:
 
 
 def load_baseline(lemma_id: str) -> dict:
-    if lemma_id not in SHIPPED_LEMMAS:
-        raise ValueError(f"no shipped baseline for lemma {lemma_id!r}")
-    raw = _data_bytes("baselines", f"baseline-{lemma_id}.json")
-    return json.loads(raw.decode("utf-8"))
+    return json.loads(_data_bytes("baseline", "baseline", lemma_id).decode("utf-8"))
 
 
 def reproduce_lemma(lemma_id: str) -> dict:

@@ -378,7 +378,7 @@ def test_external_fact_needs_a_known_kind_and_its_data():
 
 def test_external_fact_filter_eliminates():
     case = fact_case(Geometry.rank1(15), 1, Fraction(2, 3))
-    cert = external_fact_filter(case, FACTS)
+    cert = external_fact_filter((case, FACTS))
     assert cert.outcome == "eliminated"
     assert cert.index == 1
     assert cert.violated_by == 225
@@ -387,20 +387,20 @@ def test_external_fact_filter_eliminates():
 
 def test_external_fact_filter_concludes():
     case = fact_case(Geometry.rank1(1), 5, Fraction(2, 5))
-    cert = external_fact_filter(case, FACTS)
+    cert = external_fact_filter((case, FACTS))
     assert cert.outcome == "concluded"
     assert cert.conclusion == "P4"
 
 
 def test_external_fact_filter_silent_without_matching_index():
     case = fact_case(Geometry.rank1(15), 3, Fraction(2, 9))
-    assert external_fact_filter(case, FACTS) is None
+    assert external_fact_filter((case, FACTS)) is None
 
 
 def test_external_fact_filter_respects_satisfied_constraint():
     # degree 4 is inside the allowed list, so the fact stays quiet
     case = fact_case(Geometry.rank1(2), 1, Fraction(1))
-    assert external_fact_filter(case, FACTS) is None
+    assert external_fact_filter((case, FACTS)) is None
 
 
 def test_embedding_polynomial_pinned_cases():
@@ -454,14 +454,14 @@ def test_verifier_rejects_tampered_filter_certificates():
     assert not verify_certificate(spin_fine, integral)
 
     case = fact_case(Geometry.rank1(15), 1, Fraction(2, 3))
-    cert = external_fact_filter(case, FACTS)
+    cert = external_fact_filter((case, FACTS))
     assert verify_certificate((case, FACTS), cert)
     assert not verify_certificate((case, FACTS), replace(cert, index=2))
     assert not verify_certificate((case, FACTS), replace(cert, violated_by=224))
     inside = fact_case(Geometry.rank1(2), 1, Fraction(1))
     assert not verify_certificate((inside, FACTS), replace(cert, violated_by=4))
     p4 = fact_case(Geometry.rank1(1), 5, Fraction(2, 5))
-    concluded = external_fact_filter(p4, FACTS)
+    concluded = external_fact_filter((p4, FACTS))
     assert verify_certificate((p4, FACTS), concluded)
     assert not verify_certificate((p4, FACTS), replace(concluded, conclusion="Q4"))
 
@@ -559,7 +559,7 @@ TAMPERED = [
     ),
     pytest.param(
         (_R3, FACTS),
-        external_fact_filter(_R1, FACTS),
+        external_fact_filter((_R1, FACTS)),
         "no fact applies to r = 3",
         id="no-fact",
     ),

@@ -21,6 +21,7 @@ from chern_gate.pipeline import (
 from chern_gate.report import canonical_json, emit_report
 from chern_gate.ring import GradedClass, replace
 from chern_gate.scenario import (
+    FILTER_NAMES,
     ScenarioError,
     certificate_from_json,
     parse_baseline,
@@ -419,8 +420,8 @@ def test_fault_injection_polynomial_the_run_does_not_build():
 def test_unverified_conclusion_leaves_the_case_alive(monkeypatch, capsys):
     real = pipeline.external_fact_filter
 
-    def forged(sol, facts):
-        cert = real(sol, facts)
+    def forged(subject):
+        cert = real(subject)
         if cert is not None and cert.outcome == "concluded":
             return replace(cert, citation="a citation no fact carries")
         return cert
@@ -650,8 +651,8 @@ def test_markdown_has_the_table_and_trailer(shipped_reports):
 def _forge_concluded_citation(monkeypatch):
     real = pipeline.external_fact_filter
 
-    def forged(sol, facts):
-        cert = real(sol, facts)
+    def forged(subject):
+        cert = real(subject)
         if cert is not None and cert.outcome == "concluded":
             return replace(cert, citation="a citation no fact carries")
         return cert
@@ -676,6 +677,70 @@ def test_a_failing_row_says_why(monkeypatch, capsys):
     assert payload["note"] == (
         f"divisor {PSI_13} is at least psi_13, so its primality is unproven"
     )
+
+
+def _failing_validation_notes(report):
+    return {
+        (row["kind"], row["id"]): row.get("note")
+        for row in report["baseline_validation"]
+        if not row["verified"]
+    }
+
+
+def test_every_failing_validation_row_says_why(monkeypatch):
+    # A printed obstruction on a label the run does not have, and a
+    # modular one on a case that mod12 decided before any polynomial
+    # was built, have no subject to be verified against.
+    baseline = load_baseline("3.1")
+    printed = baseline["obstructions"]
+    printed["99"] = printed["1"]
+    printed["1"] = {"kind": "modular", "content": "4", "modulus": 2, "note": "n"}
+    report = run_lemma(load_scenario("3.1"), baseline=baseline)
+    assert _failing_validation_notes(report) == {
+        ("obstruction", "99"): "the run has no case 99",
+        ("obstruction", "1"): "n; the run has no poly for case 1",
+    }
+    # An expected certificate with no engine row, one the engine's row
+    # differs from, and one whose engine row failed verification.
+    baseline = load_baseline("A.1")
+    expected = baseline["expected_certificates"]
+    expected["99"] = expected["1"]
+    report = run_lemma(load_scenario("A.1"), baseline=baseline)
+    assert _failing_validation_notes(report) == {
+        ("expected-certificate", "99"): "the run has no engine certificate for 99",
+    }
+    expected["1"] = {**expected["1"], "residues": [2, 2, 1]}
+    del expected["99"]
+    report = run_lemma(load_scenario("A.1"), baseline=baseline)
+    assert _failing_validation_notes(report) == {
+        ("expected-certificate", "1"): (
+            "the run's engine certificate is a different one"
+        ),
+    }
+    real = pipeline.eliminate
+    monkeypatch.setattr(
+        pipeline, "eliminate", lambda poly: replace(real(poly), residues=(1, 1, 1))
+    )
+    report = run_lemma(load_scenario("A.1"), baseline=load_baseline("A.1"))
+    assert _failing_validation_notes(report) == {
+        ("expected-certificate", "1"): (
+            "the run's engine certificate fails: residue at 0 mod 3 is 2, "
+            "certificate claims 1"
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_every_filter_name_runs_as_a_scenario_s_only_filter(name):
+    # run_lemma looks each name up in its filter table; one with no row
+    # fails here. Over 2.2, 3.1 and 4.2 each filter decides some case.
+    decided = 0
+    for lid in ("2.2", "3.1", "4.2"):
+        report = run_lemma(replace(load_scenario(lid), filters=(name,)))
+        assert {row["filter"] for row in report["eliminations"]} <= {name}
+        concluded = [row for row in report["survivors"] if "conclusion" in row]
+        decided += len(report["cases"]) - len(report["survivors"]) + len(concluded)
+    assert decided > 0
 
 
 def test_markdown_marks_an_unverified_elimination(monkeypatch, capsys):
