@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import cache
 
 from .obstruction import (
     ahat_filter,
@@ -59,6 +60,7 @@ __all__ = [
     "diff_baseline",
     "scenario_bytes",
     "load_scenario",
+    "baseline_bytes",
     "load_baseline",
     "reproduce_lemma",
 ]
@@ -88,12 +90,16 @@ def _case_key(params: dict, r: int, k: str):
     return (tuple(sorted(params.items())), r, k)
 
 
-def run_lemma(spec: LemmaSpec, baseline: dict | None = None, workers: int = 1) -> dict:
-    """The report of spec, diffed against baseline when one is given. The
-    baseline is read by parse_baseline, and one for another lemma is
-    refused by diff_baseline. workers is accepted and ignored: the
-    benchmark harness still passes it."""
-    baseline = None if baseline is None else parse_baseline(baseline)
+def run_lemma(
+    spec: LemmaSpec, baseline: Baseline | dict | None = None, workers: int = 1
+) -> dict:
+    """The report of spec, diffed against baseline when one is given. A
+    Baseline is used as given, and a decoded JSON document is read by
+    parse_baseline first; one for another lemma is refused by
+    diff_baseline. workers is accepted and ignored: the benchmark harness
+    still passes it."""
+    if baseline is not None and not isinstance(baseline, Baseline):
+        baseline = parse_baseline(baseline)
     # records: ordinal -> the case's data, keyed by what a filter or a
     # printed obstruction is about ("char_numbers", "case", "facts", "poly").
     if spec.mode == "direct":
@@ -293,16 +299,20 @@ def _validate_obstruction(label: str, printed: tuple, live: dict) -> dict:
 
 def _validate_printed(baseline: Baseline, live: dict, poly_rows: list[dict]) -> list:
     """Re-check every printed artifact of the baseline: polynomials
-    exactly, printed obstructions by _validate_obstruction, and expected
-    engine certificates against the run's row, which must have verified."""
+    exactly against the run's polynomial rows, printed obstructions by
+    _validate_obstruction, and expected engine certificates against the
+    run's row, which must have verified."""
+    engine = {row["label"]: row for row in poly_rows}
     rows = []
     for label, expected in baseline.polynomials:
-        ours = live.get(label, {}).get("poly")
-        ours = None if ours is None else tuple(map(int_str, ours.desc_coeffs))
-        rows.append({"id": label, "kind": "polynomial", "verified": ours == expected})
+        ours = engine[label]["coefficients"] if label in engine else None
+        faults = _poly_faults(ours, expected)
+        row = {"id": label, "kind": "polynomial", "verified": not faults}
+        if faults:
+            row["note"] = faults[0]  # the first from the top; the diff has all
+        rows.append(row)
     for label, printed in baseline.obstructions:
         rows.append(_validate_obstruction(label, printed, live))
-    engine = {row["label"]: row for row in poly_rows}
     for label, cert in baseline.expected_certificates:
         row = engine.get(label)
         out = {"id": label, "kind": "expected-certificate", "verified": False}
@@ -405,23 +415,8 @@ def diff_baseline(report: dict, baseline: Baseline) -> list[str]:
         row["label"]: row["coefficients"] for row in report.get("polynomials", [])
     }
     for label, expected in baseline.polynomials:
-        ours = rpolys.get(label)
-        if ours is None:
-            diffs.append(f"polynomial {label}: baseline lists it, run built none")
-            continue
-        if len(ours) != len(expected):
-            diffs.append(
-                f"polynomial {label}: run has degree {len(ours) - 1}, "
-                f"baseline has degree {len(expected) - 1}"
-            )
-            continue
-        for i, (a, b) in enumerate(zip(ours, expected)):
-            if a != b:
-                power = len(ours) - 1 - i
-                diffs.append(
-                    f"polynomial {label}: coefficient of m^{power} is {a}, "
-                    f"baseline says {b}"
-                )
+        for fault in _poly_faults(rpolys.get(label), expected):
+            diffs.append(f"polynomial {label}: {fault}")
 
     for row in report.get("baseline_validation") or ():
         if row["kind"] == "polynomial":
@@ -430,12 +425,31 @@ def diff_baseline(report: dict, baseline: Baseline) -> list[str]:
         if what == "obstruction":
             what = f"{row['obstruction']} obstruction"
         if not row["verified"]:
-            diffs.append(f"{what} {row['id']}: failed re-verification")
+            why = f": {row['note']}" if "note" in row else ""
+            diffs.append(f"{what} {row['id']}: failed re-verification{why}")
         if row.get("approx_match") is False:
             diffs.append(
                 f"obstruction {row['id']}: quoted approximate values do not match"
             )
     return diffs
+
+
+def _poly_faults(ours, expected) -> list[str]:
+    """How the run's coefficients ours, highest power first, differ from a
+    baseline's: one line when the run has no polynomial (ours is None) or
+    one of another degree, else one for each coefficient that differs."""
+    if ours is None:
+        return ["baseline lists it, run built none"]
+    if len(ours) != len(expected):
+        return [
+            f"run has degree {len(ours) - 1}, baseline has degree {len(expected) - 1}"
+        ]
+    top = len(ours) - 1
+    return [
+        f"coefficient of m^{top - i} is {a}, baseline says {b}"
+        for i, (a, b) in enumerate(zip(ours, expected))
+        if a != b
+    ]
 
 
 def _data_bytes(kind: str, prefix: str, lemma_id: str) -> bytes:
@@ -455,8 +469,16 @@ def load_scenario(lemma_id: str) -> LemmaSpec:
     return parse_scenario(scenario_bytes(lemma_id))
 
 
-def load_baseline(lemma_id: str) -> dict:
-    return json.loads(_data_bytes("baseline", "baseline", lemma_id).decode("utf-8"))
+def baseline_bytes(lemma_id: str) -> bytes:
+    return _data_bytes("baseline", "baseline", lemma_id)
+
+
+@cache
+def load_baseline(lemma_id: str) -> Baseline:
+    """The shipped baseline of lemma_id, parsed on the first call and
+    shared by every later one: a Baseline is immutable all the way down,
+    so no caller can change what another reads."""
+    return parse_baseline(json.loads(baseline_bytes(lemma_id)))
 
 
 def reproduce_lemma(lemma_id: str) -> dict:

@@ -11,6 +11,7 @@ from chern_gate import pipeline
 from chern_gate.cli import dispatch
 from chern_gate.pipeline import (
     SHIPPED_LEMMAS,
+    baseline_bytes,
     constraint_system_for,
     diff_baseline,
     load_baseline,
@@ -187,7 +188,7 @@ def test_lemma_mismatch_is_an_error():
     with pytest.raises(ValueError):
         run_lemma(load_scenario("2.1"), baseline=load_baseline("2.2"))
     with pytest.raises(ValueError, match="^lemma: baseline is for lemma '3.1'"):
-        diff_baseline({"lemma": "2.1"}, parse_baseline(load_baseline("3.1")))
+        diff_baseline({"lemma": "2.1"}, load_baseline("3.1"))
 
 
 def test_unknown_lemma_ids_are_rejected():
@@ -198,7 +199,7 @@ def test_unknown_lemma_ids_are_rejected():
 
 
 @pytest.mark.parametrize("lemma_id", ["../baselines/baseline-2.1", "2.1.json", "", 2.1])
-@pytest.mark.parametrize("loader", [pipeline.scenario_bytes, load_baseline])
+@pytest.mark.parametrize("loader", [scenario_bytes, baseline_bytes, load_baseline])
 def test_loaders_refuse_an_unshipped_id_before_opening_a_file(
     monkeypatch, loader, lemma_id
 ):
@@ -210,12 +211,17 @@ def test_loaders_refuse_an_unshipped_id_before_opening_a_file(
         loader(lemma_id)
 
 
+def raw_baseline(lid):
+    """A shipped baseline as a fresh decoded document, for a test to change."""
+    return json.loads(baseline_bytes(lid))
+
+
 def run_31_against(baseline):
     return run_lemma(load_scenario("3.1"), baseline=baseline)["baseline_diff"]
 
 
 def test_fault_injection_char_number_cell():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     row = next(c for c in baseline["cases"] if c["id"] == "5")
     row["char_numbers"]["c1_4"] = "114"
     diff = run_31_against(baseline)
@@ -223,7 +229,7 @@ def test_fault_injection_char_number_cell():
 
 
 def test_fault_injection_missing_and_extra_cases():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     dropped = baseline["cases"].pop(0)
     baseline["cases"].append(
         {"id": "11", "params": {"a": 2, "b": 2}, "r": -1, "k": "1/3"}
@@ -235,44 +241,49 @@ def test_fault_injection_missing_and_extra_cases():
 
 
 def test_fault_injection_elimination_attribution():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     baseline["eliminated_by"]["1"] = "embedding-poly"
     diff = run_31_against(baseline)
     assert "case 1: eliminated via mod12, baseline says embedding-poly" in diff
 
 
 def test_fault_injection_verdict():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     baseline["verdict"] = "CONCLUDES-P4"
     diff = run_31_against(baseline)
     assert "verdict: run says ALL-ELIMINATED, baseline says CONCLUDES-P4" in diff
 
 
 def test_fault_injection_polynomial_coefficient():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     baseline["polynomials"]["2"][4] = "-253"
-    diff = run_31_against(baseline)
-    assert (
-        "polynomial 2: coefficient of m^4 is -252, baseline says -253" in diff
-    )
+    baseline["polynomials"]["2"][6] = "649"
+    report = run_lemma(load_scenario("3.1"), baseline=baseline)
+    diff = report["baseline_diff"]
+    assert "polynomial 2: coefficient of m^4 is -252, baseline says -253" in diff
+    assert "polynomial 2: coefficient of m^2 is 648, baseline says 649" in diff
+    # the row names the first coefficient that differs, from the top
+    assert _failing_validation_notes(report) == {
+        ("polynomial", "2"): "coefficient of m^4 is -252, baseline says -253"
+    }
 
 
 def test_fault_injection_invariant():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     baseline["invariants"]["target"] = 679
     diff = run_31_against(baseline)
     assert "invariant target: run has 678, baseline has 679" in diff
 
 
 def test_fault_injection_approximate_value():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     baseline["obstructions"]["2"]["approx_values"]["29"] = "1.0005E+12"
     diff = run_31_against(baseline)
     assert "obstruction 2: quoted approximate values do not match" in diff
 
 
 def test_fault_injection_obstruction_value():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     baseline["obstructions"]["2"]["values"][3] = "1000401930904"
     diff = run_31_against(baseline)
     assert any("divisor obstruction 2" in d and "failed" in d for d in diff)
@@ -333,7 +344,7 @@ def test_fault_injection_obstruction_value():
     ],
 )
 def test_fault_injection_malformed_printed_obstruction(label, fault, refusal, note):
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     fault(baseline["obstructions"][label])
     if refusal is not None:
         with pytest.raises(ScenarioError) as err:
@@ -360,21 +371,27 @@ def test_flipped_filters_keep_printed_obstructions_verified():
 
 
 def test_fault_injection_printed_mod12_value():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     baseline["obstructions"]["1"]["value"] = "262"
     diff = run_31_against(baseline)
-    assert "congruence-mod12 obstruction 1: failed re-verification" in diff
+    assert (
+        "congruence-mod12 obstruction 1: failed re-verification: "
+        "<c1^2 c2> + 2<c1^4> is 261, certificate claims 262"
+    ) in diff
 
 
 def test_fault_injection_printed_ahat_value():
-    baseline = load_baseline("4.2")
+    baseline = raw_baseline("4.2")
     baseline["obstructions"]["2"]["value"] = "3/4"
     diff = run_lemma(load_scenario("4.2"), baseline=baseline)["baseline_diff"]
-    assert "ahat obstruction 2: failed re-verification" in diff
+    assert (
+        "ahat obstruction 2: failed re-verification: "
+        "A-hat genus is 1/4, certificate claims 3/4"
+    ) in diff
 
 
 def test_fault_injection_expected_certificate():
-    baseline = load_baseline("2.1")
+    baseline = raw_baseline("2.1")
     baseline["expected_certificates"]["1"]["modulus"] = 5
     diff = run_lemma(
         load_scenario("2.1"), baseline=baseline
@@ -383,38 +400,48 @@ def test_fault_injection_expected_certificate():
 
 
 def test_fault_injection_concluded_case():
-    baseline = load_baseline("2.2")
+    baseline = raw_baseline("2.2")
     baseline["concluded"]["10"] = "quadric"
     diff = run_lemma(load_scenario("2.2"), baseline=baseline)["baseline_diff"]
     assert "case 10: run concludes P4, baseline concludes quadric" in diff
 
 
 def test_fault_injection_unclaimed_elimination():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     del baseline["eliminated_by"]["1"]
     diff = run_31_against(baseline)
     assert "case 1: eliminated via mod12, baseline keeps it" in diff
 
 
 def test_fault_injection_elimination_the_run_does_not_make():
-    baseline = load_baseline("2.2")
+    baseline = raw_baseline("2.2")
     baseline["eliminated_by"]["10"] = "mod12"
     diff = run_lemma(load_scenario("2.2"), baseline=baseline)["baseline_diff"]
     assert "case 10: baseline eliminates it via mod12, the run leaves it alive" in diff
 
 
 def test_fault_injection_polynomial_degree():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     del baseline["polynomials"]["2"][0]
-    diff = run_31_against(baseline)
-    assert "polynomial 2: run has degree 8, baseline has degree 7" in diff
+    report = run_lemma(load_scenario("3.1"), baseline=baseline)
+    assert "polynomial 2: run has degree 8, baseline has degree 7" in (
+        report["baseline_diff"]
+    )
+    assert _failing_validation_notes(report) == {
+        ("polynomial", "2"): "run has degree 8, baseline has degree 7"
+    }
 
 
 def test_fault_injection_polynomial_the_run_does_not_build():
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     baseline["polynomials"]["99"] = ["1", "2"]
-    diff = run_31_against(baseline)
-    assert "polynomial 99: baseline lists it, run built none" in diff
+    report = run_lemma(load_scenario("3.1"), baseline=baseline)
+    assert "polynomial 99: baseline lists it, run built none" in (
+        report["baseline_diff"]
+    )
+    assert _failing_validation_notes(report) == {
+        ("polynomial", "99"): "baseline lists it, run built none"
+    }
 
 
 def test_unverified_conclusion_leaves_the_case_alive(monkeypatch, capsys):
@@ -505,7 +532,7 @@ def test_unverified_elimination_leaves_the_case_alive(monkeypatch):
     ],
 )
 def test_parse_baseline_refuses_a_fault_of_shape_at_its_path(lid, change, refusal):
-    baseline = load_baseline(lid)
+    baseline = raw_baseline(lid)
     change(baseline)
     with pytest.raises(ScenarioError) as err:
         parse_baseline(baseline)
@@ -543,7 +570,7 @@ def json_slots(doc, path=""):
 BASELINE_MUTANTS = [(lid, "", "insert") for lid in SHIPPED_LEMMAS] + [
     (lid, path, value)
     for lid in SHIPPED_LEMMAS
-    for container, key, path in json_slots(load_baseline(lid))
+    for container, key, path in json_slots(raw_baseline(lid))
     for value in MUTATIONS + ("insert",) * isinstance(container[key], dict)
 ]
 
@@ -554,7 +581,7 @@ BASELINE_MUTANTS = [(lid, "", "insert") for lid in SHIPPED_LEMMAS] + [
 @example(("A.1", "expected_certificates.1", "insert"))
 def test_a_baseline_with_one_field_changed_runs_or_is_refused_at_a_path(mutant):
     lid, path, value = mutant
-    baseline = load_baseline(lid)
+    baseline = raw_baseline(lid)
     if value == "insert":
         slots = json_slots(baseline)
         target = next((c[k] for c, k, p in slots if p == path), baseline)
@@ -622,11 +649,51 @@ def test_a_scenario_with_one_field_changed_parses_or_is_refused_at_a_path(mutant
 
 
 def test_fault_injection_leaves_original_data_untouched():
-    # load_baseline hands out fresh structures, so mutation in one test
-    # can never leak into another
-    a = load_baseline("3.1")
-    a["verdict"] = "broken"
-    assert load_baseline("3.1")["verdict"] == "ALL-ELIMINATED"
+    # baseline_bytes hands out fresh bytes, and a fault injected into the
+    # document they decode to never reaches the parsed record load_baseline
+    # shares, so mutation in one test can never leak into another
+    a = raw_baseline("3.1")
+    a["verdict"] = "CONCLUDES-P4"
+    assert run_31_against(a) == [
+        "verdict: run says ALL-ELIMINATED, baseline says CONCLUDES-P4"
+    ]
+    assert raw_baseline("3.1")["verdict"] == "ALL-ELIMINATED"
+    assert load_baseline("3.1").verdict == "ALL-ELIMINATED"
+    assert pipeline.reproduce_lemma("3.1")["baseline_diff"] == []
+
+
+@pytest.mark.parametrize("lid", SHIPPED_LEMMAS)
+def test_a_shipped_baseline_is_parsed_once_and_shared(lid):
+    # A record of tuples and frozen records hashes; a dict or list anywhere
+    # inside it would not, so the record can be shared without a copy.
+    baseline = load_baseline(lid)
+    hash(baseline)
+    assert load_baseline(lid) is baseline
+    with pytest.raises(AttributeError, match="frozen"):
+        baseline.verdict = "broken"
+
+
+@pytest.mark.parametrize("lid", SHIPPED_LEMMAS)
+def test_the_parsed_record_and_the_document_give_the_same_report(lid):
+    spec = load_scenario(lid)
+    shared = run_lemma(spec, baseline=load_baseline(lid))
+    fresh = run_lemma(spec, baseline=raw_baseline(lid))
+    for fmt in ("json", "md"):
+        assert emit_report(shared, fmt) == emit_report(fresh, fmt)
+
+
+def test_reproduce_parses_its_baseline_once(monkeypatch):
+    parsed = []
+
+    def counting(doc):
+        parsed.append(doc["lemma"])
+        return parse_baseline(doc)
+
+    monkeypatch.setattr(pipeline, "parse_baseline", counting)
+    load_baseline.cache_clear()
+    first = emit_report(pipeline.reproduce_lemma("3.1"))
+    assert emit_report(pipeline.reproduce_lemma("3.1")) == first
+    assert parsed == ["3.1"]
 
 
 def test_markdown_has_the_table_and_trailer(shipped_reports):
@@ -662,7 +729,7 @@ def _forge_concluded_citation(monkeypatch):
 
 def test_a_failing_row_says_why(monkeypatch, capsys):
     _forge_concluded_citation(monkeypatch)
-    baseline = load_baseline("2.2")
+    baseline = raw_baseline("2.2")
     baseline["obstructions"] = {"10": {"kind": "ahat", "value": "1/4", "note": "n"}}
     report = run_lemma(load_scenario("2.2"), baseline=baseline)
     (row,) = [e for e in report["eliminations"] if not e["verified"]]
@@ -691,7 +758,7 @@ def test_every_failing_validation_row_says_why(monkeypatch):
     # A printed obstruction on a label the run does not have, and a
     # modular one on a case that mod12 decided before any polynomial
     # was built, have no subject to be verified against.
-    baseline = load_baseline("3.1")
+    baseline = raw_baseline("3.1")
     printed = baseline["obstructions"]
     printed["99"] = printed["1"]
     printed["1"] = {"kind": "modular", "content": "4", "modulus": 2, "note": "n"}
@@ -702,7 +769,7 @@ def test_every_failing_validation_row_says_why(monkeypatch):
     }
     # An expected certificate with no engine row, one the engine's row
     # differs from, and one whose engine row failed verification.
-    baseline = load_baseline("A.1")
+    baseline = raw_baseline("A.1")
     expected = baseline["expected_certificates"]
     expected["99"] = expected["1"]
     report = run_lemma(load_scenario("A.1"), baseline=baseline)
@@ -728,6 +795,15 @@ def test_every_failing_validation_row_says_why(monkeypatch):
             "certificate claims 1"
         ),
     }
+
+
+def test_the_diff_says_why_a_row_failed_re_verification():
+    baseline = raw_baseline("3.1")
+    baseline["obstructions"]["99"] = baseline["obstructions"]["1"]
+    assert run_31_against(baseline) == [
+        "congruence-mod12 obstruction 99: failed re-verification: "
+        "the run has no case 99"
+    ]
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
@@ -756,7 +832,7 @@ def test_markdown_marks_an_unverified_elimination(monkeypatch, capsys):
 
 
 def test_conclusion_the_baseline_does_not_make():
-    baseline = load_baseline("2.2")
+    baseline = raw_baseline("2.2")
     baseline["concluded"] = {}
     diff = run_lemma(load_scenario("2.2"), baseline=baseline)["baseline_diff"]
     assert diff == ["case 10: run concludes P4, baseline keeps it"]

@@ -35,7 +35,6 @@ from chern_gate.ring import (
     replace,
     top_pairing,
 )
-from chern_gate.scenario import parse_baseline
 from chern_gate.search import CaseSolution, ConstraintSystem, LatticeSpec
 from chern_gate.verify import (
     AhatNonIntegral,
@@ -272,7 +271,7 @@ def _one_of_each_record():
     case = ChernCase(-1, Fraction(7, 16), 48, 6, geom)
     return [
         spec,
-        parse_baseline(load_baseline("2.1")),
+        load_baseline("2.1"),
         spec.diamond,
         spec.lattice,
         spec.facts[0],

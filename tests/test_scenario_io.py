@@ -518,8 +518,8 @@ def test_cli_run_matches_shipped_baseline_for_every_lemma(tmp_path, capsys):
 def test_baselines_are_loadable_and_consistent():
     for lid in ALL_LEMMAS:
         baseline = load_baseline(lid)
-        assert baseline["lemma"] == lid
-        assert baseline["verdict"] in ("ALL-ELIMINATED", "CONCLUDES-P4")
+        assert baseline.lemma == lid
+        assert baseline.verdict in ("ALL-ELIMINATED", "CONCLUDES-P4")
 
 
 def test_cli_internal_error_exits_3_with_one_line(capsys, monkeypatch):
