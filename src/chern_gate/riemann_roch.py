@@ -49,31 +49,37 @@ class HodgeDiamond:
 
     def __post_init__(self):
         h = self.h
-        if len(h) != 5 or any(len(row) != 5 for row in h):
+        rows = len(h) == 5 and all(type(row) is tuple and len(row) == 5 for row in h)
+        if type(h) is not tuple or not rows:
             raise ValueError("expected a 5x5 grid of Hodge numbers")
-        # One pass accepts a good grid; only a bad one runs the loop, which
-        # names its first bad cell.
+        # One pass accepts a good grid; only a bad one is explained.
         serre = tuple(row[::-1] for row in h[::-1])
         if not (
             all(type(x) is int for row in h for x in row)
             and h == tuple(zip(*h))
             and h == serre
             and min(map(min, h)) >= 0
+            and h[0][0] == 1
         ):
-            for p in range(5):
-                for q in range(5):
-                    if type(h[p][q]) is not int:
-                        raise ValueError(f"h[{p}][{q}] is not an integer")
-                    if h[p][q] < 0:
-                        raise ValueError(f"h[{p}][{q}] is negative")
-                    if h[p][q] != h[q][p]:
-                        raise ValueError(f"h[{p}][{q}] != h[{q}][{p}]: not symmetric")
-                    if h[p][q] != h[4 - p][4 - q]:
-                        raise ValueError(
-                            f"h[{p}][{q}] != h[{4 - p}][{4 - q}]: not Serre-dual"
-                        )
-        if h[0][0] != 1 or h[4][4] != 1:
-            raise ValueError("a connected fourfold needs h[0][0] == h[4][4] == 1")
+            raise ValueError(_diamond_fault(h)[1])
+
+
+def _diamond_fault(h) -> tuple[str, str]:
+    """The path and the reason of the first fault of a grid HodgeDiamond
+    refuses: in row order, a cell that is not an int, is negative, or differs
+    from its transpose or Serre mirror; else a fourfold not connected, at ""."""
+    for p, row in enumerate(h):
+        for q, x in enumerate(row):
+            where = f"[{p}][{q}]"
+            if type(x) is not int:
+                return where, f"h{where} is not an integer"
+            if x < 0:
+                return where, f"h{where} is negative"
+            for s, t, why in ((q, p, ""), (4 - p, 4 - q, " (Serre duality)")):
+                if x != h[s][t]:
+                    mirror = f"h[{s}][{t}]={h[s][t]}{why}"
+                    return where, f"h{where}={x} is not matched by {mirror}"
+    return "", "a connected fourfold needs h[0][0] == h[4][4] == 1"
 
 
 @record

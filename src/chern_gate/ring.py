@@ -198,18 +198,6 @@ class Geometry:
             raise ValueError("degree must be positive")
         object.__setattr__(self, "degree", degree)
 
-    @staticmethod
-    def rank1(e: int) -> "Geometry":
-        return Geometry("rank1", (e,))
-
-    @staticmethod
-    def rank2(a: int, b: int) -> "Geometry":
-        return Geometry("rank2", (a, b))
-
-    @staticmethod
-    def free(d: int) -> "Geometry":
-        return Geometry("free", (d,))
-
     @property
     def params(self) -> dict[str, int]:
         return dict(zip(LATTICE_PARAMS[self.model], self.sort_params))

@@ -41,7 +41,7 @@ except ImportError:  # an interpreter built without the builtin modules
 
 from .report import _CODECS, _COLUMNS, _same, parse_frac, parse_int_str
 from .riemann_roch import DerivedInvariants, HodgeDiamond, complete_invariants
-from .riemann_roch import invariants_from_diamond
+from .riemann_roch import _diamond_fault, invariants_from_diamond
 from .ring import record
 from .search import LATTICE_BOUNDS, LatticeSpec
 from .verify import FACT_KINDS, ExternalFact, IntPoly
@@ -236,25 +236,11 @@ def _parse_hodge(raw) -> HodgeDiamond:
     if type(raw) is list and all(type(row) is list for row in raw):
         try:  # HodgeDiamond accepts a good grid in one pass
             return HodgeDiamond(tuple(map(tuple, raw)))
-        except ValueError as exc:
-            fault = exc
-    # Only a bad grid gets here. _GRID refuses one that is not a 5x5 list
-    # of ints at its first bad row or cell. Then each cell above the
-    # diagonal is matched with its transpose, and each cell before the
-    # centre in row order, which meets every pair once, with its Serre
-    # mirror; a grid that passes them all keeps HodgeDiamond's reason.
-    grid = _GRID(raw)
-    pairs = [(p, q, q, p, "") for p in range(5) for q in range(p + 1, 5)]
-    for p, q in (divmod(cell, 5) for cell in range(12)):
-        pairs.append((p, q, 4 - p, 4 - q, " (Serre duality)"))
-    for p, q, s, t, why in pairs:
-        if grid[p][q] != grid[s][t]:
-            raise ScenarioError(
-                f"[{p}][{q}]",
-                f"h[{p}][{q}]={grid[p][q]} is not matched by "
-                f"h[{s}][{t}]={grid[s][t]}{why}",
-            )
-    raise fault  # a negative cell, or a fourfold that is not connected
+        except ValueError:
+            pass
+    # Only a bad grid gets here. _GRID refuses a bad row or cell at its
+    # path, and HodgeDiamond's explainer names the fault of any other grid.
+    raise ScenarioError(*_diamond_fault(_GRID(raw)))
 
 
 _COEFFICIENTS = _reader([parse_int_str])

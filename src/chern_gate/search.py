@@ -100,15 +100,17 @@ class LatticeSpec:
         """The grid points of degree d, in grid order."""
         if self.model == "rank1":
             e = integer_sqrt_exact(d)
-            return [Geometry.rank1(e)] if e is not None and e <= self.e_max else []
+            if e is None or e > self.e_max:
+                return []
+            return [Geometry(self.model, (e,))]
         if self.model == "rank2":
             out = []
             for a in range(1, min(self.a_max, isqrt(d)) + 1):
                 b = isqrt(d - a * a)
                 if a * a + b * b == d and b <= self.b_max:
-                    out.append(Geometry.rank2(a, b))
+                    out.append(Geometry(self.model, (a, b)))
             return out
-        return [Geometry.free(d)] if d <= self.d_max else []
+        return [Geometry(self.model, (d,))] if d <= self.d_max else []
 
     def grid(self) -> list[Geometry]:
         return [Geometry(self.model, p) for p in itertools.product(*self._ranges())]

@@ -46,7 +46,7 @@ def quadric_case():
         k=Fraction(7, 16),
         c1c3=48,
         euler=6,
-        geometry=Geometry.free(2),
+        geometry=Geometry("free", (2,)),
     )
 
 
@@ -58,5 +58,5 @@ def p4_case():
         k=Fraction(2, 5),
         c1c3=50,
         euler=5,
-        geometry=Geometry.free(1),
+        geometry=Geometry("free", (1,)),
     )

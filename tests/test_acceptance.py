@@ -251,11 +251,11 @@ def test_criterion_6_reference_embedding_oracles():
     def checks():
         p4 = graded(1, 5, 10, 10, 5)
         normal = ambient_pullback(1) * p4.inverse()
-        assert top_pairing(normal, Geometry.free(1)) == 1
+        assert top_pairing(normal, Geometry("free", (1,))) == 1
         quadric = graded(1, 6, 15, 20, 15) * graded(1, 2, 0, 0, 0).inverse()
         assert quadric.coeffs == (1, 4, 7, 6, 3)
         normal = ambient_pullback(1) * quadric.inverse()
-        assert top_pairing(normal, Geometry.free(2)) == 4
+        assert top_pairing(normal, Geometry("free", (2,))) == 4
 
     _verdict(6, checks)
 

@@ -334,16 +334,16 @@ def test_mod12_filter():
 
 def test_ahat_filter():
     spin_bad = ChernCase(
-        r=-2, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(14)
+        r=-2, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (14,))
     )
     cert = ahat_filter(spin_bad)
     assert cert == AhatNonIntegral(value=Fraction(1, 4))
     spin_fine = ChernCase(
-        r=-4, k=Fraction(1, 2), c1c3=112, euler=16, geometry=Geometry.free(3)
+        r=-4, k=Fraction(1, 2), c1c3=112, euler=16, geometry=Geometry("free", (3,))
     )
     assert ahat_filter(spin_fine) is None
     odd_index = ChernCase(
-        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(224)
+        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (224,))
     )
     assert ahat_filter(odd_index) is None
 
@@ -377,7 +377,7 @@ def test_external_fact_needs_a_known_kind_and_its_data():
 
 
 def test_external_fact_filter_eliminates():
-    case = fact_case(Geometry.rank1(15), 1, Fraction(2, 3))
+    case = fact_case(Geometry("rank1", (15,)), 1, Fraction(2, 3))
     cert = external_fact_filter((case, FACTS))
     assert cert.outcome == "eliminated"
     assert cert.index == 1
@@ -386,34 +386,34 @@ def test_external_fact_filter_eliminates():
 
 
 def test_external_fact_filter_concludes():
-    case = fact_case(Geometry.rank1(1), 5, Fraction(2, 5))
+    case = fact_case(Geometry("rank1", (1,)), 5, Fraction(2, 5))
     cert = external_fact_filter((case, FACTS))
     assert cert.outcome == "concluded"
     assert cert.conclusion == "P4"
 
 
 def test_external_fact_filter_silent_without_matching_index():
-    case = fact_case(Geometry.rank1(15), 3, Fraction(2, 9))
+    case = fact_case(Geometry("rank1", (15,)), 3, Fraction(2, 9))
     assert external_fact_filter((case, FACTS)) is None
 
 
 def test_external_fact_filter_respects_satisfied_constraint():
     # degree 4 is inside the allowed list, so the fact stays quiet
-    case = fact_case(Geometry.rank1(2), 1, Fraction(1))
+    case = fact_case(Geometry("rank1", (2,)), 1, Fraction(1))
     assert external_fact_filter((case, FACTS)) is None
 
 
 def test_embedding_polynomial_pinned_cases():
     deg225 = ChernCase(
-        r=-1, k=Fraction(2, 3), c1c3=50, euler=5, geometry=Geometry.rank1(15)
+        r=-1, k=Fraction(2, 3), c1c3=50, euler=5, geometry=Geometry("rank1", (15,))
     )
     assert build_embedding_polynomial(deg225).desc_coeffs == tuple(DEGREE_225_DESC)
     rank2 = ChernCase(
-        r=-1, k=Fraction(10), c1c3=48, euler=6, geometry=Geometry.rank2(1, 1)
+        r=-1, k=Fraction(10), c1c3=48, euler=6, geometry=Geometry("rank2", (1, 1))
     )
     assert build_embedding_polynomial(rank2).desc_coeffs == tuple(RANK2_CASE_2_DESC)
     free224 = ChernCase(
-        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(224)
+        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (224,))
     )
     assert build_embedding_polynomial(free224).desc_coeffs == (
         50176, 0, 0, 0, -28224, -18816, 0, 1008, 16,
@@ -435,32 +435,32 @@ def test_verifier_rejects_tampered_filter_certificates():
     assert not verify_certificate(row, CongruenceMod12(value=262, residue=10))
 
     spin_bad = ChernCase(
-        r=-2, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(14)
+        r=-2, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (14,))
     )
     assert verify_certificate(spin_bad, AhatNonIntegral(value=Fraction(1, 4)))
     assert not verify_certificate(spin_bad, AhatNonIntegral(value=Fraction(3, 4)))
     # r odd: the genus is 1/4 here too, but nothing forces it to be integral
     odd_index = ChernCase(
-        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(224)
+        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (224,))
     )
     ok, reason = verify_certificate_detailed(
         odd_index, AhatNonIntegral(value=Fraction(1, 4))
     )
     assert not ok and "odd" in reason
     spin_fine = ChernCase(
-        r=-4, k=Fraction(1, 2), c1c3=112, euler=16, geometry=Geometry.free(3)
+        r=-4, k=Fraction(1, 2), c1c3=112, euler=16, geometry=Geometry("free", (3,))
     )
     integral = AhatNonIntegral(value=pontryagin_numbers(spin_fine).a_hat)
     assert not verify_certificate(spin_fine, integral)
 
-    case = fact_case(Geometry.rank1(15), 1, Fraction(2, 3))
+    case = fact_case(Geometry("rank1", (15,)), 1, Fraction(2, 3))
     cert = external_fact_filter((case, FACTS))
     assert verify_certificate((case, FACTS), cert)
     assert not verify_certificate((case, FACTS), replace(cert, index=2))
     assert not verify_certificate((case, FACTS), replace(cert, violated_by=224))
-    inside = fact_case(Geometry.rank1(2), 1, Fraction(1))
+    inside = fact_case(Geometry("rank1", (2,)), 1, Fraction(1))
     assert not verify_certificate((inside, FACTS), replace(cert, violated_by=4))
-    p4 = fact_case(Geometry.rank1(1), 5, Fraction(2, 5))
+    p4 = fact_case(Geometry("rank1", (1,)), 5, Fraction(2, 5))
     concluded = external_fact_filter((p4, FACTS))
     assert verify_certificate((p4, FACTS), concluded)
     assert not verify_certificate((p4, FACTS), replace(concluded, conclusion="Q4"))
@@ -483,8 +483,8 @@ def _poly(*desc):
     return IntPoly.from_desc(list(desc))
 
 
-_R1 = fact_case(Geometry.rank1(15), 1, Fraction(2, 3))
-_R3 = fact_case(Geometry.rank1(15), 3, Fraction(2, 3))
+_R1 = fact_case(Geometry("rank1", (15,)), 1, Fraction(2, 3))
+_R3 = fact_case(Geometry("rank1", (15,)), 3, Fraction(2, 3))
 
 # Each certificate is sound but for one flaw, which only the reason's
 # check catches. With that check taken out, nine of them verify; the

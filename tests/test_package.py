@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -38,6 +39,42 @@ def test_package_exports_exactly_the_module_public_names():
     assert set(chern_gate.__all__) == {"__version__", *owner}
     for public, module in owner.items():
         assert getattr(chern_gate, public) is getattr(module, public), public
+
+
+# Every parameter with a default of a public function, and why it is
+# there: the package's options. A new one has to be argued here.
+OPTIONS = {
+    ("eliminate", "max_modulus"): "the tests' seam to the divisor route",
+    ("emit_report", "fmt"): "the report format, json or md, as --format picks",
+    ("enumerate_cases", "workers"): "ignored; passed only by the benchmark harness",
+    ("run_lemma", "baseline"): "a run of a scenario file has none to diff against",
+    ("run_lemma", "workers"): "ignored; passed only by the benchmark harness",
+}
+
+
+def test_the_public_functions_have_only_the_listed_options():
+    found = set()
+    for public in chern_gate.__all__:
+        obj = getattr(chern_gate, public)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            found |= {(public, p.name) for p in params if p.default is not p.empty}
+    assert found == OPTIONS.keys()
+
+
+def test_a_record_is_built_only_by_its_constructor():
+    # A record class has no static or class method, so each value has one
+    # constructor, except IntPoly.from_desc, which reads the descending
+    # coefficients a scenario and the CLI give.
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(f"chern_gate.{name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and "_fields" in vars(cls):
+                for attr, value in vars(cls).items():
+                    if isinstance(value, (staticmethod, classmethod)):
+                        found.add(f"{cls.__name__}.{attr}")
+    assert found == {"IntPoly.from_desc"}
 
 
 # The math functions that stay in the integers; any other math name

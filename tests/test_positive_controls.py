@@ -72,7 +72,7 @@ def corpus():
             k=Fraction(c2, c1 * c1),
             c1c3=c1 * c3 * d,
             euler=c4 * d,
-            geometry=Geometry.free(d),
+            geometry=Geometry("free", (d,)),
         )
         out.append((degrees, case, (c1, c2, c3, c4)))
     return out

@@ -45,7 +45,8 @@ def test_diamond_validation():
         HodgeDiamond(tuple(map(tuple, asym)))
     not_dual = [row[:] for row in IDENTITY_ROWS]
     not_dual[1][1] = 2
-    with pytest.raises(ValueError, match=r"h\[1\]\[1\] != h\[3\]\[3\]"):
+    not_matched = r"^h\[1\]\[1\]=2 is not matched by h\[3\]\[3\]=1 \(Serre duality\)$"
+    with pytest.raises(ValueError, match=not_matched):
         HodgeDiamond(tuple(map(tuple, not_dual)))
     negative = [row[:] for row in MIDDLE_TWO_ROWS]
     negative[2][2] = -2
@@ -57,6 +58,14 @@ def test_diamond_validation():
     with pytest.raises(ValueError):
         HodgeDiamond(tuple(map(tuple, unnormalized)))
 
+
+
+def test_a_grid_that_is_not_a_tuple_of_tuples_is_refused():
+    # The one-pass check compares tuples, so its explainer is sound only
+    # on a tuple of tuples; lists would be unhashable in a frozen record.
+    for grid in ([tuple(row) for row in IDENTITY_ROWS], tuple(IDENTITY_ROWS)):
+        with pytest.raises(ValueError, match="^expected a 5x5 grid of Hodge numbers$"):
+            HodgeDiamond(grid)
 
 
 @pytest.mark.parametrize("cell", [1.9, True])
@@ -136,7 +145,7 @@ def test_chi_O_matches_diamond_for_every_enumerated_case(pipeline_runs):
 def test_pontryagin_numbers_spin_cases():
     # even index: spin applies, and this one has non-integral A-hat
     case = ChernCase(
-        r=-2, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(14)
+        r=-2, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (14,))
     )
     pd = pontryagin_numbers(case)
     assert pd.spin_applicable is True
@@ -147,7 +156,7 @@ def test_pontryagin_numbers_spin_cases():
 
 def test_pontryagin_numbers_integral_spin_case():
     case = ChernCase(
-        r=-4, k=Fraction(1, 2), c1c3=112, euler=16, geometry=Geometry.free(3)
+        r=-4, k=Fraction(1, 2), c1c3=112, euler=16, geometry=Geometry("free", (3,))
     )
     pd = pontryagin_numbers(case)
     assert pd.spin_applicable is True
@@ -156,7 +165,7 @@ def test_pontryagin_numbers_integral_spin_case():
 
 def test_pontryagin_numbers_odd_index_is_not_spin():
     case = ChernCase(
-        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry.free(224)
+        r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (224,))
     )
     assert pontryagin_numbers(case).spin_applicable is False
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from decimal import Decimal
@@ -19,6 +20,7 @@ from chern_gate.report import (
     parse_int_str,
     sci_5,
 )
+from chern_gate.riemann_roch import HodgeDiamond, _diamond_fault
 from chern_gate.scenario import (
     ScenarioError,
     certificate_from_json,
@@ -96,12 +98,13 @@ def test_a_diamond_that_passes_the_symmetry_checks_is_refused_at_hodge(
     tmp_path, capsys
 ):
     # A negative corner and a disconnected fourfold are both symmetric
-    # and Serre-dual, so HodgeDiamond itself refuses them, and its reason
-    # is reported at the diamond's path.
-    for cells, reason in (
-        ({(0, 4): -1, (4, 0): -1}, "h[0][4] is negative"),
+    # and Serre-dual. The negative cell is refused at its own path, and the
+    # fourfold that is not connected at the diamond's path.
+    for cells, path, reason in (
+        ({(0, 4): -1, (4, 0): -1}, "hodge[0][4]", "h[0][4] is negative"),
         (
             {(0, 0): 2, (4, 4): 2},
+            "hodge",
             "a connected fourfold needs h[0][0] == h[4][4] == 1",
         ),
     ):
@@ -110,13 +113,46 @@ def test_a_diamond_that_passes_the_symmetry_checks_is_refused_at_hodge(
             doc["hodge"][p][q] = value
         with pytest.raises(ScenarioError) as err:
             reparse(doc)
-        assert (err.value.path, err.value.reason) == ("hodge", reason)
+        assert (err.value.path, err.value.reason) == (path, reason)
         src = tmp_path / "diamond.json"
         src.write_text(json.dumps(doc))
         assert dispatch(["run", "--scenario", str(src)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: hodge: {reason}\n"
+        assert captured.err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("lid", PIPELINE_LEMMAS)
+def test_a_diamond_with_one_cell_changed_is_refused_as_hodge_diamond_says(lid):
+    # Each cell set to its value + 1, then to -1: the reader refuses the
+    # grid at the cell the explainer names, with HodgeDiamond's own reason.
+    hodge = shipped(lid)["hodge"]
+    for p, q in itertools.product(range(5), repeat=2):
+        for value in (hodge[p][q] + 1, -1):
+            doc = shipped(lid)
+            doc["hodge"][p][q] = value
+            grid = tuple(map(tuple, doc["hodge"]))
+            if (p, q, value) == (2, 2, hodge[2][2] + 1):
+                HodgeDiamond(grid)  # the centre is its own mirror: a good diamond
+                continue
+            with pytest.raises(ValueError) as diamond:
+                HodgeDiamond(grid)
+            with pytest.raises(ScenarioError) as err:
+                reparse(doc)
+            path = "hodge" + _diamond_fault(grid)[0]
+            assert (err.value.path, err.value.reason) == (path, str(diamond.value))
+
+
+def test_the_first_bad_cell_in_row_order_is_named():
+    # h[4][2] = 3 in lemma 4.2 breaks both its transpose and its Serre
+    # mirror; the mirror h[0][2] comes first in row order.
+    doc = shipped("4.2")
+    doc["hodge"][4][2] = 3
+    with pytest.raises(ScenarioError) as err:
+        reparse(doc)
+    assert str(err.value) == (
+        "hodge[0][2]: h[0][2]=1 is not matched by h[4][2]=3 (Serre duality)"
+    )
 
 
 def test_lemma_and_mode_validation():
