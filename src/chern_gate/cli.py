@@ -21,20 +21,15 @@ import sys
 from .obstruction import eliminate
 from .pipeline import (
     SHIPPED_LEMMAS,
+    _checked,
     load_baseline,
     reproduce_lemma,
     run_lemma,
 )
-from .report import (
-    canonical_json,
-    certificate_to_json,
-    emit_report,
-    int_str,
-    parse_int_str,
-)
+from .report import canonical_json, emit_report, int_str, parse_int_str
 from .ring import replace
 from .scenario import MAX_DEGREE, parse_scenario
-from .verify import IntPoly, RootFound, verify_certificate_detailed
+from .verify import IntPoly, RootFound
 
 __all__ = ["dispatch", "main"]
 
@@ -102,18 +97,12 @@ def _cmd_eliminate(args) -> int:
     if poly.degree > MAX_DEGREE:
         raise ValueError(f"degree {poly.degree} exceeds the budget of {MAX_DEGREE}")
     cert = eliminate(poly)
-    ok, reason = verify_certificate_detailed(poly, cert)
     payload = {
         "polynomial": [int_str(c) for c in poly.desc_coeffs],
-        "certificate": certificate_to_json(cert),
-        "verified": ok,
+        **_checked(poly, cert),
     }
-    if not ok:
-        payload["note"] = reason
     _write_out(canonical_json(payload), args.out)
-    if isinstance(cert, RootFound) or not ok:
-        return 1
-    return 0
+    return int(isinstance(cert, RootFound) or not payload["verified"])
 
 
 def _output_args(sub: argparse.ArgumentParser) -> None:

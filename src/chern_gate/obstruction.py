@@ -18,6 +18,7 @@ from .exact import _primes_upto, _primorial, divisors
 from .ring import CharNumbers, ChernCase, normal_c4_polynomial
 from .riemann_roch import pontryagin_numbers
 from .verify import (
+    MAX_MODULUS,
     AhatNonIntegral,
     CongruenceMod12,
     ConstantDivisorTest,
@@ -81,13 +82,14 @@ def _prime_powers(limit: int) -> tuple[int, ...]:
     return tuple(sorted(powers))
 
 
-def eliminate(poly: IntPoly, max_modulus: int = 720):
+def eliminate(poly: IntPoly, max_modulus: int = MAX_MODULUS):
     """Certify that poly has no positive integer root, or find one.
 
     Tries the cheapest certificate first: reduce by content and powers
     of m, look for a modulus at most max_modulus where no residue class
     vanishes, then fall back to the divisor test on the constant term.
     A nonzero constant reduces to 1, which modulus 2 certifies.
+    max_modulus may not exceed MAX_MODULUS, the most a check accepts.
 
     Only prime-power moduli are scanned, in ascending order. That finds
     the modulus a scan of every modulus 2..max_modulus finds. Suppose no
@@ -122,6 +124,8 @@ def eliminate(poly: IntPoly, max_modulus: int = 720):
     pays for them only on the moduli that failed before it. The divisor
     test takes p(t) from the scan for every divisor t the scan reached.
     """
+    if max_modulus > MAX_MODULUS:
+        raise ValueError(f"max_modulus {max_modulus} is above the cap of {MAX_MODULUS}")
     content, m_power, reduced = _reduce(poly)
     constant = abs(reduced.coeffs[0])
     primorial = _primorial(max_modulus)

@@ -50,7 +50,7 @@ from .scenario import (
     parse_scenario,
 )
 from .search import ConstraintSystem, enumerate_cases, to_chern_case
-from .verify import RootFound, verify_certificate, verify_certificate_detailed
+from .verify import MAX_MODULUS, RootFound, verify_certificate
 from .version import __version__
 
 __all__ = [
@@ -88,6 +88,16 @@ def constraint_system_for(spec: LemmaSpec, target: int) -> ConstraintSystem:
 
 def _case_key(params: dict, r: int, k: str):
     return (tuple(sorted(params.items())), r, k)
+
+
+def _checked(subject, cert) -> dict:
+    """A checked certificate as a report row shows it: its JSON,
+    verified, and a note saying why only when it fails."""
+    ok, reason = verify_certificate(subject, cert)
+    row = {"certificate": certificate_to_json(cert), "verified": ok}
+    if not ok:
+        row["note"] = reason
+    return row
 
 
 def run_lemma(
@@ -137,15 +147,8 @@ def run_lemma(
             cert = engine(subject)
             if cert is None:
                 continue
-            ok = verify_certificate(subject, cert)
-            row = {
-                "ordinal": o,
-                "baseline_id": ids[o],
-                "certificate": certificate_to_json(cert),
-                "verified": ok,
-            }
-            if not ok:
-                row["note"] = verify_certificate_detailed(subject, cert)[1]
+            row = {"ordinal": o, "baseline_id": ids[o], **_checked(subject, cert)}
+            ok = row["verified"]
             if key == "poly":
                 poly_rows.append(
                     {
@@ -271,19 +274,19 @@ def _validate_obstruction(label: str, printed: tuple, live: dict) -> dict:
         if kind == "modular":
             # The residues come from the exact values divided by the
             # printed content, the lead made positive, so only the verifier
-            # reduces the polynomial. No residues when the content does not
-            # divide it; the verifier rejects the content first either way.
+            # reduces the polynomial. No residues for a content that does not
+            # divide it or a modulus above the cap: the verifier rejects both.
             content, cs, modulus = cert.content, subject.coeffs, cert.modulus
             sign = -1 if cs[-1] < 0 else 1
             divides = content >= 1 and not any(c % content for c in cs)
-            values = map(subject.evaluate, range(modulus) if divides else ())
+            scanned = range(modulus) if divides and modulus <= MAX_MODULUS else ()
+            values = map(subject.evaluate, scanned)
             residues = tuple(sign * v // content % modulus for v in values)
             cert = replace(cert, residues=residues)
         elif kind == "congruence-mod12":
             cert = replace(cert, residue=cert.value % 12)
-        row["verified"] = verify_certificate(subject, cert)
-        if not row["verified"]:
-            notes.append(verify_certificate_detailed(subject, cert)[1])
+        row["verified"], reason = verify_certificate(subject, cert)
+        notes.append(reason)
         if approx is not None:
             lookup = dict(zip(cert.divisors, cert.values))
             stray = [m for m, _ in approx if m not in lookup]

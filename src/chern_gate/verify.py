@@ -36,7 +36,6 @@ __all__ = [
     "ExternalFact",
     "ExternalFactCertificate",
     "verify_certificate",
-    "verify_certificate_detailed",
     "is_probable_prime",
 ]
 
@@ -254,6 +253,11 @@ def _check_reduction(poly: IntPoly, content: int, m_power: int):
     return reduced, ""
 
 
+# The largest modulus a modular certificate may name: a check evaluates
+# once per residue class, so no printed certificate can cost more than this.
+MAX_MODULUS = 720
+
+
 def _root_flaw(poly: IntPoly, cert: RootFound) -> str:
     if cert.m < 1:
         return f"root {cert.m} is not a positive integer"
@@ -265,6 +269,8 @@ def _root_flaw(poly: IntPoly, cert: RootFound) -> str:
 def _modular_flaw(reduced: IntPoly, cert: ModularObstruction) -> str:
     if cert.modulus < 2:
         return f"modulus {cert.modulus} is too small"
+    if cert.modulus > MAX_MODULUS:
+        return f"modulus {cert.modulus} is above the cap of {MAX_MODULUS}"
     if len(cert.residues) != cert.modulus:
         return f"expected {cert.modulus} residues, got {len(cert.residues)}"
     for t, claimed in enumerate(cert.residues):
@@ -378,7 +384,7 @@ _CHECKS = {
 _REDUCED = (ModularObstruction, ConstantDivisorTest)
 
 
-def verify_certificate_detailed(subject, cert) -> tuple[bool, str]:
+def verify_certificate(subject, cert) -> tuple[bool, str]:
     """Re-derive every claim a certificate makes about its subject.
 
     The subject is the data the filter consumed: the IntPoly for
@@ -398,8 +404,3 @@ def verify_certificate_detailed(subject, cert) -> tuple[bool, str]:
             return False, reason
     reason = check(subject, cert)
     return not reason, reason
-
-
-def verify_certificate(subject, cert) -> bool:
-    ok, _ = verify_certificate_detailed(subject, cert)
-    return ok

@@ -220,12 +220,12 @@ def test_criterion_4_free_model_replay(shipped_reports):
                     reduced.evaluate_mod(t, modulus) for t in range(modulus)
                 ),
             )
-            assert verify_certificate(polys[label], cert), label
+            assert verify_certificate(polys[label], cert) == (True, ""), label
         # the last one also reduces to a bare mod-3 statement
         mod3 = ModularObstruction(
             content=16, m_power=0, modulus=3, residues=(2, 2, 2)
         )
-        assert verify_certificate(polys["5"], mod3)
+        assert verify_certificate(polys["5"], mod3) == (True, "")
         assert report["verdict"] == "ALL-ELIMINATED"
         assert report["baseline_diff"] == []
 

@@ -26,7 +26,6 @@ from chern_gate.verify import (
     RootFound,
     _divisor_flaw,
     verify_certificate,
-    verify_certificate_detailed,
 )
 
 DEGREE_225_DESC = [50625, 0, 0, 0, -28350, -18900, -2700, 225, 30]
@@ -93,7 +92,8 @@ def test_eliminate_pins_degree_225_certificate():
     assert cert == ModularObstruction(
         content=15, m_power=0, modulus=3, residues=(2, 2, 2)
     )
-    assert verify_certificate(IntPoly.from_desc(DEGREE_225_DESC), cert)
+    poly = IntPoly.from_desc(DEGREE_225_DESC)
+    assert verify_certificate(poly, cert) == (True, "")
 
 
 def test_eliminate_pins_rank2_case_2_certificate():
@@ -102,7 +102,7 @@ def test_eliminate_pins_rank2_case_2_certificate():
     assert cert == ModularObstruction(
         content=2, m_power=0, modulus=7, residues=(3, 4, 6, 2, 6, 4, 3)
     )
-    assert verify_certificate(poly, cert)
+    assert verify_certificate(poly, cert) == (True, "")
     # moduli below 7 all hit a zero residue somewhere
     reduced = IntPoly.from_desc([c // 2 for c in RANK2_CASE_2_DESC])
     for modulus in range(2, 7):
@@ -114,19 +114,28 @@ def test_eliminate_pins_rank2_case_2_certificate():
 def test_modular_verification_rejects_bad_data():
     poly = IntPoly.from_desc(DEGREE_225_DESC)
     ok = ModularObstruction(content=15, m_power=0, modulus=3, residues=(2, 2, 2))
-    assert verify_certificate(poly, ok)
+    assert verify_certificate(poly, ok) == (True, "")
     wrong_residue = ModularObstruction(
         content=15, m_power=0, modulus=3, residues=(2, 1, 2)
     )
-    assert not verify_certificate(poly, wrong_residue)
+    assert verify_certificate(poly, wrong_residue) == (
+        False,
+        "residue at 1 mod 3 is 2, certificate claims 1",
+    )
     wrong_content = ModularObstruction(
         content=7, m_power=0, modulus=3, residues=(2, 2, 2)
     )
-    assert not verify_certificate(poly, wrong_content)
+    assert verify_certificate(poly, wrong_content) == (
+        False,
+        "content 7 does not divide all coefficients",
+    )
     zero_residue = ModularObstruction(
         content=15, m_power=0, modulus=2, residues=(0, 1)
     )
-    assert not verify_certificate(poly, zero_residue)
+    assert verify_certificate(poly, zero_residue) == (
+        False,
+        "residue class 0 mod 2 vanishes",
+    )
 
 
 def test_any_dividing_content_is_accepted():
@@ -139,7 +148,7 @@ def test_any_dividing_content_is_accepted():
         cert = ModularObstruction(
             content=content, m_power=0, modulus=7, residues=residues
         )
-        assert verify_certificate(poly, cert), content
+        assert verify_certificate(poly, cert) == (True, ""), content
 
 
 def test_divisor_certificate_on_rank2_case_2():
@@ -151,7 +160,7 @@ def test_divisor_certificate_on_rank2_case_2():
         divisors=(1, 2, 4, 29, 58, 116),
         values=values,
     )
-    assert verify_certificate(poly, cert)
+    assert verify_certificate(poly, cert) == (True, "")
     # a one-digit transcription slip in the largest value must be caught
     bad = ConstantDivisorTest(
         content=2,
@@ -159,18 +168,24 @@ def test_divisor_certificate_on_rank2_case_2():
         divisors=(1, 2, 4, 29, 58, 116),
         values=values[:5] + (65568143914807400,),
     )
-    assert not verify_certificate(poly, bad)
+    assert verify_certificate(poly, bad) == (
+        False,
+        "value at 116 is 65568274898807400, certificate claims 65568143914807400",
+    )
     missing = ConstantDivisorTest(
         content=2, m_power=0, divisors=(1, 2, 4, 29, 58), values=values[:5]
     )
-    assert not verify_certificate(poly, missing)
+    assert verify_certificate(poly, missing) == (
+        False,
+        "116 has 6 divisors, the list has 5",
+    )
 
 
 def test_psi_12_constant_term_is_factored():
     poly = IntPoly.from_desc(PSI_12_DESC)
     cert = eliminate(poly)
     assert cert == RootFound(399165290221)
-    assert verify_certificate(poly, cert)
+    assert verify_certificate(poly, cert) == (True, "")
 
 
 def test_divisor_list_that_misses_the_factors_of_psi_12_is_rejected():
@@ -182,17 +197,19 @@ def test_divisor_list_that_misses_the_factors_of_psi_12_is_rejected():
         divisors=claimed,
         values=tuple(poly.evaluate(m) for m in claimed),
     )
-    assert not verify_certificate(poly, cert)
+    assert verify_certificate(poly, cert) == (
+        False,
+        f"the listed primes leave {PSI_12} of {PSI_12} unfactored",
+    )
 
 
 def test_divisor_certificate_over_psi_13_is_unproven():
     poly = IntPoly.from_desc(PSI_13_DESC)
     cert = eliminate(poly)
     assert cert.divisors == (1, PSI_13)
-    ok, reason = verify_certificate_detailed(poly, cert)
-    assert not ok
-    assert reason == (
-        f"divisor {PSI_13} is at least psi_13, so its primality is unproven"
+    assert verify_certificate(poly, cert) == (
+        False,
+        f"divisor {PSI_13} is at least psi_13, so its primality is unproven",
     )
 
 
@@ -203,7 +220,13 @@ def test_composite_divisors_above_psi_13_still_verify():
     cert = eliminate(poly, max_modulus=2)
     assert isinstance(cert, ConstantDivisorTest)
     assert cert.divisors[-1] == 2**90 > PSI_13
-    assert verify_certificate(poly, cert)
+    assert verify_certificate(poly, cert) == (True, "")
+
+
+def test_eliminate_scans_no_modulus_above_the_cap():
+    # A certificate past the cap would be one verify_certificate refuses.
+    with pytest.raises(ValueError, match="max_modulus 721 is above the cap of 720"):
+        eliminate(IntPoly.from_desc([1, 1]), max_modulus=721)
 
 
 def test_divisor_verification_never_factors(monkeypatch):
@@ -220,7 +243,7 @@ def test_divisor_verification_never_factors(monkeypatch):
     real = exact.factorize
     monkeypatch.setattr(exact, "factorize", lambda n: factored.append(n) or real(n))
     for poly, cert in zip(polys, certs):
-        assert verify_certificate(poly, cert)
+        assert verify_certificate(poly, cert) == (True, "")
     assert factored == []
 
 
@@ -267,10 +290,11 @@ def test_root_certificates():
     poly = IntPoly.from_desc([1, 0, 0, 0, 0, 0, 0, 0, -1])  # m^8 - 1
     cert = eliminate(poly)
     assert cert == RootFound(1)
-    assert verify_certificate(poly, RootFound(1))
-    assert not verify_certificate(poly, RootFound(2))
-    detailed_ok, _ = verify_certificate_detailed(poly, RootFound(1))
-    assert detailed_ok
+    assert verify_certificate(poly, RootFound(1)) == (True, "")
+    assert verify_certificate(poly, RootFound(2)) == (
+        False,
+        "claimed root 2 does not vanish",
+    )
 
 
 def test_eliminate_strips_m_powers():
@@ -288,7 +312,7 @@ def test_constants_are_certified_at_modulus_2():
     ):
         poly = IntPoly.from_desc(desc)
         assert eliminate(poly) == expected
-        assert verify_certificate(poly, expected)
+        assert verify_certificate(poly, expected) == (True, "")
     with pytest.raises(ValueError, match="zero polynomial: every m is a root"):
         eliminate(IntPoly((0, 0)))
 
@@ -310,7 +334,7 @@ def test_planted_roots_are_always_found(root, rest, lead):
     cert = eliminate(poly, max_modulus=50)
     assert isinstance(cert, RootFound)
     assert poly.evaluate(cert.m) == 0 and cert.m > 0
-    assert verify_certificate(poly, cert)
+    assert verify_certificate(poly, cert) == (True, "")
 
 
 def test_rootless_random_polynomials_get_valid_certificates():
@@ -321,7 +345,7 @@ def test_rootless_random_polynomials_get_valid_certificates():
         poly = IntPoly.from_desc(desc)
         cert = eliminate(poly, max_modulus=60)
         assert not isinstance(cert, RootFound)
-        assert verify_certificate(poly, cert)
+        assert verify_certificate(poly, cert) == (True, "")
 
 
 def test_mod12_filter():
@@ -430,40 +454,63 @@ def test_embedding_polynomial_keeps_real_embeddings_alive(quadric_case, p4_case)
 
 def test_verifier_rejects_tampered_filter_certificates():
     row = CharNumbers(c1_4=81, c1c3=48, c1_2c2=99, c2_2=121, c4=6)
-    assert verify_certificate(row, CongruenceMod12(value=261, residue=9))
-    assert not verify_certificate(row, CongruenceMod12(value=261, residue=3))
-    assert not verify_certificate(row, CongruenceMod12(value=262, residue=10))
+    assert verify_certificate(row, CongruenceMod12(261, 9)) == (True, "")
+    assert verify_certificate(row, CongruenceMod12(261, 3)) == (
+        False,
+        "261 is 9 mod 12, certificate claims 3",
+    )
+    assert verify_certificate(row, CongruenceMod12(262, 10)) == (
+        False,
+        "<c1^2 c2> + 2<c1^4> is 261, certificate claims 262",
+    )
 
     spin_bad = ChernCase(
         r=-2, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (14,))
     )
-    assert verify_certificate(spin_bad, AhatNonIntegral(value=Fraction(1, 4)))
-    assert not verify_certificate(spin_bad, AhatNonIntegral(value=Fraction(3, 4)))
+    assert verify_certificate(spin_bad, AhatNonIntegral(Fraction(1, 4))) == (True, "")
+    assert verify_certificate(spin_bad, AhatNonIntegral(Fraction(3, 4))) == (
+        False,
+        "A-hat genus is 1/4, certificate claims 3/4",
+    )
     # r odd: the genus is 1/4 here too, but nothing forces it to be integral
     odd_index = ChernCase(
         r=-1, k=Fraction(1), c1c3=112, euler=16, geometry=Geometry("free", (224,))
     )
-    ok, reason = verify_certificate_detailed(
-        odd_index, AhatNonIntegral(value=Fraction(1, 4))
+    assert verify_certificate(odd_index, AhatNonIntegral(Fraction(1, 4))) == (
+        False,
+        "r = -1 is odd, so the A-hat genus need not be integral",
     )
-    assert not ok and "odd" in reason
     spin_fine = ChernCase(
         r=-4, k=Fraction(1, 2), c1c3=112, euler=16, geometry=Geometry("free", (3,))
     )
     integral = AhatNonIntegral(value=pontryagin_numbers(spin_fine).a_hat)
-    assert not verify_certificate(spin_fine, integral)
+    assert verify_certificate(spin_fine, integral) == (
+        False,
+        "A-hat genus 0 is an integer",
+    )
 
     case = fact_case(Geometry("rank1", (15,)), 1, Fraction(2, 3))
     cert = external_fact_filter((case, FACTS))
-    assert verify_certificate((case, FACTS), cert)
-    assert not verify_certificate((case, FACTS), replace(cert, index=2))
-    assert not verify_certificate((case, FACTS), replace(cert, violated_by=224))
+    assert verify_certificate((case, FACTS), cert) == (True, "")
+    assert verify_certificate((case, FACTS), replace(cert, index=2)) == (
+        False,
+        "certificate quotes fact 2, the fact for r = 1 is 1: "
+        "degree in {2, 4, 5} (classification)",
+    )
+    assert verify_certificate((case, FACTS), replace(cert, violated_by=224)) == (
+        False,
+        "the case has degree 225, certificate says 224",
+    )
     inside = fact_case(Geometry("rank1", (2,)), 1, Fraction(1))
-    assert not verify_certificate((inside, FACTS), replace(cert, violated_by=4))
+    assert verify_certificate((inside, FACTS), replace(cert, violated_by=4)) == (
+        False,
+        "degree 4 satisfies degree in {2, 4, 5}",
+    )
     p4 = fact_case(Geometry("rank1", (1,)), 5, Fraction(2, 5))
     concluded = external_fact_filter((p4, FACTS))
-    assert verify_certificate((p4, FACTS), concluded)
-    assert not verify_certificate((p4, FACTS), replace(concluded, conclusion="Q4"))
+    assert verify_certificate((p4, FACTS), concluded) == (True, "")
+    forged = replace(concluded, conclusion="Q4")
+    assert verify_certificate((p4, FACTS), forged) == (False, "fact 5 concludes P4")
 
 
 def test_verifier_rejects_non_certificates():
@@ -474,9 +521,10 @@ def test_verifier_rejects_non_certificates():
 def test_verify_detailed_reasons_are_informative():
     poly = IntPoly.from_desc(DEGREE_225_DESC)
     bad = ModularObstruction(content=15, m_power=0, modulus=3, residues=(2, 1, 2))
-    ok, reason = verify_certificate_detailed(poly, bad)
-    assert not ok
-    assert reason
+    assert verify_certificate(poly, bad) == (
+        False,
+        "residue at 1 mod 3 is 2, certificate claims 1",
+    )
 
 
 def _poly(*desc):
@@ -487,7 +535,7 @@ _R1 = fact_case(Geometry("rank1", (15,)), 1, Fraction(2, 3))
 _R3 = fact_case(Geometry("rank1", (15,)), 3, Fraction(2, 3))
 
 # Each certificate is sound but for one flaw, which only the reason's
-# check catches. With that check taken out, nine of them verify; the
+# check catches. With that check taken out, ten of them verify; the
 # zero polynomial and the missing fact raise, and the understated m power
 # fails later for another reason.
 TAMPERED = [
@@ -534,6 +582,17 @@ TAMPERED = [
         id="modulus-zero",
     ),
     pytest.param(
+        _poly(1, 1, 1),  # m^2 + m + 1 is odd, so no residue mod 722 vanishes
+        ModularObstruction(
+            content=1,
+            m_power=0,
+            modulus=722,
+            residues=tuple(_poly(1, 1, 1).evaluate_mod(t, 722) for t in range(722)),
+        ),
+        "modulus 722 is above the cap of 720",
+        id="modulus-above-cap",
+    ),
+    pytest.param(
         _poly(1, -2),  # vanishes at the residue left out, 2 mod 3
         ModularObstruction(content=1, m_power=0, modulus=3, residues=(1, 2)),
         "expected 3 residues, got 2",
@@ -568,4 +627,4 @@ TAMPERED = [
 
 @pytest.mark.parametrize("subject, cert, reason", TAMPERED)
 def test_verifier_names_the_one_flaw_of_a_tampered_certificate(subject, cert, reason):
-    assert verify_certificate_detailed(subject, cert) == (False, reason)
+    assert verify_certificate(subject, cert) == (False, reason)

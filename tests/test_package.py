@@ -244,3 +244,40 @@ def test_no_module_imports_dataclasses_or_the_pool():
             if name.split(".")[0] in _NEVER_IMPORTED:
                 found.append(f"{path.name}: {name}")
     assert found == []
+
+
+def _is_verify_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "verify_certificate"
+
+
+def _verify_calls_read_as_bools(tree: ast.AST):
+    """Each call to verify_certificate that an assert, not, if, while, a
+    conditional expression, a comprehension's if or and/or reads as a bool,
+    by line."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assert, ast.If, ast.While, ast.IfExp)):
+            tested = [node.test]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested = [node.operand]
+        elif isinstance(node, ast.BoolOp):
+            tested = node.values
+        elif isinstance(node, ast.comprehension):
+            tested = node.ifs
+        else:
+            continue
+        yield from (t.lineno for t in tested if _is_verify_call(t))
+
+
+# verify_certificate returns the pair (ok, reason), and a pair is always
+# true, so a call read as a bool would pass whatever the check found.
+def test_no_verify_call_is_read_as_a_bool():
+    package, tests = Path(chern_gate.__file__).parent, Path(__file__).parent
+    found = []
+    for path in sorted([*package.glob("*.py"), *tests.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _verify_calls_read_as_bools(tree)]
+    assert found == []

@@ -2,12 +2,14 @@ import builtins
 import copy
 import hashlib
 import json
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chern_gate import pipeline
+from chern_gate import pipeline, verify
 from chern_gate.cli import dispatch
 from chern_gate.pipeline import (
     SHIPPED_LEMMAS,
@@ -466,7 +468,7 @@ def test_unverified_conclusion_leaves_the_case_alive(monkeypatch, capsys):
     )
 
 
-def test_unverified_elimination_leaves_the_case_alive(monkeypatch):
+def test_unverified_elimination_leaves_the_case_alive(monkeypatch, checks):
     real = pipeline.mod12_filter
 
     def wrong_residue(cn):
@@ -482,6 +484,9 @@ def test_unverified_elimination_leaves_the_case_alive(monkeypatch):
     assert "case 1: baseline eliminates it via mod12, the run leaves it alive" in (
         report["baseline_diff"]
     )
+    # Each forged row is checked once, and so is each of the four printed
+    # congruences; the printed polynomial obstructions have no polynomial.
+    assert checks == {"checks": 8, "calls": 8}
 
 
 @pytest.mark.parametrize(
@@ -744,6 +749,66 @@ def test_a_failing_row_says_why(monkeypatch, capsys):
     assert payload["note"] == (
         f"divisor {PSI_13} is at least psi_13, so its primality is unproven"
     )
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """How many certificate checks run, counted through verify._CHECKS,
+    and how many verify_certificate calls go through pipeline's name for
+    it, the one the benchmark's tracer times."""
+    counts = Counter()
+    for cls, check in list(verify._CHECKS.items()):
+
+        def counting(subject, cert, check=check):
+            counts["checks"] += 1
+            return check(subject, cert)
+
+        monkeypatch.setitem(verify._CHECKS, cls, counting)
+    real = pipeline.verify_certificate
+
+    def calling(subject, cert):
+        counts["calls"] += 1
+        return real(subject, cert)
+
+    monkeypatch.setattr(pipeline, "verify_certificate", calling)
+    return counts
+
+
+def test_a_failing_printed_obstruction_is_checked_once(checks):
+    # 3.1 checks ten engine rows and ten printed obstructions, a failing
+    # one as often as a sound one.
+    baseline = raw_baseline("3.1")
+    baseline["obstructions"]["1"]["value"] = "262"
+    assert run_31_against(baseline) == [
+        "congruence-mod12 obstruction 1: failed re-verification: "
+        "<c1^2 c2> + 2<c1^4> is 261, certificate claims 262"
+    ]
+    assert checks == {"checks": 20, "calls": 20}
+
+
+def test_the_eliminate_payload_is_checked_once(checks, capsys):
+    assert dispatch(["eliminate", "--coeffs=1,1287836182260,-" + str(PSI_13)]) == 1
+    assert json.loads(capsys.readouterr().out)["verified"] is False
+    assert checks == {"checks": 1, "calls": 1}
+
+
+def test_a_printed_modulus_above_the_cap_fails():
+    # 3.1's case 4 is certified mod 2, so mod 722 = 2 * 19^2 too, but a
+    # check evaluates one residue per class and refuses past the cap.
+    baseline = raw_baseline("3.1")
+    baseline["obstructions"]["4"]["modulus"] = 722
+    assert run_31_against(baseline) == [
+        "modular obstruction 4: failed re-verification: "
+        "modulus 722 is above the cap of 720"
+    ]
+    baseline["obstructions"]["4"]["modulus"] = 10**12
+    start = time.perf_counter()
+    diff = run_31_against(baseline)
+    assert time.perf_counter() - start < 1
+    assert diff == [
+        "modular obstruction 4: failed re-verification: "
+        f"modulus {10**12} is above the cap of 720"
+    ]
 
 
 def _failing_validation_notes(report):
